@@ -29,6 +29,7 @@ from .partitions import (
 )
 from .schur import (
     koszul_pair_mult,
+    koszul_pair_possible,
     lr_expand,
     schur_dim,
     skew_expand,
@@ -194,26 +195,34 @@ def _scan_pairs(params: StrommeParams, ins: InsertionSpec, t_range) -> list:
     """E1 contributions (t, q, value, mu, sigma, mult) for t in the range.
 
     Both Grassmannian factors are evaluated first; the LR-expensive pair
-    multiplicity is computed only when neither factor vanishes.
+    multiplicity is computed only when neither factor vanishes and the
+    pair passes `koszul_pair_possible` (Dvir's Kronecker-support bounds,
+    Y. Dvir, J. Algebra 154, 1993, and meet dominance; both are necessary
+    conditions for a nonzero multiplicity, proven in its docstring).  The
+    sigma with a nonvanishing second factor are listed once per t, on the
+    first mu whose first factor survives, with their conjugates.
     """
     lo, hi = t_range
-    coh2_cache: dict[Partition, CohomTable] = {}
     out = []
     for t in range(lo, hi + 1):
+        survivors: Optional[list[tuple[Partition, Partition, CohomTable]]] = None
         for mu in partitions_in_box(params.k1, 2 * params.r2, t):
             f1 = coh_bundle(params.gr1, (mu,) + tuple(ins.a1), ins.b1)
             if not f1:
                 continue
-            sig_cols = min(2 * params.k1, t) if t else 0
-            for sigma in partitions_in_box(params.r2, sig_cols, t):
-                f2 = coh2_cache.get(sigma)
-                if f2 is None:
+            if survivors is None:
+                survivors = []
+                sig_cols = min(2 * params.k1, t)
+                for sigma in partitions_in_box(params.r2, sig_cols, t):
                     dual = negate_reverse(as_weight(sigma, params.r2))
                     f2 = coh_bundle(params.gr2, ins.a2, (dual,) + tuple(ins.b2))
-                    coh2_cache[sigma] = f2
-                if not f2:
+                    if f2:
+                        survivors.append((sigma, conjugate(sigma), f2))
+            theta = conjugate(mu)
+            for sigma, sigma_dag, f2 in survivors:
+                if not koszul_pair_possible(theta, mu, sigma, sigma_dag):
                     continue
-                mult = koszul_pair_mult(conjugate(mu), sigma, params.r2)
+                mult = koszul_pair_mult(theta, sigma, params.r2)
                 if not mult:
                     continue
                 for q, v in sorted(kunneth(f1, f2).items()):

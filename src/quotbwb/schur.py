@@ -108,7 +108,8 @@ def skew_expand(lam: Partition, nu: Partition, max_rows: Optional[int] = None
 
     def fill(idx: int):
         if idx == ncells:
-            beta = partition(counts[1:1 + cap])
+            # the lattice condition keeps counts weakly decreasing
+            beta = tuple(x for x in counts[1:1 + cap] if x)
             out[beta] = out.get(beta, 0) + 1
             return
         r, c = cells[idx]
@@ -149,7 +150,8 @@ def lr_expand(alpha: Partition, beta: Partition, max_rows: Optional[int] = None
     def add_letter(shape: tuple[int, ...], prev_cum: Optional[tuple[int, ...]],
                    letter: int):
         if letter > len(beta):
-            gam = partition(shape)
+            # horizontal strips keep shape weakly decreasing
+            gam = tuple(x for x in shape if x)
             out[gam] = out.get(gam, 0) + 1
             return
         b = beta[letter - 1]
@@ -240,6 +242,57 @@ def horn_predicates(alpha, beta, gamma) -> HornRecord:
     else:
         ok_dom2 = None
     return HornRecord(ok_size, ok_weyl, ok_dom1, ok_dom2)
+
+
+def _within_double(lam: Partition, kappa: Partition) -> bool:
+    """Every partial sum of lam is at most twice that of kappa."""
+    a = b = 0
+    for i, x in enumerate(lam):
+        a += x
+        if i < len(kappa):
+            b += 2 * kappa[i]
+        if a > b:
+            return False
+    return True
+
+
+def koszul_pair_possible(theta: Partition, theta_dag: Partition,
+                         sigma: Partition, sigma_dag: Partition) -> bool:
+    """Necessary condition for koszul_pair_mult(theta, sigma, .) != 0.
+
+    Takes both partitions with their conjugates.  The multiplicity
+    sum_{alpha,beta} c^theta_{alpha,beta} c^sigma_{alpha,beta} equals
+    sum_nu g(theta, sigma, nu) dim S^nu(C^2), with g the Kronecker
+    coefficient and nu of at most 2 rows (a row cap on alpha, beta only
+    drops nonnegative terms).  Two families of bounds, each proven:
+
+    Dvir: for g(lam, nu, rho) != 0, len(rho) <= |lam ^ nu^dag| and
+    rho_1 <= |lam ^ nu| (Y. Dvir, On the Kronecker product of S_n
+    characters, J. Algebra 154, 1993).  With len(nu) <= 2 this gives
+    len(theta) <= sigma^dag_1 + sigma^dag_2, len(sigma) <= theta^dag_1 +
+    theta^dag_2, theta_1 <= sigma_1 + sigma_2 and sigma_1 <= theta_1 + theta_2.
+
+    Meet dominance: with kappa = theta ^ sigma, a nonzero term has alpha,
+    beta inside kappa, and c^gamma_{alpha,beta} != 0 forces the partial
+    sums of gamma (and of gamma^dag) below those of alpha + beta (and of
+    alpha^dag + beta^dag); so theta and sigma are bounded by 2 kappa, and
+    their conjugates by 2 kappa^dag = 2 (theta^dag ^ sigma^dag).
+
+    Used only to skip pairs; it never asserts a nonzero multiplicity.
+    """
+    if len(theta) > part(sigma_dag, 1) + part(sigma_dag, 2):
+        return False
+    if len(sigma) > part(theta_dag, 1) + part(theta_dag, 2):
+        return False
+    if part(theta, 1) > part(sigma, 1) + part(sigma, 2):
+        return False
+    if part(sigma, 1) > part(theta, 1) + part(theta, 2):
+        return False
+    meet = tuple(min(a, b) for a, b in zip(theta, sigma))
+    meet_dag = tuple(min(a, b) for a, b in zip(theta_dag, sigma_dag))
+    return (_within_double(theta, meet) and _within_double(sigma, meet)
+            and _within_double(theta_dag, meet_dag)
+            and _within_double(sigma_dag, meet_dag))
 
 
 def lr(alpha: Partition, beta: Partition, gamma: Partition) -> int:
@@ -333,9 +386,15 @@ def weight_tensor_expand(eta: WeightLike, rho: WeightLike, length: int
 
 
 def tensor_expand_many(weights: list[WeightLike], length: int) -> dict[Weight, int]:
-    """Fold weight_tensor_expand over a list (empty product = trivial weight)."""
-    acc = {as_weight((), length): 1}
-    for w in weights:
+    """Fold weight_tensor_expand over a list (empty product = trivial weight).
+
+    The fold starts from the first weight itself: tensoring with the
+    trivial weight would return it unchanged.
+    """
+    if not weights:
+        return {as_weight((), length): 1}
+    acc = {as_weight(weights[0], length): 1}
+    for w in weights[1:]:
         nxt: dict[Weight, int] = {}
         for base, m0 in acc.items():
             for res, m1 in weight_tensor_expand(base, w, length).items():
@@ -385,21 +444,49 @@ def lemma45_check(sigma: Partition, lam: Partition, chi: WeightLike, s: int) -> 
     return lhs <= rhs
 
 
+def _weyl_fits(lam: Partition, alpha: Partition, width: int, height: int) -> bool:
+    """Weyl's bounds for c^lam_{alpha,beta} != 0 with beta_1 <= width and
+    len(beta) <= height: lam_i <= alpha_i + width, lam_{i+height} <= alpha_i."""
+    for i, x in enumerate(lam):
+        if x > part(alpha, i + 1) + width:
+            return False
+        if i >= height and x > part(alpha, i + 1 - height):
+            return False
+    return True
+
+
 def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
     """Sum over alpha, beta of c^theta_{alpha,beta} * c^sigma_{alpha,beta}.
 
     Evaluated as sum_alpha <s_{theta/alpha}, s_{sigma/alpha}> over common
-    subpartitions with at most `max_rows` rows.
+    subpartitions with at most `max_rows` rows.  Both alpha and beta lie
+    in the meet kappa = theta ^ sigma (a nonzero c^theta_{alpha,beta} puts
+    them inside theta, c^sigma_{alpha,beta} inside sigma), which gives
+    three cuts, each dropping only zero terms:
+      - beta is enumerated with at most len(kappa) rows;
+      - alpha with |alpha| < |theta| - |kappa| is skipped (its beta would
+        be larger than kappa);
+      - alpha is skipped unless theta/alpha and sigma/alpha meet Weyl's
+        inequalities lam_{i+j-1} <= alpha_i + beta_j at j = 1 and
+        j = len(kappa) + 1, with beta_1 <= kappa_1 and no row of beta past
+        len(kappa).
     """
     theta, sigma = partition(theta), partition(sigma)
     if size(theta) != size(sigma):
         return 0
-    meet = partition(min(part(theta, i), part(sigma, i))
-                     for i in range(1, min(len(theta), len(sigma)) + 1))
+    meet = tuple(min(a, b) for a, b in zip(theta, sigma))
+    rows = min(max_rows, len(meet))
+    least = size(theta) - size(meet)
+    width = part(meet, 1)
     total = 0
     for alpha in subpartitions(meet, max_rows):
-        e1 = skew_expand(theta, alpha, max_rows)
-        e2 = skew_expand(sigma, alpha, max_rows)
+        if size(alpha) < least:
+            continue
+        if not (_weyl_fits(theta, alpha, width, rows)
+                and _weyl_fits(sigma, alpha, width, rows)):
+            continue
+        e1 = skew_expand(theta, alpha, rows)
+        e2 = skew_expand(sigma, alpha, rows)
         if len(e2) < len(e1):
             e1, e2 = e2, e1
         total += sum(m * e2.get(b, 0) for b, m in e1.items())

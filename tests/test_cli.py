@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import quotbwb
 
 from quotbwb.cache import CacheFormatError, cache_load, cache_store
 from quotbwb.cli import run
@@ -143,6 +149,25 @@ class TestDeterminismAndCache:
                                        "--d", "1", "--m", "1"])
         text = json.dumps(payload, indent=2, sort_keys=True)
         assert json.loads(text) == payload
+
+    @pytest.mark.parametrize("extra", [[], ["--m", "5", "--b1", "1,1,1,1,1,1"]])
+    def test_scan_payload_same_under_O(self, tmp_path, extra):
+        # the scan's pruning must not hide in an assert: python -O gives
+        # the same payload (the second case has E1 entries at t = 0 and 24)
+        src = str(Path(quotbwb.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("QUOTBWB_CACHE", None)
+        argv = ["scan", "--n", "2", "--r", "1", "--d", "2", "--m", "4"] + extra
+        payloads = []
+        for flags in ([], ["-O"]):
+            out = tmp_path / f"scan{len(flags)}.json"
+            subprocess.run([sys.executable, *flags, "-m", "quotbwb.cli", *argv,
+                            "--output", str(out)], env=env, check=True, timeout=120)
+            payload = json.loads(out.read_text())
+            payload.pop("elapsed_ms")
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["result"]["e1"]["entries"]
 
     def test_output_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -2,8 +2,10 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quotbwb.partitions import Weight, partition
+from quotbwb.partitions import Weight, conjugate, partition, partitions_in_box
 from quotbwb.pipeline import (
     InsertionSpec,
     QuotSetup,
@@ -12,6 +14,7 @@ from quotbwb.pipeline import (
     closed_form_multi,
     e1_page,
     ext_table,
+    koszul_sigma_expansion,
     koszul_terms,
     line_coh,
     resolve_page,
@@ -19,7 +22,7 @@ from quotbwb.pipeline import (
     verify_prop47,
     verify_thm41,
 )
-from quotbwb.schur import schur_dim
+from quotbwb.schur import koszul_pair_mult, koszul_pair_possible, schur_dim
 
 
 class TestSetupAndParams:
@@ -83,19 +86,52 @@ class TestKoszul:
 
     def test_pair_route_matches_expansion_route(self):
         # koszul_terms expands through subpartition/skew/LR chains; the scan
-        # evaluates fixed (mu, sigma) pairs through skew inner products.
-        # Both must produce identical multiplicities.
-        from quotbwb.partitions import conjugate
-        from quotbwb.schur import koszul_pair_mult
-        p = stromme(QuotSetup(3, 1, 1, m=1))
-        for t in range(p.rank_k + 1):
-            expansion = {(T.mu, T.sigma): T.mult for T in koszul_terms(p, t)}
-            from quotbwb.partitions import partitions_in_box
-            for mu in partitions_in_box(p.k1, 2 * p.r2, t):
-                cols = min(2 * p.k1, t) if t else 0
-                for sigma in partitions_in_box(p.r2, cols, t):
-                    got = koszul_pair_mult(conjugate(mu), sigma, p.r2)
-                    assert got == expansion.get((mu, sigma), 0), (mu, sigma)
+        # evaluates fixed (mu, sigma) pairs through skew inner products with
+        # row and Weyl cuts.  Both must produce identical multiplicities on
+        # every pair of the boxes, zeros included.
+        for setup in (QuotSetup(3, 1, 1, m=1), QuotSetup(2, 1, 1, m=3),
+                      QuotSetup(2, 1, 2, m=4)):
+            p = stromme(setup)
+            for t in range(p.rank_k + 1):
+                expansion = {(T.mu, T.sigma): T.mult for T in koszul_terms(p, t)}
+                for mu in partitions_in_box(p.k1, 2 * p.r2, t):
+                    cols = min(2 * p.k1, t) if t else 0
+                    for sigma in partitions_in_box(p.r2, cols, t):
+                        got = koszul_pair_mult(conjugate(mu), sigma, p.r2)
+                        assert got == expansion.get((mu, sigma), 0), \
+                            (setup, mu, sigma)
+
+
+# Setups small enough for the full expansion: n <= 3 and rank_k <= 28.
+_PRUNE_SETUPS = [s for s in (QuotSetup(n, r, d, b, m=sum(b) + d + e)
+                             for n in (2, 3) for r in range(1, n)
+                             for d in range(3)
+                             for b in ((0,) * n, (0,) * (n - 1) + (1,))
+                             for e in range(3))
+                 if 0 < stromme(s).rank_k <= 28]
+
+
+class TestPairPrefilter:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_prefilter_keeps_every_nonzero_pair(self, data):
+        # every sigma in the full expansion of S^{mu^dag}(B2^dual + B2^dual)
+        # must pass the necessary condition the scan prunes with
+        setup = data.draw(st.sampled_from(_PRUNE_SETUPS))
+        p = stromme(setup)
+        t = data.draw(st.integers(0, p.rank_k))
+        mu = data.draw(st.sampled_from(partitions_in_box(p.k1, 2 * p.r2, t)))
+        theta = conjugate(mu)
+        for sigma, mult in koszul_sigma_expansion(mu, p.r2).items():
+            if mult:
+                assert koszul_pair_possible(theta, mu, sigma, conjugate(sigma)), \
+                    (setup, mu, sigma)
+
+    def test_prefilter_prunes(self):
+        # g((1,1,1,1), (4), nu) is nonzero only for nu = (1,1,1,1)
+        assert koszul_pair_mult((1, 1, 1, 1), (4,), 4) == 0
+        assert not koszul_pair_possible((1, 1, 1, 1), (4,), (4,), (1, 1, 1, 1))
+        assert koszul_pair_possible((2, 1), (2, 1), (2, 1), (2, 1))
 
 
 class TestResolvePage:

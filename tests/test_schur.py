@@ -4,7 +4,14 @@ from math import comb
 
 import pytest
 
-from quotbwb.partitions import Weight, conjugate, part, partition, partitions_in_box
+from quotbwb.partitions import (
+    Weight,
+    as_weight,
+    conjugate,
+    part,
+    partition,
+    partitions_in_box,
+)
 from quotbwb.schur import (
     cauchy_terms,
     direct_sum_expand,
@@ -16,6 +23,7 @@ from quotbwb.schur import (
     schur_dim,
     schur_of_sum_copies,
     skew_expand,
+    tensor_expand_many,
     weight_dim,
     weight_tensor_expand,
 )
@@ -305,6 +313,35 @@ class TestWeightTensor:
             exp = weight_tensor_expand(Weight(e1), Weight(e2), n)
             assert sum(m * weight_dim(w, n) for w, m in exp.items()) == \
                 weight_dim(Weight(e1), n) * weight_dim(Weight(e2), n)
+
+
+    def test_single_weight_product(self):
+        # the fold starting from the weight itself equals the fold from the
+        # trivial weight, for partitions and mixed-sign weights
+        def fold_from_trivial(weights, length):
+            acc = {as_weight((), length): 1}
+            for w in weights:
+                nxt = {}
+                for base, m0 in acc.items():
+                    for res, m1 in weight_tensor_expand(base, w, length).items():
+                        nxt[res] = nxt.get(res, 0) + m0 * m1
+                acc = nxt
+            return acc
+
+        rng = random.Random(43)
+        cases = [[(2, 1)], [Weight((1, 0, -2))], [(1,), Weight((0, -1))], []]
+        for _ in range(40):
+            n = rng.randrange(1, 5)
+            cases.append([Weight(tuple(sorted((rng.randrange(-3, 4) for _ in range(n)),
+                                              reverse=True)))])
+            cases.append([partition(sorted((rng.randrange(0, 4) for _ in range(n)),
+                                           reverse=True))])
+        for weights in cases:
+            for length in range(max((len(w) for w in weights), default=0), 5):
+                assert tensor_expand_many(weights, length) == \
+                    fold_from_trivial(weights, length), (weights, length)
+        with pytest.raises(ValueError):
+            tensor_expand_many([(1, 1, 1)], 2)
 
 
 class TestHorn:
