@@ -1,10 +1,12 @@
 """Borel-Weil-Bott on a single Grassmannian, plus Kunneth combination.
 
-The core routine takes weights on the duals of the universal sub- and
-quotient bundles, forms the rho-shifted vector, and reads the unique
-nonvanishing degree off the sorting permutation.  `coh_bundle` is the
-bundle-side wrapper: weights on A and B themselves, tensor-expanded and
-converted to the dual convention before the sort.
+The core routine `_bwb` takes the entries of weights on the duals of the
+universal sub- and quotient bundles as one plain tuple, forms the
+rho-shifted vector, and reads the unique nonvanishing degree off the
+sorting permutation.  `bwb_dual_weights` validates its weights and calls
+it; `coh_bundle` is the bundle-side wrapper: weights on A and B
+themselves, tensor-expanded and converted to the dual convention before
+the sort.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from .partitions import (
     t_eta_indices,
     t_index,
 )
-from .schur import tensor_expand_many, weight_dim
+from .schur import schur_dim, tensor_expand_many
 
 CohomTable = dict[int, int]
 
@@ -64,31 +66,50 @@ class BwbOutcome:
     dim: int = 0
 
 
+def _bwb(n: int, dual: tuple[int, ...]) -> Optional[tuple[int, tuple[int, ...], int]]:
+    """BWB on a plain entry tuple: None, or (degree, gamma, dim).
+
+    `dual` is (rho, chi) concatenated, each part weakly decreasing, of
+    total length n.  omega = dual + (n-1, ..., 0); a repetition kills
+    everything, otherwise the inversion count of omega is the single
+    degree and the sorted-and-unshifted weight gamma gives the answer
+    S^gamma(C^n)^dual, of dimension dim.  gamma is weakly decreasing by
+    construction, so it is never re-validated.
+    """
+    omega = [x + (n - 1 - i) for i, x in enumerate(dual)]
+    if len(set(omega)) != n:
+        return None
+    gamma = tuple(x - (n - 1 - i) for i, x in enumerate(sorted(omega, reverse=True)))
+    # a determinant twist keeps the dimension and makes gamma a partition
+    low = gamma[-1] if gamma else 0
+    return inversions(omega), gamma, schur_dim(tuple(x - low for x in gamma), n)
+
+
 def bwb_dual_weights(gr: GrSpec, rho: WeightLike, chi: WeightLike) -> BwbOutcome:
     """Cohomology of S^rho(A^dual) x S^chi(B^dual) on Gr(k, n).
 
-    omega = (rho, chi) + (n-1, ..., 0); a repetition kills everything,
-    otherwise the inversion count of omega is the single degree and the
-    sorted-and-unshifted weight gamma gives the answer S^gamma(C^n)^dual.
+    Validates rho and chi once (`as_weight`), then runs `_bwb`.
     """
     rho = as_weight(rho, gr.k)
     chi = as_weight(chi, gr.quotient_rank)
-    omega = [x + (gr.n - 1 - i) for i, x in enumerate(tuple(rho) + tuple(chi))]
-    if len(set(omega)) != len(omega):
+    hit = _bwb(gr.n, rho.entries + chi.entries)
+    if hit is None:
         return BwbOutcome(vanishes=True)
-    degree = inversions(omega)
-    gamma = Weight(tuple(x - (gr.n - 1 - i)
-                         for i, x in enumerate(sorted(omega, reverse=True))))
-    dual = negate_reverse(gamma)
-    return BwbOutcome(False, degree, gamma, dual, weight_dim(gamma, gr.n))
+    degree, gamma, dim = hit
+    gamma_w = Weight(gamma)
+    return BwbOutcome(False, degree, gamma_w, negate_reverse(gamma_w), dim)
 
 
-def _combine(weights: Sequence[WeightLike], length: int) -> Optional[dict[Weight, int]]:
-    """Tensor-expand bundle-side weights; None marks a zero bundle."""
+def expand_side(weights: Sequence[WeightLike], length: int) -> dict[Weight, int]:
+    """Tensor-expand the bundle-side weights on one universal bundle.
+
+    An empty expansion is the zero bundle: a partition too long for the
+    bundle raises inside `tensor_expand_many` and lands here.
+    """
     try:
         return tensor_expand_many(list(weights), length)
     except ValueError:
-        return None
+        return {}
 
 
 def coh_bundle(gr: GrSpec, a_weights: Sequence[WeightLike] = (),
@@ -101,18 +122,16 @@ def coh_bundle(gr: GrSpec, a_weights: Sequence[WeightLike] = (),
     dual convention S^w(E) = S^{-w}(E^dual), and the BWB degrees summed.
     A partition too long for its bundle means the zero bundle: empty table.
     """
-    a_exp = _combine(a_weights, gr.k)
-    b_exp = _combine(b_weights, gr.quotient_rank)
-    if a_exp is None or b_exp is None:
-        return {}
+    b_duals = [(tuple(-x for x in reversed(w.entries)), m)
+               for w, m in expand_side(b_weights, gr.quotient_rank).items()]
     table: CohomTable = {}
-    for wa, ma in a_exp.items():
-        rho = negate_reverse(wa)
-        for wb, mb in b_exp.items():
-            out = bwb_dual_weights(gr, rho, negate_reverse(wb))
-            if out.vanishes or out.dim == 0:
-                continue
-            table[out.degree] = table.get(out.degree, 0) + ma * mb * out.dim
+    for wa, ma in expand_side(a_weights, gr.k).items():
+        rho = tuple(-x for x in reversed(wa.entries))
+        for chi, mb in b_duals:
+            hit = _bwb(gr.n, rho + chi)
+            if hit is not None:
+                degree, _, dim = hit
+                table[degree] = table.get(degree, 0) + ma * mb * dim
     return {d: v for d, v in table.items() if v}
 
 
@@ -149,15 +168,6 @@ def kunneth(t1: CohomTable, t2: CohomTable) -> CohomTable:
         for d2, v2 in t2.items():
             out[d1 + d2] = out.get(d1 + d2, 0) + v1 * v2
     return out
-
-
-def table_scale(t: CohomTable, c: int) -> CohomTable:
-    return {d: c * v for d, v in t.items()} if c else {}
-
-
-def table_add(acc: CohomTable, t: CohomTable, c: int = 1) -> None:
-    for d, v in t.items():
-        acc[d] = acc.get(d, 0) + c * v
 
 
 def table_euler(t: CohomTable) -> int:

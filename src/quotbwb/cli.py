@@ -7,20 +7,21 @@ worker count excluded from the config echo).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 
 from . import __version__
-from .bwb import GrSpec, coh_bundle, index_nonvanish
+from .bwb import GrSpec, bwb_dual_weights, coh_bundle, expand_side, index_nonvanish
 from .cache import CacheFormatError, cache_load, cache_store
 from .complexes import (
     HyperInsert,
     hyper_cohomology,
     sx_cohomology,
 )
-from .partitions import Weight, format_parts, parse_parts, partition
+from .partitions import Weight, format_parts, negate_reverse, parse_parts, partition
 from .pipeline import (
     InsertionSpec,
     QuotReport,
@@ -169,15 +170,9 @@ def cmd_bwb(args):
     b = [_weight_arg(w) for w in args.b or []]
     table = coh_bundle(gr, a, b)
     # per-summand detail: the answer weight and its dual side by side
-    from .partitions import as_weight, negate_reverse
-    from .bwb import bwb_dual_weights
-    from .schur import tensor_expand_many
     summands = []
-    try:
-        a_exp = tensor_expand_many(a, gr.k)
-        b_exp = tensor_expand_many(b, gr.quotient_rank)
-    except ValueError:
-        a_exp = b_exp = {}
+    a_exp = expand_side(a, gr.k)
+    b_exp = expand_side(b, gr.quotient_rank)
     for wa, ma in sorted(a_exp.items(), key=lambda kv: kv[0].entries):
         for wb, mb in sorted(b_exp.items(), key=lambda kv: kv[0].entries):
             out = bwb_dual_weights(gr, negate_reverse(wa), negate_reverse(wb))
@@ -391,10 +386,16 @@ def _add_insertion_args(sub):
                          help=f"weight on the {slot} bundle (repeatable)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by `run`.
+
+    Nothing here may depend on the environment: `run` reads
+    $QUOTBWB_CACHE itself, at each call.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--cache", default=os.environ.get("QUOTBWB_CACHE"),
+    common.add_argument("--cache", default=None,
                         help="LR cache file (default $QUOTBWB_CACHE)")
     common.add_argument("--output", default=None, help="write the report here")
     common.add_argument("--format", choices=("json", "table"), default="json")
@@ -510,9 +511,10 @@ def _render_table(payload, indent=0) -> str:
 
 
 def run(argv) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
+    if args.cache is None:
+        args.cache = os.environ.get("QUOTBWB_CACHE")
     if args.cache and os.path.exists(args.cache):
         try:
             cache_load(args.cache)

@@ -191,35 +191,63 @@ def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
     return terms
 
 
+# Per-t factor survivors [(lam, lam', table)], keyed on (params, factor,
+# normalized insertions on that factor, t); filled by _factor_survivors.
+_SURVIVOR_CACHE: dict[tuple, list[tuple[Partition, Partition, CohomTable]]] = {}
+
+
+def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
+                      t: int) -> list[tuple[Partition, Partition, CohomTable]]:
+    """Koszul partitions of the t-th term whose Grassmannian factor survives.
+
+    factor 1: mu in the k1 x 2r2 box with |mu| = t, table
+    H(Gr1, S^mu(A1) x a x b); factor 2: sigma in the r2 x min(2k1, t) box,
+    table H(Gr2, a x S^sigma(B2^dual) x b).  Each survivor comes with its
+    conjugate.  `a` and `b` are entry tuples (`InsertionSpec.key()`), so a
+    Weight and a tuple with the same entries share one entry: the tables
+    depend on the insertions only through `as_weight`, which reads entries.
+    """
+    key = (params, factor, a, b, t)
+    hit = _SURVIVOR_CACHE.get(key)
+    if hit is not None:
+        return hit
+    out = []
+    if factor == 1:
+        for mu in partitions_in_box(params.k1, 2 * params.r2, t):
+            table = coh_bundle(params.gr1, (mu,) + a, b)
+            if table:
+                out.append((mu, conjugate(mu), table))
+    else:
+        for sigma in partitions_in_box(params.r2, min(2 * params.k1, t), t):
+            dual = negate_reverse(as_weight(sigma, params.r2))
+            table = coh_bundle(params.gr2, a, (dual,) + b)
+            if table:
+                out.append((sigma, conjugate(sigma), table))
+    _SURVIVOR_CACHE[key] = out
+    return out
+
+
 def _scan_pairs(params: StrommeParams, ins: InsertionSpec, t_range) -> list:
     """E1 contributions (t, q, value, mu, sigma, mult) for t in the range.
 
-    Both Grassmannian factors are evaluated first; the LR-expensive pair
-    multiplicity is computed only when neither factor vanishes and the
-    pair passes `koszul_pair_possible` (Dvir's Kronecker-support bounds,
-    Y. Dvir, J. Algebra 154, 1993, and meet dominance; both are necessary
-    conditions for a nonzero multiplicity, proven in its docstring).  The
-    sigma with a nonvanishing second factor are listed once per t, on the
-    first mu whose first factor survives, with their conjugates.
+    Both Grassmannian factors are evaluated first, through the memoized
+    survivor lists (the sigma list only when some mu survives); the
+    LR-expensive pair multiplicity is computed only when neither factor
+    vanishes and the pair passes `koszul_pair_possible` (Dvir's
+    Kronecker-support bounds, Y. Dvir, J. Algebra 154, 1993, and meet
+    dominance; both are necessary conditions for a nonzero multiplicity,
+    proven in its docstring).
     """
+    a1, b1, a2, b2 = ins.key()
     lo, hi = t_range
     out = []
     for t in range(lo, hi + 1):
-        survivors: Optional[list[tuple[Partition, Partition, CohomTable]]] = None
-        for mu in partitions_in_box(params.k1, 2 * params.r2, t):
-            f1 = coh_bundle(params.gr1, (mu,) + tuple(ins.a1), ins.b1)
-            if not f1:
-                continue
-            if survivors is None:
-                survivors = []
-                sig_cols = min(2 * params.k1, t)
-                for sigma in partitions_in_box(params.r2, sig_cols, t):
-                    dual = negate_reverse(as_weight(sigma, params.r2))
-                    f2 = coh_bundle(params.gr2, ins.a2, (dual,) + tuple(ins.b2))
-                    if f2:
-                        survivors.append((sigma, conjugate(sigma), f2))
-            theta = conjugate(mu)
-            for sigma, sigma_dag, f2 in survivors:
+        firsts = _factor_survivors(params, 1, a1, b1, t)
+        if not firsts:
+            continue
+        seconds = _factor_survivors(params, 2, a2, b2, t)
+        for mu, theta, f1 in firsts:
+            for sigma, sigma_dag, f2 in seconds:
                 if not koszul_pair_possible(theta, mu, sigma, sigma_dag):
                     continue
                 mult = koszul_pair_mult(theta, sigma, params.r2)

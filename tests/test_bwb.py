@@ -1,7 +1,13 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from quotbwb.bwb import (
+    BwbOutcome,
     GrSpec,
+    _bwb,
     bwb_dual_weights,
     coh_bundle,
     index_degree_bound,
@@ -12,16 +18,82 @@ from quotbwb.bwb import (
 from quotbwb.partitions import (
     Weight,
     as_weight,
+    inversions,
     negate_reverse,
     partition,
     partitions_in_box,
 )
-from quotbwb.schur import schur_dim, weight_dim
+from quotbwb.schur import schur_dim, tensor_expand_many, weight_dim
 
 
 def random_weight(rng, length, lo=-6, hi=7):
     return Weight(tuple(sorted((rng.randrange(lo, hi) for _ in range(length)),
                                reverse=True)))
+
+
+def oracle_bwb(gr, rho, chi) -> BwbOutcome:
+    """Borel-Weil-Bott through validated `Weight` objects at every step:
+    the oracle for the tuple core `_bwb`."""
+    rho = as_weight(rho, gr.k)
+    chi = as_weight(chi, gr.quotient_rank)
+    omega = [x + (gr.n - 1 - i) for i, x in enumerate(tuple(rho) + tuple(chi))]
+    if len(set(omega)) != len(omega):
+        return BwbOutcome(vanishes=True)
+    degree = inversions(omega)
+    gamma = Weight(tuple(x - (gr.n - 1 - i)
+                         for i, x in enumerate(sorted(omega, reverse=True))))
+    dual = negate_reverse(gamma)
+    return BwbOutcome(False, degree, gamma, dual, weight_dim(gamma, gr.n))
+
+
+def oracle_coh_bundle(gr, a_weights, b_weights) -> dict[int, int]:
+    """coh_bundle summed through `oracle_bwb`, one Weight pair at a time."""
+    try:
+        a_exp = tensor_expand_many(list(a_weights), gr.k)
+        b_exp = tensor_expand_many(list(b_weights), gr.quotient_rank)
+    except ValueError:
+        return {}
+    table: dict[int, int] = {}
+    for wa, ma in a_exp.items():
+        for wb, mb in b_exp.items():
+            out = oracle_bwb(gr, negate_reverse(wa), negate_reverse(wb))
+            if not out.vanishes:
+                table[out.degree] = table.get(out.degree, 0) + ma * mb * out.dim
+    return {d: v for d, v in table.items() if v}
+
+
+def _sorted_weight(draw, length, lo, hi):
+    entries = draw(st.lists(st.integers(lo, hi), min_size=length, max_size=length))
+    return tuple(sorted(entries, reverse=True))
+
+
+@st.composite
+def bwb_cases(draw):
+    """(k, n, rho, chi) with n <= 8 and exact-length weakly decreasing weights."""
+    n = draw(st.integers(0, 8))
+    k = draw(st.integers(0, n))
+    return k, n, _sorted_weight(draw, k, -7, 7), _sorted_weight(draw, n - k, -7, 7)
+
+
+@st.composite
+def bundle_cases(draw):
+    """(k, n, a_weights, b_weights): up to three weights a side, each a
+    partition (at times one row too long for its bundle) or an exact-length
+    weight with negative entries allowed."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+
+    def side(rank):
+        out = []
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.booleans()):
+                parts = draw(st.lists(st.integers(1, 3), max_size=rank + 1))
+                out.append(tuple(sorted(parts, reverse=True)))
+            else:
+                out.append(Weight(_sorted_weight(draw, rank, -3, 3)))
+        return out
+
+    return k, n, side(k), side(n - k)
 
 
 class TestCore:
@@ -87,6 +159,38 @@ class TestCore:
             for lam in partitions_in_box(gr.quotient_rank, total, total):
                 table = coh_bundle(gr, (), (lam,))
                 assert table == {0: schur_dim(lam, gr.n)}, lam
+
+
+class TestTupleKernel:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(bwb_cases())
+    def test_core_matches_weight_oracle(self, case):
+        k, n, rho, chi = case
+        gr = GrSpec(k, n)
+        want = oracle_bwb(gr, rho, chi)
+        got = _bwb(n, rho + chi)
+        assert (got is None) == want.vanishes
+        if got is not None:
+            degree, gamma, dim = got
+            assert degree == want.degree
+            assert gamma == want.gamma.entries
+            assert dim == want.dim
+        # the public wrapper: the same outcome, dual weight included
+        assert bwb_dual_weights(gr, Weight(rho), Weight(chi)) == want
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(bundle_cases())
+    def test_coh_bundle_matches_oracle(self, case):
+        k, n, a, b = case
+        gr = GrSpec(k, n)
+        assert coh_bundle(gr, a, b) == oracle_coh_bundle(gr, a, b)
+
+    def test_callers_are_still_validated(self):
+        # weights from a caller go through as_weight once, on entry
+        with pytest.raises(ValueError):
+            bwb_dual_weights(GrSpec(2, 4), (0, 1), (0, 0))
+        with pytest.raises(ValueError):
+            bwb_dual_weights(GrSpec(2, 4), (0, 0, 0), (0,))
 
 
 class TestCohBundle:

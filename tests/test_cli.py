@@ -9,7 +9,7 @@ import pytest
 import quotbwb
 
 from quotbwb.cache import CacheFormatError, cache_load, cache_store
-from quotbwb.cli import run
+from quotbwb.cli import build_parser, run
 from quotbwb.schur import lr, lr_cache_snapshot
 
 
@@ -209,6 +209,45 @@ class TestDeterminismAndCache:
         path = tmp_path / "lr.cache"
         path.write_text("quotbwb-lrcache v1\n")
         assert cache_load(path) == 0
+
+    def test_cache_env_read_at_each_run(self, capsys, tmp_path, monkeypatch):
+        # the parser is reused, so $QUOTBWB_CACHE must not be frozen into it
+        # by the run that built it
+        argv = ["lr", "--alpha", "2,1", "--beta", "2,1", "--gamma", "3,2,1"]
+        first, second = tmp_path / "first.cache", tmp_path / "second.cache"
+        monkeypatch.setenv("QUOTBWB_CACHE", str(first))
+        build_parser.cache_clear()
+        assert run(argv) == 0
+        monkeypatch.setenv("QUOTBWB_CACHE", str(second))
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert first.exists()
+        assert "2,1|2,1|3,2,1|2" in second.read_text()
+
+    def test_reused_parser_matches_fresh_process(self, capsys, tmp_path):
+        # one parser serves every run of a process: no appended list or
+        # default may leak from one run into the next
+        assert build_parser() is build_parser()
+        scan = ["scan", "--n", "2", "--r", "1", "--d", "1", "--m", "2"]
+        runs = [scan + ["--b1", "1"], scan,
+                ["lr", "--alpha", "2,1", "--beta", "1", "--gamma", "2,1,1"]]
+        here = []
+        for argv in runs:
+            status, payload = run_json(capsys, argv)
+            assert status == 0
+            payload.pop("elapsed_ms")
+            here.append(payload)
+        src = str(Path(quotbwb.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("QUOTBWB_CACHE", None)
+        for argv, payload in zip(runs, here):
+            out = tmp_path / "fresh.json"
+            subprocess.run([sys.executable, "-m", "quotbwb.cli", *argv,
+                            "--output", str(out)], env=env, check=True, timeout=120)
+            fresh = json.loads(out.read_text())
+            fresh.pop("elapsed_ms")
+            assert payload == fresh, argv
+        assert "b1" in here[0]["config"] and "b1" not in here[1]["config"]
 
     def test_cli_cache_flag(self, capsys, tmp_path):
         path = tmp_path / "lr.cache"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quotbwb import pipeline
 from quotbwb.partitions import Weight, conjugate, partition, partitions_in_box
 from quotbwb.pipeline import (
     InsertionSpec,
@@ -132,6 +133,56 @@ class TestPairPrefilter:
         assert koszul_pair_mult((1, 1, 1, 1), (4,), 4) == 0
         assert not koszul_pair_possible((1, 1, 1, 1), (4,), (4,), (1, 1, 1, 1))
         assert koszul_pair_possible((2, 1), (2, 1), (2, 1), (2, 1))
+
+
+class TestSurvivorMemo:
+    """Pages must not depend on what the factor-survivor memo already holds."""
+
+    SETUPS = [QuotSetup(2, 1, 1, m=3), QuotSetup(2, 1, 2, m=4)]
+
+    @staticmethod
+    def _target(p, as_weight_objects: bool) -> InsertionSpec:
+        entries = (1,) + (0,) * (p.r1 - 2) + (-1,)
+        if as_weight_objects:
+            return InsertionSpec(b1=(Weight(entries),), a2=((1,),))
+        return InsertionSpec(b1=(entries,), a2=(Weight((1,)),))
+
+    @staticmethod
+    def _page(p, ins, jobs=1):
+        page = e1_page(p, ins, jobs=jobs)
+        return page.entries, page.contributions
+
+    @pytest.mark.parametrize("setup", SETUPS)
+    def test_cold_warm_and_entry_forms_agree(self, setup):
+        p = stromme(setup)
+        target = self._target(p, True)
+        # each insertion shares one factor's insertions with another, and
+        # the empty one has the same (empty) insertions on both factors
+        pages = [InsertionSpec(),
+                 InsertionSpec(b1=(Weight((0,) * (p.r1 - 1) + (-1,)),), b2=((1,),)),
+                 InsertionSpec(b1=target.b1), InsertionSpec(a2=target.a2),
+                 InsertionSpec(a2=target.a2, b2=((1,),)), target]
+        cold = []
+        for ins in pages:
+            pipeline._SURVIVOR_CACHE.clear()
+            cold.append(self._page(p, ins))
+        assert cold[-1][0]
+        pipeline._SURVIVOR_CACHE.clear()
+        for other in self.SETUPS:
+            self._page(stromme(other), self._target(stromme(other), True))
+        for ins, want in zip(pages, cold):
+            assert self._page(p, ins) == want, ins
+        # a tuple with the same entries as the Weight reuses its entries
+        held = len(pipeline._SURVIVOR_CACHE)
+        assert self._page(p, self._target(p, False)) == cold[-1]
+        assert len(pipeline._SURVIVOR_CACHE) == held
+
+    @pytest.mark.parametrize("setup", SETUPS)
+    def test_jobs_under_warm_memo(self, setup):
+        p = stromme(setup)
+        target = self._target(p, True)
+        one = self._page(p, target)
+        assert self._page(p, target, jobs=2) == one
 
 
 class TestResolvePage:
