@@ -53,11 +53,9 @@ from .pipeline import (
     assemble,
     closed_form_multi,
     e1_page,
-    euler,
     ext_table,
     koszul_terms,
     line_coh,
-    scan,
     stromme,
     verify_prop47,
     verify_thm41,
@@ -66,11 +64,8 @@ from .complexes import (
     HyperInsert,
     TwoTermComplex,
     hyper_cohomology,
-    hyper_euler,
     m_bracket_rep,
     schur_complex_terms,
     sx_cohomology,
-    sx_euler,
     sx_resolution,
 )
-from .cache import cache_load, cache_store

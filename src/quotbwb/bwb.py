@@ -16,6 +16,7 @@ from .partitions import (
     Partition,
     parity_sign,
     Weight,
+    WeightLengthError,
     WeightLike,
     as_weight,
     inversions,
@@ -104,11 +105,13 @@ def expand_side(weights: Sequence[WeightLike], length: int) -> dict[Weight, int]
     """Tensor-expand the bundle-side weights on one universal bundle.
 
     An empty expansion is the zero bundle: a partition too long for the
-    bundle raises inside `tensor_expand_many` and lands here.
+    bundle raises WeightLengthError inside `tensor_expand_many` and lands
+    here.  A weight that is not weakly decreasing is an input error and
+    propagates.
     """
     try:
         return tensor_expand_many(list(weights), length)
-    except ValueError:
+    except WeightLengthError:
         return {}
 
 

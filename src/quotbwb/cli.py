@@ -1,21 +1,19 @@
 """Command-line frontend: batch computations with JSON reports.
 
-Exit status 0 on success, 1 on validation errors, 2 when a `verify` or
-`examples` run contradicts the checked statement.  All dimensions are
-serialized as decimal strings; payloads are deterministic (sorted keys,
-worker count excluded from the config echo).
+Exit status 0 on success, 1 on usage and validation errors, 2 when a
+`verify` or `examples` run contradicts the checked statement.  All
+dimensions are serialized as decimal strings; payloads are deterministic
+(sorted keys, worker count excluded from the config echo).
 """
 
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
 from . import __version__
 from .bwb import GrSpec, bwb_dual_weights, coh_bundle, expand_side, index_nonvanish
-from .cache import CacheFormatError, cache_load, cache_store
 from .complexes import (
     HyperInsert,
     hyper_cohomology,
@@ -388,15 +386,9 @@ def _add_insertion_args(sub):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and reused by `run`.
-
-    Nothing here may depend on the environment: `run` reads
-    $QUOTBWB_CACHE itself, at each call.
-    """
+    """The argument parser, built once per process and reused by `run`."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--cache", default=None,
-                        help="LR cache file (default $QUOTBWB_CACHE)")
     common.add_argument("--output", default=None, help="write the report here")
     common.add_argument("--format", choices=("json", "table"), default="json")
 
@@ -487,7 +479,7 @@ COMMANDS = {
 
 
 def _config_echo(args) -> dict:
-    skip = {"jobs", "cache", "output", "format", "command"}
+    skip = {"jobs", "output", "format", "command"}
     return {k: v for k, v in sorted(vars(args).items())
             if k not in skip and v is not None}
 
@@ -511,16 +503,15 @@ def _render_table(payload, indent=0) -> str:
 
 
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if not exc.code:
+            raise  # --help
+        # a usage error: argparse has printed its message and would exit
+        # 2, the status of a contradicted statement
+        return 1
     started = time.monotonic()
-    if args.cache is None:
-        args.cache = os.environ.get("QUOTBWB_CACHE")
-    if args.cache and os.path.exists(args.cache):
-        try:
-            cache_load(args.cache)
-        except CacheFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     try:
         result, status = COMMANDS[args.command](args)
     except (CliError, ValueError) as exc:
@@ -543,8 +534,6 @@ def run(argv) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.cache:
-        cache_store(args.cache)
     return status
 
 

@@ -30,6 +30,7 @@ from .pipeline import (
     bundle_coh,
     e1_page,
     line_coh,
+    pin_by_euler,
     resolve_page,
     stromme,
 )
@@ -188,7 +189,6 @@ class TwoTermComplex:
     window: tuple[int, int]
     left_rank: int
     right_rank: int
-    rank_ok: bool
 
     @property
     def virtual_rank(self) -> int:
@@ -196,39 +196,38 @@ class TwoTermComplex:
             - (self.left[0] - self.left[1]) * self.left_rank
 
 
-def m_bracket_rep(setup: QuotSetup, e: int, side: str = "quot",
-                  convention: str = "corrected") -> TwoTermComplex:
+def _rep_window(setup: QuotSetup, e: int) -> tuple[tuple[int, int], int, int]:
+    """Window and left/right slot multiplicities of the representation of O(e).
+
+    Sections h^0 of O(e - m - 1) and O(e - m) in degrees [-1, 0] when
+    e >= m, otherwise h^1 in degrees [0, 1].
+    """
+    if e >= setup.m:
+        return (-1, 0), line_coh(e - setup.m - 1)[0], line_coh(e - setup.m)[0]
+    return (0, 1), line_coh(e - setup.m - 1)[1], line_coh(e - setup.m)[1]
+
+
+def m_bracket_rep(setup: QuotSetup, e: int, side: str = "quot") -> TwoTermComplex:
     """Two-term representation of O(e)^{[d]} (side 'quot') or O(e)^{{d}} ('sub').
 
-    The corrected convention twists the left slot by O(e - m - 1); the
-    'printed' convention keeps O(e - m + 1) for demonstration and skips
-    the hard rank check (it fails it).
+    The left slot is twisted by O(e - m - 1) because Beilinson's resolution
+    of O(e) on P^1 by O(m - 1) and O(m) carries H(O(e - m - 1)) in its
+    first term; the rank check below (ArithmeticError) fails for e - m + 1.
     """
     if side not in ("quot", "sub"):
         raise ValueError("side must be 'quot' or 'sub'")
     params = stromme(setup)
-    m = setup.m
-    left_twist = e - m - 1 if convention == "corrected" else e - m + 1
-    if e >= m:
-        left = (line_coh(left_twist)[0], 0)
-        right = (line_coh(e - m)[0], 0)
-        window = (-1, 0)
-    else:
-        left = (0, line_coh(left_twist)[1])
-        right = (0, line_coh(e - m)[1])
-        window = (0, 1)
+    window, lm, rm = _rep_window(setup, e)
+    left, right = ((lm, 0), (rm, 0)) if window == (-1, 0) else ((0, lm), (0, rm))
     if side == "quot":
         lrk, rrk = params.r1, params.r2
         expected = setup.r * e + setup.r + setup.d
     else:
         lrk, rrk = params.k1, params.k2
         expected = (setup.n - setup.r) * (e + 1) - setup.b - setup.d
-    rep = TwoTermComplex(side, e, m, left, right, window, lrk, rrk,
-                         rank_ok=False)
+    rep = TwoTermComplex(side, e, setup.m, left, right, window, lrk, rrk)
     # signed multiplicities h0 - h1 already carry the window shift
-    rank_ok = rep.virtual_rank == expected
-    rep = TwoTermComplex(side, e, m, left, right, window, lrk, rrk, rank_ok)
-    if convention == "corrected" and not rank_ok:
+    if rep.virtual_rank != expected:
         raise ArithmeticError(
             f"rank oracle failed for e={e} {side}: {rep.virtual_rank} vs {expected}")
     return rep
@@ -267,12 +266,6 @@ def sx_resolution(lam: Partition) -> dict[int, list[tuple[Partition, Partition, 
 # ------------------------------------------------------------- hyper driver
 
 
-def _rep_window(setup: QuotSetup, e: int) -> tuple[tuple[int, int], int, int]:
-    if e >= setup.m:
-        return (-1, 0), line_coh(e - setup.m - 1)[0], line_coh(e - setup.m)[0]
-    return (0, 1), line_coh(e - setup.m - 1)[1], line_coh(e - setup.m)[1]
-
-
 def _terms_insert_L(setup: QuotSetup, ranks, e: int, lam: Partition,
                     side: str) -> FormalTerms:
     """Schur complex of the consecutive-twist representation of one insert."""
@@ -281,11 +274,6 @@ def _terms_insert_L(setup: QuotSetup, ranks, e: int, lam: Partition,
     left = ((kinds[0], lm),)
     right = ((kinds[1], rm),)
     return _two_term_schur(lam, left, right, window, ranks)
-
-
-def _terms_sub_schur(setup: QuotSetup, ranks, e: int, p: Partition) -> FormalTerms:
-    """S^p of the sub-side complex O(e)^{{d}} through its two-term resolution."""
-    return _terms_insert_L(setup, ranks, e, p, "sub")
 
 
 def _terms_insert_theta(setup: QuotSetup, ranks, e: int, lam: Partition
@@ -309,7 +297,7 @@ def _terms_insert_theta(setup: QuotSetup, ranks, e: int, lam: Partition
                          for beta, c in skew_expand(lam, nu).items())
             if not scalar:
                 continue
-            inner = _terms_sub_schur(setup, ranks, e, conjugate(nu))
+            inner = _terms_insert_L(setup, ranks, e, conjugate(nu), "sub")
             _accumulate(out, inner, scalar, -size(nu))
     elif e < 0:
         # [W -> triv] in degrees [0, 1], W the shifted sub-side complex:
@@ -365,11 +353,6 @@ def _term_report(setup: QuotSetup, key: TermKey, jobs: int = 1) -> QuotReport:
     return hit
 
 
-def _formal_euler(setup: QuotSetup, formal: FormalTerms, jobs: int = 1) -> int:
-    return sum(parity_sign(d) * m * _term_report(setup, k, jobs).euler
-               for d, terms in formal.items() for k, m in terms.items())
-
-
 def _totalize(setup: QuotSetup, formal: FormalTerms, jobs: int = 1) -> QuotReport:
     """Outer spectral page over the total complex of scanned term tables."""
     cells: dict[tuple[int, int], int] = {}
@@ -422,20 +405,7 @@ def _intersect(reports: list[QuotReport]) -> QuotReport:
         raise ArithmeticError("independent routes produced disjoint bounds")
     notes = ["intersection of independent representations"]
     uncertain = [t for t in degrees if upper.get(t, 0) != lower.get(t, 0)]
-    if len(uncertain) == 1:
-        t0 = uncertain[0]
-        rest = sum(parity_sign(t) * upper.get(t, 0) for t in upper if t != t0)
-        pinned = parity_sign(t0) * (chi - rest)
-        if not lower.get(t0, 0) <= pinned <= upper.get(t0, 0):
-            raise ArithmeticError("Euler pinning escaped the bounds")
-        if pinned:
-            upper[t0] = lower[t0] = pinned
-        else:
-            upper.pop(t0, None)
-            lower.pop(t0, None)
-        uncertain = []
-        notes.append(f"degree {t0} pinned by the exact Euler characteristic")
-    exact_now = not uncertain
+    exact_now = pin_by_euler(chi, lower, upper, uncertain, notes)
     table = dict(upper) if exact_now else None
     return QuotReport(chi, exact_now, table, lower, upper, False, [], notes)
 
@@ -448,18 +418,6 @@ def _insert_norm(inserts) -> list[HyperInsert]:
         else:
             out.append(HyperInsert(*ins))
     return out
-
-
-def hyper_euler(setup: QuotSetup, inserts, jobs: int = 1) -> int:
-    """Exact Euler characteristic of a tensor product of Schur insertions,
-    through the consecutive-twist representations (no degeneration needed)."""
-    ranks = _ranks(stromme(setup))
-    total = _unit_terms()
-    for ins in _insert_norm(inserts):
-        total = _tensor_terms(total,
-                              _terms_insert_L(setup, ranks, ins.e, ins.lam,
-                                              ins.side))
-    return _formal_euler(setup, total, jobs)
 
 
 def hyper_cohomology(setup: QuotSetup, inserts, jobs: int = 1) -> QuotReport:
@@ -503,9 +461,3 @@ def sx_cohomology(setup: QuotSetup, lam: Partition, jobs: int = 1) -> QuotReport
                              (-1, 0), ranks)
     return _totalize(setup, formal, jobs)
 
-
-def sx_euler(setup: QuotSetup, lam: Partition, jobs: int = 1) -> int:
-    ranks = _ranks(stromme(setup))
-    formal = _two_term_schur(partition(lam), (("a1", 1),), (("a2", 1),),
-                             (-1, 0), ranks)
-    return _formal_euler(setup, formal, jobs)

@@ -89,6 +89,10 @@ class Weight:
 WeightLike = Union[Weight, Partition, Sequence[int]]
 
 
+class WeightLengthError(ValueError):
+    """A weight with more entries than the length it is embedded into."""
+
+
 def as_weight(w: WeightLike, length: int) -> Weight:
     """Embed a partition or weight into a weight of the given length.
 
@@ -96,12 +100,13 @@ def as_weight(w: WeightLike, length: int) -> Weight:
     through; shorter weights gain interior zeros at the sign boundary,
     matching the canonical form (gamma, 0...0, -delta).  A partition with
     more parts than `length` has no embedding (the Schur functor of a
-    bundle of that rank is zero) and raises ValueError; callers treat
-    that as the zero bundle.
+    bundle of that rank is zero) and raises WeightLengthError; callers
+    treat that, and only that, as the zero bundle.  Any other malformed
+    weight raises a plain ValueError.
     """
     entries = tuple(w.entries) if isinstance(w, Weight) else tuple(int(x) for x in w)
     if len(entries) > length:
-        raise ValueError(f"weight {entries} does not fit in length {length}")
+        raise WeightLengthError(f"weight {entries} does not fit in length {length}")
     pos = tuple(x for x in entries if x > 0)
     zer = tuple(x for x in entries if x == 0)
     neg = tuple(x for x in entries if x < 0)

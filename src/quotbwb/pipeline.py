@@ -17,6 +17,7 @@ from .partitions import (
     Partition,
     parity_sign,
     Weight,
+    WeightLengthError,
     WeightLike,
     as_weight,
     conjugate,
@@ -30,7 +31,6 @@ from .partitions import (
 from .schur import (
     koszul_pair_mult,
     koszul_pair_possible,
-    lr_expand,
     schur_dim,
     skew_expand,
     weight_tensor_expand,
@@ -158,36 +158,40 @@ class KoszulTerm:
     mult: int
 
 
-def koszul_sigma_expansion(mu: Partition, r2: int) -> dict[Partition, int]:
-    """Full expansion of S^{mu^dag}(B2^dual + B2^dual) into S^sigma(B2^dual).
+def _pair_mult(params: StrommeParams, mu: Partition, theta: Partition,
+               sigma: Partition, sigma_dag: Partition) -> int:
+    """Multiplicity of (mu, sigma) in the Koszul term, theta = mu^dag.
 
-    Multiplicity of sigma is sum over alpha, beta of
-    c^{mu^dag}_{alpha,beta} * c^sigma_{alpha,beta}.
+    `koszul_pair_possible` (Dvir's Kronecker-support bounds, Y. Dvir,
+    J. Algebra 154, 1993, and meet dominance; necessary conditions proven
+    in its docstring) skips the LR-expensive `koszul_pair_mult`.
     """
-    theta = conjugate(mu)
-    out: dict[Partition, int] = {}
-    for alpha in subpartitions(theta, r2):
-        for beta, c1 in skew_expand(theta, alpha, r2).items():
-            for sigma, c2 in lr_expand(alpha, beta, r2).items():
-                out[sigma] = out.get(sigma, 0) + c1 * c2
-    return out
+    if not koszul_pair_possible(theta, mu, sigma, sigma_dag):
+        return 0
+    return koszul_pair_mult(theta, sigma, params.r2)
 
 
 def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
     """Summands (mu, sigma, mult) of the t-th exterior power of K^dual.
 
-    mu runs over the k1 x 2r2 box with |mu| = t; sigma over partitions
-    with at most r2 rows.  Zero multiplicities are omitted; ordering is
-    the fixed descending-lex order on mu then sigma.
+    mu runs over the k1 x 2r2 box with |mu| = t; sigma over the
+    r2 x min(2k1, t) box with |sigma| = t (sigma_1 <= 2 mu^dag_1 <= 2k1).
+    The multiplicity of S^mu(A1) x S^sigma(B2^dual) is the pair
+    multiplicity of S^{mu^dag}(B2^dual + B2^dual).  Zero multiplicities
+    are omitted; ordering is the fixed descending-lex order on mu then
+    sigma.
     """
     if not 0 <= t <= params.rank_k:
         raise ValueError(f"t = {t} outside [0, {params.rank_k}]")
+    sigmas = [(sigma, conjugate(sigma))
+              for sigma in partitions_in_box(params.r2, min(2 * params.k1, t), t)]
     terms = []
     for mu in partitions_in_box(params.k1, 2 * params.r2, t):
-        exp = koszul_sigma_expansion(mu, params.r2)
-        for sigma in sorted(exp, reverse=True):
-            if exp[sigma]:
-                terms.append(KoszulTerm(t, mu, sigma, exp[sigma]))
+        theta = conjugate(mu)
+        for sigma, sigma_dag in sigmas:
+            mult = _pair_mult(params, mu, theta, sigma, sigma_dag)
+            if mult:
+                terms.append(KoszulTerm(t, mu, sigma, mult))
     return terms
 
 
@@ -231,12 +235,9 @@ def _scan_pairs(params: StrommeParams, ins: InsertionSpec, t_range) -> list:
     """E1 contributions (t, q, value, mu, sigma, mult) for t in the range.
 
     Both Grassmannian factors are evaluated first, through the memoized
-    survivor lists (the sigma list only when some mu survives); the
-    LR-expensive pair multiplicity is computed only when neither factor
-    vanishes and the pair passes `koszul_pair_possible` (Dvir's
-    Kronecker-support bounds, Y. Dvir, J. Algebra 154, 1993, and meet
-    dominance; both are necessary conditions for a nonzero multiplicity,
-    proven in its docstring).
+    survivor lists (the sigma list only when some mu survives); the pair
+    multiplicity (`_pair_mult`) is computed only when neither factor
+    vanishes.
     """
     a1, b1, a2, b2 = ins.key()
     lo, hi = t_range
@@ -248,9 +249,7 @@ def _scan_pairs(params: StrommeParams, ins: InsertionSpec, t_range) -> list:
         seconds = _factor_survivors(params, 2, a2, b2, t)
         for mu, theta, f1 in firsts:
             for sigma, sigma_dag, f2 in seconds:
-                if not koszul_pair_possible(theta, mu, sigma, sigma_dag):
-                    continue
-                mult = koszul_pair_mult(theta, sigma, params.r2)
+                mult = _pair_mult(params, mu, theta, sigma, sigma_dag)
                 if not mult:
                     continue
                 for q, v in sorted(kunneth(f1, f2).items()):
@@ -333,6 +332,30 @@ class QuotReport:
         return self.exact and not any(self.table.values())
 
 
+def pin_by_euler(euler: int, lower: dict[int, int], upper: dict[int, int],
+                 uncertain: list[int], notes: list[str]) -> bool:
+    """Pin a single uncertain degree by the exact Euler characteristic.
+
+    Sets (or, at zero, drops) its bounds in place, adds a note, and
+    returns whether every degree is now exact; a pinned value outside its
+    bounds means contradictory inputs: ArithmeticError.
+    """
+    if len(uncertain) != 1:
+        return not uncertain
+    t0 = uncertain[0]
+    rest = sum(parity_sign(t) * upper.get(t, 0) for t in upper if t != t0)
+    pinned = parity_sign(t0) * (euler - rest)
+    if not lower.get(t0, 0) <= pinned <= upper.get(t0, 0):
+        raise ArithmeticError("Euler pinning escaped the bounds")
+    notes.append(f"degree {t0} pinned by the exact Euler characteristic")
+    if pinned:
+        upper[t0] = lower[t0] = pinned
+    else:
+        upper.pop(t0, None)
+        lower.pop(t0, None)
+    return True
+
+
 def resolve_page(cells: dict[tuple[int, int], int]) -> QuotReport:
     """Conservative resolution of a sparse spectral-sequence page.
 
@@ -402,22 +425,8 @@ def resolve_page(cells: dict[tuple[int, int], int]) -> QuotReport:
     if len(uncertain) == 2 and abs(uncertain[0] - uncertain[1]) == 1:
         a, b = sorted(uncertain)
         relations.append((b, a, adj.get(b, 0) - adj.get(a, 0)))
-    if len(uncertain) == 1:
-        t0 = uncertain[0]
-        rest = sum(parity_sign(t) * upper.get(t, 0) for t in upper if t != t0)
-        pinned = parity_sign(t0) * (euler - rest)
-        if not lower.get(t0, 0) <= pinned <= upper.get(t0, 0):
-            raise ArithmeticError("Euler pinning escaped the bounds")
-        notes.append(f"degree {t0} pinned by the exact Euler characteristic")
-        if pinned:
-            upper[t0] = pinned
-            lower[t0] = pinned
-        else:
-            upper.pop(t0, None)
-            lower.pop(t0, None)
-        uncertain = []
 
-    exact = not uncertain
+    exact = pin_by_euler(euler, lower, upper, uncertain, notes)
     table = dict(upper) if exact else None
     if exact and not degenerate:
         notes.append("nonzero differentials forced by nonnegativity; "
@@ -431,17 +440,6 @@ def assemble(page: E1Page) -> QuotReport:
     report = resolve_page({(-t, q): v for (t, q), v in page.entries.items()})
     assert report.euler == page.euler()
     return report
-
-
-def euler(params: StrommeParams, ins: InsertionSpec = EMPTY_INSERTION,
-          jobs: int = 1) -> int:
-    """Exact Euler characteristic: alternating sum over the whole page."""
-    return e1_page(params, ins, jobs=jobs).euler()
-
-
-def scan(setup: QuotSetup, ins: InsertionSpec = EMPTY_INSERTION,
-         jobs: int = 1) -> QuotReport:
-    return assemble(e1_page(stromme(setup), ins, jobs=jobs))
 
 
 # ------------------------------------------------------------------ verifiers
@@ -544,7 +542,7 @@ def ext_table(setup: QuotSetup, nu: Partition, lam: Partition) -> ExtResult:
     try:
         dual_nu = negate_reverse(as_weight(nu, params.r1))
         lam_w = as_weight(lam, params.r1)
-    except ValueError:
+    except WeightLengthError:
         return ExtResult({}, hyp_first and hyp_size, notes + ["zero bundle"])
     table: CohomTable = {}
     for w, mult in weight_tensor_expand(dual_nu, lam_w, params.r1).items():

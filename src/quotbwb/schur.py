@@ -5,7 +5,7 @@ counted by depth-first enumeration of column-strict skew fillings whose
 reverse reading word is a lattice word; Horn, Weyl, size and containment
 predicates serve only as pruning filters (positivity never comes from a
 saturation shortcut).  Memo tables are keyed on canonical tuples and grow
-unboundedly; the `lr` triple cache can be persisted by the CLI.
+unboundedly.
 """
 
 from dataclasses import dataclass
@@ -14,6 +14,7 @@ from typing import Optional
 from .partitions import (
     Partition,
     Weight,
+    WeightLengthError,
     WeightLike,
     as_weight,
     conjugate,
@@ -64,11 +65,12 @@ def weight_dim(w: WeightLike, n: int) -> int:
 
     Embeds w into length n, twists by a power of the determinant until all
     entries are nonnegative, and evaluates hook-content on the resulting
-    partition.  Weights that do not fit in length n give zero.
+    partition.  Weights that do not fit in length n give zero; a sequence
+    that is not weakly decreasing raises ValueError.
     """
     try:
         ww = as_weight(w, n)
-    except ValueError:
+    except WeightLengthError:
         return 0
     c = -min(ww.entries, default=0)
     if c > 0:
@@ -491,14 +493,3 @@ def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
             e1, e2 = e2, e1
         total += sum(m * e2.get(b, 0) for b, m in e1.items())
     return total
-
-
-def lr_cache_snapshot() -> dict[tuple[Partition, Partition, Partition], int]:
-    return dict(_LR_CACHE)
-
-
-def lr_cache_merge(entries: dict[tuple[Partition, Partition, Partition], int]) -> None:
-    for (a, b, g), c in entries.items():
-        if a > b:
-            a, b = b, a
-        _LR_CACHE[(a, b, g)] = c

@@ -17,6 +17,7 @@ from quotbwb.bwb import (
 )
 from quotbwb.partitions import (
     Weight,
+    WeightLengthError,
     as_weight,
     inversions,
     negate_reverse,
@@ -229,6 +230,14 @@ class TestCohBundle:
 
     def test_zero_bundle_when_partition_too_long(self):
         assert coh_bundle(GrSpec(1, 3), ((1, 1),), ()) == {}
+        assert coh_bundle(GrSpec(2, 4), (), ((1, 1, 1),)) == {}
+
+    def test_misordered_weight_is_an_error(self):
+        # only a weight too long for its bundle means the zero bundle
+        with pytest.raises(ValueError) as err:
+            coh_bundle(GrSpec(2, 4), (), ((1, 2),))
+        assert not isinstance(err.value, WeightLengthError)
+        assert coh_bundle(GrSpec(2, 4), (), ((2, 1),)) == {0: 20}
 
     def test_degenerate_grassmannians(self):
         assert coh_bundle(GrSpec(0, 3), (), ((2, 1),)) == {0: schur_dim((2, 1), 3)}

@@ -8,9 +8,7 @@ import pytest
 
 import quotbwb
 
-from quotbwb.cache import CacheFormatError, cache_load, cache_store
-from quotbwb.cli import build_parser, run
-from quotbwb.schur import lr, lr_cache_snapshot
+from quotbwb.cli import build_parser, main, run
 
 
 def run_json(capsys, argv):
@@ -95,6 +93,25 @@ class TestValidationAndExitCodes:
         assert run(["lr", "--alpha", "1,2", "--beta", "1", "--gamma", "2,1"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_usage_error_exits_1(self, capsys, monkeypatch):
+        # exit 2 is reserved for a contradicted statement
+        assert run(["scan", "--n", "x", "--r", "1", "--d", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: quotbwb scan")
+        assert "quotbwb scan: error: argument --n: invalid int value: 'x'" in err
+        assert run(["lr", "--alpha", "1", "--beta", "1", "--gamma", "2",
+                    "--cache", "f"]) == 1
+        assert "unrecognized arguments: --cache f" in capsys.readouterr().err
+        assert run([]) == 1
+        assert "required: command" in capsys.readouterr().err
+        monkeypatch.setattr(sys, "argv", ["quotbwb", "dim", "--n", "2"])
+        assert main() == 1
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as help_exit:
+            run(["scan", "--help"])
+        assert help_exit.value.code == 0
+        assert "usage: quotbwb scan" in capsys.readouterr().out
+
     def test_bad_setup(self, capsys):
         assert run(["stromme", "--n", "2", "--r", "1", "--d", "2",
                     "--m", "1"]) == 1
@@ -156,7 +173,6 @@ class TestDeterminismAndCache:
         # the same payload (the second case has E1 entries at t = 0 and 24)
         src = str(Path(quotbwb.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
-        env.pop("QUOTBWB_CACHE", None)
         argv = ["scan", "--n", "2", "--r", "1", "--d", "2", "--m", "4"] + extra
         payloads = []
         for flags in ([], ["-O"]):
@@ -176,54 +192,6 @@ class TestDeterminismAndCache:
         assert status == 0
         assert json.loads(out.read_text())["result"]["coefficient"] == "1"
 
-    def test_cache_round_trip(self, tmp_path):
-        lr((2, 1), (2, 1), (3, 2, 1))
-        path = tmp_path / "lr.cache"
-        n = cache_store(path)
-        assert n >= 1
-        before = lr_cache_snapshot()
-        assert cache_load(path) == n
-        assert lr_cache_snapshot() == before
-        assert path.read_text().startswith("quotbwb-lrcache v1\n")
-
-    def test_cache_header_line(self, tmp_path):
-        path = tmp_path / "lr.cache"
-        path.write_text("quotbwb-lrcache v1\n2,1|2,1|3,2,1|2\n")
-        cache_load(path)
-        assert lr((2, 1), (2, 1), (3, 2, 1)) == 2
-
-    def test_cache_rejects_bad_version(self, tmp_path):
-        path = tmp_path / "lr.cache"
-        path.write_text("quotbwb-lrcache v2\n")
-        with pytest.raises(CacheFormatError):
-            cache_load(path)
-
-    def test_cache_rejects_corrupt_line(self, tmp_path):
-        path = tmp_path / "lr.cache"
-        path.write_text("quotbwb-lrcache v1\n2,1|2,1|3,2,1\n")
-        with pytest.raises(CacheFormatError) as err:
-            cache_load(path)
-        assert ":2:" in str(err.value)
-
-    def test_empty_cache_loads(self, tmp_path):
-        path = tmp_path / "lr.cache"
-        path.write_text("quotbwb-lrcache v1\n")
-        assert cache_load(path) == 0
-
-    def test_cache_env_read_at_each_run(self, capsys, tmp_path, monkeypatch):
-        # the parser is reused, so $QUOTBWB_CACHE must not be frozen into it
-        # by the run that built it
-        argv = ["lr", "--alpha", "2,1", "--beta", "2,1", "--gamma", "3,2,1"]
-        first, second = tmp_path / "first.cache", tmp_path / "second.cache"
-        monkeypatch.setenv("QUOTBWB_CACHE", str(first))
-        build_parser.cache_clear()
-        assert run(argv) == 0
-        monkeypatch.setenv("QUOTBWB_CACHE", str(second))
-        assert run(argv) == 0
-        capsys.readouterr()
-        assert first.exists()
-        assert "2,1|2,1|3,2,1|2" in second.read_text()
-
     def test_reused_parser_matches_fresh_process(self, capsys, tmp_path):
         # one parser serves every run of a process: no appended list or
         # default may leak from one run into the next
@@ -239,7 +207,6 @@ class TestDeterminismAndCache:
             here.append(payload)
         src = str(Path(quotbwb.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
-        env.pop("QUOTBWB_CACHE", None)
         for argv, payload in zip(runs, here):
             out = tmp_path / "fresh.json"
             subprocess.run([sys.executable, "-m", "quotbwb.cli", *argv,
@@ -248,11 +215,3 @@ class TestDeterminismAndCache:
             fresh.pop("elapsed_ms")
             assert payload == fresh, argv
         assert "b1" in here[0]["config"] and "b1" not in here[1]["config"]
-
-    def test_cli_cache_flag(self, capsys, tmp_path):
-        path = tmp_path / "lr.cache"
-        assert run(["lr", "--alpha", "2,1", "--beta", "2,1",
-                    "--gamma", "3,2,1", "--cache", str(path)]) == 0
-        capsys.readouterr()
-        assert path.exists()
-        assert "2,1|2,1|3,2,1|2" in path.read_text()

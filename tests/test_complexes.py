@@ -1,21 +1,21 @@
 import random
 from fractions import Fraction
 
-
+import pytest
 
 from quotbwb.complexes import (
     HyperInsert,
+    _intersect,
     hyper_cohomology,
-    hyper_euler,
     m_bracket_rep,
     schur_complex_terms,
     sx_cohomology,
-    sx_euler,
     sx_resolution,
 )
 from quotbwb.partitions import conjugate, partition, partitions_in_box, size
 from quotbwb.pipeline import (
     InsertionSpec,
+    QuotReport,
     QuotSetup,
     assemble,
     closed_form_multi,
@@ -92,16 +92,9 @@ class TestTwoTermRep:
             for side in ("quot", "sub"):
                 for e in range(m - 3, m + 4):
                     rep = m_bracket_rep(setup, e, side)
-                    assert rep.rank_ok
                     expected = (r * e + r + d if side == "quot"
                                 else (n - r) * (e + 1) - d)
                     assert rep.virtual_rank == expected
-
-    def test_printed_convention_fails_rank_oracle(self):
-        # the uncorrected twist misses the rank; kept as a debug switch
-        rep = m_bracket_rep(QuotSetup(2, 1, 1, m=2), 3, convention="printed")
-        assert not rep.rank_ok
-        assert m_bracket_rep(QuotSetup(2, 1, 1, m=2), 3).rank_ok
 
     def test_at_most_one_multiplicity_slot(self):
         setup = QuotSetup(3, 1, 2, m=2)
@@ -138,8 +131,8 @@ class TestSxResolution:
 class TestHyper:
     def test_euler_examples(self):
         setup = QuotSetup(2, 1, 1, m=1)
-        assert hyper_euler(setup, [(-2, (1,))]) == -2
-        assert hyper_euler(setup, []) == 1
+        assert hyper_cohomology(setup, [(-2, (1,))]).euler == -2
+        assert hyper_cohomology(setup, []).euler == 1
 
     def test_collapse_to_direct_scan(self):
         setup = QuotSetup(3, 1, 1, m=2)
@@ -171,7 +164,7 @@ class TestHyper:
             assert cf.hypotheses_hold, (setup, inserts)
             rep = hyper_cohomology(setup, inserts)
             assert rep.exact and rep.table == cf.table, (setup, inserts)
-            assert hyper_euler(setup, inserts) == rep.euler
+            assert rep.euler == sum((-1) ** q * v for q, v in cf.table.items())
 
     def test_degree_zero_concentration(self):
         for setup, ins in [
@@ -197,8 +190,7 @@ class TestHyper:
                                   InsertionSpec(b1=((1,) * 8,))))
         assert direct.exact and direct.table == {0: 36}
         hyper = hyper_cohomology(QuotSetup(2, 1, 3), [(4, (1,) * 8)])
-        assert hyper.exact and hyper.table == {0: 36}
-        assert hyper_euler(QuotSetup(2, 1, 3), [(4, (1,) * 8)]) == 36
+        assert hyper.exact and hyper.table == {0: 36} and hyper.euler == 36
 
     def test_sub_side_insert(self):
         # sub-side Schur insertions vanish within the size bound
@@ -212,8 +204,7 @@ class TestSx:
         setup = QuotSetup(2, 1, 1)
         for lam in [(1,), (2,)]:
             rep = sx_cohomology(setup, lam)
-            assert rep.exact and rep.table == {}, lam
-            assert sx_euler(setup, lam) == 0
+            assert rep.exact and rep.table == {} and rep.euler == 0, lam
 
     def test_vanishing_full_sweep_below_bound(self):
         # every nontrivial lam below (nd+n)/(n-r) = 4 gives the zero table
@@ -227,6 +218,40 @@ class TestSx:
     def test_trivial_partition(self):
         rep = sx_cohomology(QuotSetup(2, 1, 1), ())
         assert rep.exact and rep.table == {0: 1}
+
+
+def _bounds(euler, lower, upper, exact=False):
+    table = dict(upper) if exact else None
+    return QuotReport(euler, exact, table, lower, upper, exact)
+
+
+class TestIntersect:
+    def test_exact_report_returned_unchanged(self):
+        exact = _bounds(1, {0: 1}, {0: 1}, exact=True)
+        loose = _bounds(1, {}, {0: 1, 1: 1})
+        assert _intersect([loose, exact]) is exact
+        assert _intersect([exact]) is exact
+
+    def test_single_uncertain_degree_pinned(self):
+        # true table {0: 3, 1: 1}: the intersection knows degree 0 and
+        # bounds degree 1 by [0, 1]; chi = 2 pins it to 1
+        first = _bounds(2, {0: 3}, {0: 3, 1: 2})
+        second = _bounds(2, {0: 2}, {0: 4, 1: 1})
+        out = _intersect([first, second])
+        assert out.exact and out.table == {0: 3, 1: 1}
+        assert out.euler == 2
+        assert "degree 1 pinned by the exact Euler characteristic" in out.notes
+
+    def test_disjoint_bounds_raise(self):
+        with pytest.raises(ArithmeticError):
+            _intersect([_bounds(3, {0: 3}, {0: 3}), _bounds(3, {}, {0: 2})])
+
+    def test_pin_outside_bounds_raises(self):
+        # same bounds as above, but chi = 5 would pin degree 1 to -2
+        first = _bounds(5, {0: 3}, {0: 3, 1: 2})
+        second = _bounds(5, {0: 2}, {0: 4, 1: 1})
+        with pytest.raises(ArithmeticError):
+            _intersect([first, second])
 
 
 class TestProp47Randomized:

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotbwb import pipeline
-from quotbwb.partitions import Weight, conjugate, partition, partitions_in_box
+from quotbwb.partitions import (
+    Weight,
+    conjugate,
+    partition,
+    partitions_in_box,
+    subpartitions,
+)
 from quotbwb.pipeline import (
     InsertionSpec,
     QuotSetup,
@@ -15,7 +21,6 @@ from quotbwb.pipeline import (
     closed_form_multi,
     e1_page,
     ext_table,
-    koszul_sigma_expansion,
     koszul_terms,
     line_coh,
     resolve_page,
@@ -23,7 +28,41 @@ from quotbwb.pipeline import (
     verify_prop47,
     verify_thm41,
 )
-from quotbwb.schur import koszul_pair_mult, koszul_pair_possible, schur_dim
+from quotbwb.schur import (
+    koszul_pair_mult,
+    koszul_pair_possible,
+    lr_expand,
+    schur_dim,
+    skew_expand,
+)
+
+
+def koszul_sigma_expansion(mu, r2):
+    """Full expansion of S^{mu^dag}(B2^dual + B2^dual) into S^sigma(B2^dual).
+
+    Multiplicity of sigma is sum over alpha, beta of
+    c^{mu^dag}_{alpha,beta} * c^sigma_{alpha,beta}: the oracle for the
+    pair route (`koszul_pair_possible` + `koszul_pair_mult`).
+    """
+    theta = conjugate(mu)
+    out = {}
+    for alpha in subpartitions(theta, r2):
+        for beta, c1 in skew_expand(theta, alpha, r2).items():
+            for sigma, c2 in lr_expand(alpha, beta, r2).items():
+                out[sigma] = out.get(sigma, 0) + c1 * c2
+    return out
+
+
+def oracle_koszul_terms(p, t):
+    """(mu, sigma, mult) of the t-th Koszul term through the full expansion,
+    mu in descending-lex order, then sigma."""
+    terms = []
+    for mu in partitions_in_box(p.k1, 2 * p.r2, t):
+        exp = koszul_sigma_expansion(mu, p.r2)
+        for sigma in sorted(exp, reverse=True):
+            if exp[sigma]:
+                terms.append((mu, sigma, exp[sigma]))
+    return terms
 
 
 class TestSetupAndParams:
@@ -86,21 +125,34 @@ class TestKoszul:
             koszul_terms(p, 1)
 
     def test_pair_route_matches_expansion_route(self):
-        # koszul_terms expands through subpartition/skew/LR chains; the scan
-        # evaluates fixed (mu, sigma) pairs through skew inner products with
-        # row and Weyl cuts.  Both must produce identical multiplicities on
-        # every pair of the boxes, zeros included.
+        # the oracle expands through subpartition/skew/LR chains; the pair
+        # route evaluates fixed (mu, sigma) pairs through skew inner products
+        # with row and Weyl cuts.  Both must produce identical multiplicities
+        # on every pair of the boxes, zeros included.
         for setup in (QuotSetup(3, 1, 1, m=1), QuotSetup(2, 1, 1, m=3),
                       QuotSetup(2, 1, 2, m=4)):
             p = stromme(setup)
             for t in range(p.rank_k + 1):
-                expansion = {(T.mu, T.sigma): T.mult for T in koszul_terms(p, t)}
+                expansion = {(mu, sigma): mult
+                             for mu, sigma, mult in oracle_koszul_terms(p, t)}
                 for mu in partitions_in_box(p.k1, 2 * p.r2, t):
                     cols = min(2 * p.k1, t) if t else 0
                     for sigma in partitions_in_box(p.r2, cols, t):
                         got = koszul_pair_mult(conjugate(mu), sigma, p.r2)
                         assert got == expansion.get((mu, sigma), 0), \
                             (setup, mu, sigma)
+
+    @pytest.mark.parametrize("setup, count", [(QuotSetup(2, 1, 2, m=4), 1174),
+                                              (QuotSetup(3, 1, 1, m=2), 1173)])
+    def test_terms_match_expansion_oracle(self, setup, count):
+        # same terms in the same order, term by term, at every t
+        p = stromme(setup)
+        total = 0
+        for t in range(p.rank_k + 1):
+            got = [(T.t, T.mu, T.sigma, T.mult) for T in koszul_terms(p, t)]
+            assert got == [(t, *term) for term in oracle_koszul_terms(p, t)], t
+            total += len(got)
+        assert total == count
 
 
 # Setups small enough for the full expansion: n <= 3 and rank_k <= 28.
@@ -246,6 +298,14 @@ class TestScans:
         p = stromme(setup)
         page = e1_page(p, InsertionSpec(b1=((1,),), b2=((1,),)))
         assert page.euler() == p.n1 * p.n2 == 24
+
+    def test_misordered_insertion_is_an_error(self):
+        # only a weight too long for its bundle means the zero bundle
+        p = stromme(QuotSetup(2, 1, 1, m=1))
+        with pytest.raises(ValueError):
+            e1_page(p, InsertionSpec(b1=((1, 2),)))
+        assert e1_page(p, InsertionSpec(b1=((1, 1, 1),))).entries == {}
+        assert e1_page(p, InsertionSpec(b1=((2, 1),))).entries
 
     def test_jobs_determinism(self):
         setup = QuotSetup(3, 1, 1, m=1)

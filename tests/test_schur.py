@@ -6,6 +6,7 @@ import pytest
 
 from quotbwb.partitions import (
     Weight,
+    WeightLengthError,
     as_weight,
     conjugate,
     part,
@@ -141,6 +142,12 @@ class TestDimensions:
         assert weight_dim(Weight((1, 0, 0, -1)), 4) == 15
         assert weight_dim(Weight((0,)), 1) == 1
         assert weight_dim((2, 1), 1) == 0
+        assert weight_dim((1, 1, 1, 1), 3) == 0
+
+    def test_weight_dim_misordered_raises(self):
+        with pytest.raises(ValueError) as err:
+            weight_dim((1, 2), 3)
+        assert not isinstance(err.value, WeightLengthError)
 
     def test_weight_dim_vs_weyl(self):
         rng = random.Random(5)
