@@ -5,8 +5,9 @@ universal sub- and quotient bundles as one plain tuple, forms the
 rho-shifted vector, and reads the unique nonvanishing degree off the
 sorting permutation.  `bwb_dual_weights` validates its weights and calls
 it; `coh_bundle` is the bundle-side wrapper: weights on A and B
-themselves, tensor-expanded and converted to the dual convention before
-the sort.
+themselves, validated once, tensor-expanded on entry tuples and converted
+to the dual convention before the sort.  `coh_duals` is its second
+half, for callers that hold the dual-convention summands already.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from .partitions import (
     WeightLengthError,
     WeightLike,
     as_weight,
+    dual_entries,
     inversions,
     negate_reverse,
     partition,
@@ -27,7 +29,7 @@ from .partitions import (
     t_eta_indices,
     t_index,
 )
-from .schur import schur_dim, tensor_expand_many
+from .schur import Entries, Expansion, product_entries, schur_dim
 
 CohomTable = dict[int, int]
 
@@ -101,18 +103,42 @@ def bwb_dual_weights(gr: GrSpec, rho: WeightLike, chi: WeightLike) -> BwbOutcome
     return BwbOutcome(False, degree, gamma_w, negate_reverse(gamma_w), dim)
 
 
-def expand_side(weights: Sequence[WeightLike], length: int) -> dict[Weight, int]:
-    """Tensor-expand the bundle-side weights on one universal bundle.
+def expand_side(weights: Sequence[WeightLike], length: int) -> Expansion:
+    """Tensor expansion {entries: mult} of the bundle-side weights on one
+    universal bundle, each weight validated once by `as_weight`.
 
     An empty expansion is the zero bundle: a partition too long for the
-    bundle raises WeightLengthError inside `tensor_expand_many` and lands
-    here.  A weight that is not weakly decreasing is an input error and
-    propagates.
+    bundle raises WeightLengthError.  A weight that is not weakly
+    decreasing is an input error and propagates.
     """
     try:
-        return tensor_expand_many(list(weights), length)
+        entries = [as_weight(w, length).entries for w in weights]
     except WeightLengthError:
         return {}
+    return product_entries(entries, length)
+
+
+def dual_side(exp: Expansion) -> list[tuple[Entries, int]]:
+    """The summands of an expansion in the dual convention
+    S^w(E) = S^{-w}(E^dual)."""
+    return [(dual_entries(w), m) for w, m in exp.items()]
+
+
+def coh_duals(n: int, rhos: list[tuple[Entries, int]],
+              chis: list[tuple[Entries, int]]) -> CohomTable:
+    """Total cohomology table on Gr(k, n) of the summands
+    m_rho m_chi S^rho(A^dual) x S^chi(B^dual), each run through `_bwb`.
+
+    Every term is positive, so every degree in the table is nonzero.
+    """
+    table: CohomTable = {}
+    for rho, ma in rhos:
+        for chi, mb in chis:
+            hit = _bwb(n, rho + chi)
+            if hit is not None:
+                degree, _, dim = hit
+                table[degree] = table.get(degree, 0) + ma * mb * dim
+    return table
 
 
 def coh_bundle(gr: GrSpec, a_weights: Sequence[WeightLike] = (),
@@ -121,21 +147,13 @@ def coh_bundle(gr: GrSpec, a_weights: Sequence[WeightLike] = (),
 
     `a_weights` act on the rank-k subbundle A, `b_weights` on the rank
     (n-k) quotient B; entries may be partitions (padded) or exact-length
-    weights.  Each side is tensor-expanded, every summand converted to the
-    dual convention S^w(E) = S^{-w}(E^dual), and the BWB degrees summed.
-    A partition too long for its bundle means the zero bundle: empty table.
+    weights.  Each side is validated once and tensor-expanded
+    (`expand_side`), converted to the dual convention and summed by
+    `coh_duals`.  A partition too long for its bundle means the zero
+    bundle: empty table.
     """
-    b_duals = [(tuple(-x for x in reversed(w.entries)), m)
-               for w, m in expand_side(b_weights, gr.quotient_rank).items()]
-    table: CohomTable = {}
-    for wa, ma in expand_side(a_weights, gr.k).items():
-        rho = tuple(-x for x in reversed(wa.entries))
-        for chi, mb in b_duals:
-            hit = _bwb(gr.n, rho + chi)
-            if hit is not None:
-                degree, _, dim = hit
-                table[degree] = table.get(degree, 0) + ma * mb * dim
-    return {d: v for d, v in table.items() if v}
+    chis = dual_side(expand_side(b_weights, gr.quotient_rank))
+    return coh_duals(gr.n, dual_side(expand_side(a_weights, gr.k)), chis)
 
 
 def index_nonvanish(chi: WeightLike, k: int) -> Optional[tuple[int, int]]:

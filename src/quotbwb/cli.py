@@ -1,7 +1,9 @@
 """Command-line frontend: batch computations with JSON reports.
 
 Exit status 0 on success, 1 on usage and validation errors, 2 when a
-`verify` or `examples` run contradicts the checked statement.  All
+`verify` or `examples` run contradicts the checked statement, 3 when
+the computation contradicts itself (an `ArithmeticError`, such as
+`InconsistencyError`, escapes the command).  All
 dimensions are serialized as decimal strings; payloads are deterministic
 (sorted keys, worker count excluded from the config echo).
 """
@@ -13,13 +15,13 @@ import sys
 import time
 
 from . import __version__
-from .bwb import GrSpec, bwb_dual_weights, coh_bundle, expand_side, index_nonvanish
+from .bwb import GrSpec, bwb_dual_weights, expand_side, index_nonvanish
 from .complexes import (
     HyperInsert,
     hyper_cohomology,
     sx_cohomology,
 )
-from .partitions import Weight, format_parts, negate_reverse, parse_parts, partition
+from .partitions import Weight, dual_entries, format_parts, parse_parts, partition
 from .pipeline import (
     InsertionSpec,
     QuotReport,
@@ -164,23 +166,24 @@ def cmd_index(args):
 
 def cmd_bwb(args):
     gr = GrSpec(args.k, args.N)
-    a = [_weight_arg(w) for w in args.a or []]
-    b = [_weight_arg(w) for w in args.b or []]
-    table = coh_bundle(gr, a, b)
-    # per-summand detail: the answer weight and its dual side by side
+    b_exp = expand_side([_weight_arg(w) for w in args.b or []], gr.quotient_rank)
+    a_exp = expand_side([_weight_arg(w) for w in args.a or []], gr.k)
+    # per-summand detail (the answer weight and its dual side by side),
+    # summed into the table on the way
+    table: dict[int, int] = {}
     summands = []
-    a_exp = expand_side(a, gr.k)
-    b_exp = expand_side(b, gr.quotient_rank)
-    for wa, ma in sorted(a_exp.items(), key=lambda kv: kv[0].entries):
-        for wb, mb in sorted(b_exp.items(), key=lambda kv: kv[0].entries):
-            out = bwb_dual_weights(gr, negate_reverse(wa), negate_reverse(wb))
+    for wa, ma in sorted(a_exp.items()):
+        for wb, mb in sorted(b_exp.items()):
+            out = bwb_dual_weights(gr, dual_entries(wa), dual_entries(wb))
             if out.vanishes:
                 continue
+            dim = ma * mb * out.dim
+            table[out.degree] = table.get(out.degree, 0) + dim
             summands.append({
                 "degree": out.degree,
                 "gamma": format_parts(out.gamma.entries),
                 "dual": format_parts(out.weight.entries),
-                "dim": _s(ma * mb * out.dim),
+                "dim": _s(dim),
             })
     return {"table": _table_json(table), "summands": summands}, 0
 
@@ -517,6 +520,10 @@ def run(argv) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        # an internal contradiction, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     notes = result.pop("notes", []) if isinstance(result, dict) else []
     envelope = {
         "version": __version__,

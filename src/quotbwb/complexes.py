@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .partitions import (
+    InconsistencyError,
     Partition,
     parity_sign,
     conjugate,
@@ -212,7 +213,7 @@ def m_bracket_rep(setup: QuotSetup, e: int, side: str = "quot") -> TwoTermComple
 
     The left slot is twisted by O(e - m - 1) because Beilinson's resolution
     of O(e) on P^1 by O(m - 1) and O(m) carries H(O(e - m - 1)) in its
-    first term; the rank check below (ArithmeticError) fails for e - m + 1.
+    first term; the rank check below (InconsistencyError) fails for e - m + 1.
     """
     if side not in ("quot", "sub"):
         raise ValueError("side must be 'quot' or 'sub'")
@@ -228,7 +229,7 @@ def m_bracket_rep(setup: QuotSetup, e: int, side: str = "quot") -> TwoTermComple
     rep = TwoTermComplex(side, e, setup.m, left, right, window, lrk, rrk)
     # signed multiplicities h0 - h1 already carry the window shift
     if rep.virtual_rank != expected:
-        raise ArithmeticError(
+        raise InconsistencyError(
             f"rank oracle failed for e={e} {side}: {rep.virtual_rank} vs {expected}")
     return rep
 
@@ -304,7 +305,8 @@ def _terms_insert_theta(setup: QuotSetup, ranks, e: int, lam: Partition
         # S^{lam/nu}(W) x S^{nu^dag}(triv) in degree |nu|; S^beta(W) is the
         # homological Schur complex of the (injective) two-term resolution.
         window, lm, rm = _rep_window(setup, e)
-        assert window == (0, 1)
+        if window != (0, 1):
+            raise InconsistencyError(f"twist {e} below m = {setup.m} has window {window}")
         for nu in subpartitions(lam):
             scalar = schur_dim(conjugate(nu), h1v)
             if not scalar:
@@ -316,7 +318,8 @@ def _terms_insert_theta(setup: QuotSetup, ranks, e: int, lam: Partition
     else:
         # 0 <= e < d + b: merged two-term [A1-slot -> A2-slot + triv].
         window, lm, rm = _rep_window(setup, e)
-        assert window == (0, 1)
+        if window != (0, 1):
+            raise InconsistencyError(f"twist {e} below m = {setup.m} has window {window}")
         merged = _two_term_schur(lam, (("a1", lm),),
                                  (("a2", rm), ("triv", h0v)), (-1, 0), ranks)
         for d, terms in merged.items():
@@ -370,7 +373,9 @@ def _totalize(setup: QuotSetup, formal: FormalTerms, jobs: int = 1) -> QuotRepor
             for q, v in rep.table.items():
                 cells[(d, q)] = cells.get((d, q), 0) + m * v
         out = resolve_page(cells)
-        assert out.euler == chi
+        if out.euler != chi:
+            raise InconsistencyError(
+                f"total complex has Euler characteristic {out.euler}, its terms {chi}")
         return out
     upper: dict[int, int] = {}
     lower: dict[int, int] = {}
@@ -387,12 +392,15 @@ def _intersect(reports: list[QuotReport]) -> QuotReport:
     if len(reports) == 1:
         return reports[0]
     chi = reports[0].euler
-    assert all(r.euler == chi for r in reports)
+    if any(r.euler != chi for r in reports):
+        raise InconsistencyError("independent routes disagree on the Euler characteristic")
     exact = [r for r in reports if r.exact]
     if exact:
         for other in reports:
             for t, v in exact[0].table.items():
-                assert other.upper.get(t, 0) >= v >= other.lower.get(t, 0)
+                if not other.upper.get(t, 0) >= v >= other.lower.get(t, 0):
+                    raise InconsistencyError(
+                        f"exact degree {t} outside an independent route's bounds")
         return exact[0]
     degrees = set()
     for r in reports:
@@ -402,7 +410,7 @@ def _intersect(reports: list[QuotReport]) -> QuotReport:
     upper = {t: v for t, v in upper.items() if v}
     lower = {t: v for t, v in lower.items() if v}
     if any(lower.get(t, 0) > upper.get(t, 0) for t in degrees):
-        raise ArithmeticError("independent routes produced disjoint bounds")
+        raise InconsistencyError("independent routes produced disjoint bounds")
     notes = ["intersection of independent representations"]
     uncertain = [t for t in degrees if upper.get(t, 0) != lower.get(t, 0)]
     exact_now = pin_by_euler(chi, lower, upper, uncertain, notes)

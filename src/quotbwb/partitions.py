@@ -93,6 +93,14 @@ class WeightLengthError(ValueError):
     """A weight with more entries than the length it is embedded into."""
 
 
+class InconsistencyError(ArithmeticError):
+    """An internal invariant failed: two exact computations disagree.
+
+    Raised instead of `assert`, so the check survives `python -O`; it
+    signals a fault in the program, never bad input.
+    """
+
+
 def as_weight(w: WeightLike, length: int) -> Weight:
     """Embed a partition or weight into a weight of the given length.
 
@@ -115,9 +123,14 @@ def as_weight(w: WeightLike, length: int) -> Weight:
     return Weight(pos + (0,) * (length - len(pos) - len(neg)) + neg)
 
 
+def dual_entries(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """The entries (-w_k, ..., -w_1) of the dual of a weight w."""
+    return tuple([-x for x in reversed(entries)])
+
+
 def negate_reverse(w: Weight) -> Weight:
     """The dual weight -w = (-w_k, ..., -w_1)."""
-    return Weight(tuple(-x for x in reversed(w.entries)))
+    return Weight(dual_entries(w.entries))
 
 
 def shift(w: Weight, c: int) -> Weight:
@@ -150,7 +163,7 @@ def t_index(chi: WeightLike, t: int) -> Optional[int]:
             ok_high = part(entries, j + 1) <= j
         if ok_low and ok_high:
             if found is not None:
-                raise AssertionError(f"t-index not unique for {entries}, t={t}")
+                raise InconsistencyError(f"t-index not unique for {entries}, t={t}")
             found = j
     return found
 

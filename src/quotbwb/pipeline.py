@@ -12,8 +12,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .bwb import CohomTable, GrSpec, coh_bundle, kunneth
+from .bwb import (CohomTable, GrSpec, coh_bundle, coh_duals, dual_side, expand_side,
+                  kunneth)
 from .partitions import (
+    InconsistencyError,
     Partition,
     parity_sign,
     Weight,
@@ -21,6 +23,7 @@ from .partitions import (
     WeightLike,
     as_weight,
     conjugate,
+    dual_entries,
     negate_reverse,
     partition,
     partitions_in_box,
@@ -29,11 +32,13 @@ from .partitions import (
     subpartitions,
 )
 from .schur import (
+    Entries,
+    Expansion,
     koszul_pair_mult,
     koszul_pair_possible,
     schur_dim,
     skew_expand,
-    weight_tensor_expand,
+    tensor_entries,
 )
 
 
@@ -120,8 +125,10 @@ def stromme(setup: QuotSetup) -> StrommeParams:
     )
     if p.k1 < 0:
         raise ValueError(f"negative k1 = {p.k1} (m too small)")
-    assert p.n1 == p.k1 + p.r1 and p.n2 == p.k2 + p.r2
-    assert p.k1 * p.r1 + p.k2 * p.r2 - p.rank_k == p.quot_dim
+    if p.n1 != p.k1 + p.r1 or p.n2 != p.k2 + p.r2:
+        raise InconsistencyError(f"embedding ranks do not add up: {p}")
+    if p.k1 * p.r1 + p.k2 * p.r2 - p.rank_k != p.quot_dim:
+        raise InconsistencyError(f"embedding dimension is not the Quot dimension: {p}")
     return p
 
 
@@ -200,6 +207,11 @@ def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
 _SURVIVOR_CACHE: dict[tuple, list[tuple[Partition, Partition, CohomTable]]] = {}
 
 
+def _times(entries: Entries, product: Optional[Expansion]) -> Expansion:
+    """entries tensored with a prebuilt product of insertions (None: none)."""
+    return {entries: 1} if product is None else tensor_entries({entries: 1}, product)
+
+
 def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
                       t: int) -> list[tuple[Partition, Partition, CohomTable]]:
     """Koszul partitions of the t-th term whose Grassmannian factor survives.
@@ -210,6 +222,10 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
     conjugate.  `a` and `b` are entry tuples (`InsertionSpec.key()`), so a
     Weight and a tuple with the same entries share one entry: the tables
     depend on the insertions only through `as_weight`, which reads entries.
+    The side without the Koszul partition is validated, expanded and
+    dualized once per list, and the insertions beside the partition are
+    multiplied out once; each partition is then one tensor with that
+    product.
     """
     key = (params, factor, a, b, t)
     hit = _SURVIVOR_CACHE.get(key)
@@ -217,14 +233,23 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
         return hit
     out = []
     if factor == 1:
-        for mu in partitions_in_box(params.k1, 2 * params.r2, t):
-            table = coh_bundle(params.gr1, (mu,) + a, b)
+        gr = params.gr1
+        chis = dual_side(expand_side(b, gr.quotient_rank))
+        product = expand_side(a, gr.k) if a else None
+        box = partitions_in_box(params.k1, 2 * params.r2, t) if chis else []
+        for mu in box:
+            rhos = dual_side(_times(mu + (0,) * (gr.k - len(mu)), product))
+            table = coh_duals(gr.n, rhos, chis)
             if table:
                 out.append((mu, conjugate(mu), table))
     else:
-        for sigma in partitions_in_box(params.r2, min(2 * params.k1, t), t):
-            dual = negate_reverse(as_weight(sigma, params.r2))
-            table = coh_bundle(params.gr2, a, (dual,) + b)
+        gr = params.gr2
+        rhos = dual_side(expand_side(a, gr.k))
+        product = expand_side(b, gr.quotient_rank) if b else None
+        box = partitions_in_box(params.r2, min(2 * params.k1, t), t) if rhos else []
+        for sigma in box:
+            dual = (0,) * (gr.quotient_rank - len(sigma)) + dual_entries(sigma)
+            table = coh_duals(gr.n, rhos, dual_side(_times(dual, product)))
             if table:
                 out.append((sigma, conjugate(sigma), table))
     _SURVIVOR_CACHE[key] = out
@@ -338,7 +363,7 @@ def pin_by_euler(euler: int, lower: dict[int, int], upper: dict[int, int],
 
     Sets (or, at zero, drops) its bounds in place, adds a note, and
     returns whether every degree is now exact; a pinned value outside its
-    bounds means contradictory inputs: ArithmeticError.
+    bounds means contradictory inputs: InconsistencyError.
     """
     if len(uncertain) != 1:
         return not uncertain
@@ -346,7 +371,7 @@ def pin_by_euler(euler: int, lower: dict[int, int], upper: dict[int, int],
     rest = sum(parity_sign(t) * upper.get(t, 0) for t in upper if t != t0)
     pinned = parity_sign(t0) * (euler - rest)
     if not lower.get(t0, 0) <= pinned <= upper.get(t0, 0):
-        raise ArithmeticError("Euler pinning escaped the bounds")
+        raise InconsistencyError("Euler pinning escaped the bounds")
     notes.append(f"degree {t0} pinned by the exact Euler characteristic")
     if pinned:
         upper[t0] = lower[t0] = pinned
@@ -397,7 +422,7 @@ def resolve_page(cells: dict[tuple[int, int], int]) -> QuotReport:
     for t in range(tmin, 0):
         out = sums.get(t, 0) - prev
         if out < 0 or out > cap.get(t, 0):
-            raise ArithmeticError(
+            raise InconsistencyError(
                 f"page cannot cancel its negative-degree entries at {t}")
         prev = out
     forced_in0 = prev
@@ -409,7 +434,7 @@ def resolve_page(cells: dict[tuple[int, int], int]) -> QuotReport:
     if sums.get(0, 0) or forced_in0:
         adj[0] = sums.get(0, 0) - forced_in0
         if adj[0] < 0:
-            raise ArithmeticError("forced cascade exceeds the degree-0 entry")
+            raise InconsistencyError("forced cascade exceeds the degree-0 entry")
     free_cap = {t: c for t, c in cap.items() if t >= 0}
 
     upper = {t: v for t, v in adj.items() if v}
@@ -438,7 +463,10 @@ def resolve_page(cells: dict[tuple[int, int], int]) -> QuotReport:
 def assemble(page: E1Page) -> QuotReport:
     """Resolve the Koszul page: E1[t, q] sits in column -t, total degree q - t."""
     report = resolve_page({(-t, q): v for (t, q), v in page.entries.items()})
-    assert report.euler == page.euler()
+    if report.euler != page.euler():
+        raise InconsistencyError(
+            f"resolved Euler characteristic {report.euler} is not the page's "
+            f"{page.euler()}")
     return report
 
 
@@ -544,11 +572,7 @@ def ext_table(setup: QuotSetup, nu: Partition, lam: Partition) -> ExtResult:
         lam_w = as_weight(lam, params.r1)
     except WeightLengthError:
         return ExtResult({}, hyp_first and hyp_size, notes + ["zero bundle"])
-    table: CohomTable = {}
-    for w, mult in weight_tensor_expand(dual_nu, lam_w, params.r1).items():
-        for q, v in coh_bundle(params.gr1, (), (w,)).items():
-            table[q] = table.get(q, 0) + mult * v
-    table = {q: v for q, v in table.items() if v}
+    table = coh_bundle(params.gr1, (), (dual_nu, lam_w))
     return ExtResult(table, hyp_first and hyp_size, notes)
 
 

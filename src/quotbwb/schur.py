@@ -9,9 +9,10 @@ unboundedly.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .partitions import (
+    InconsistencyError,
     Partition,
     Weight,
     WeightLengthError,
@@ -31,6 +32,10 @@ _LR_CACHE: dict[tuple[Partition, Partition, Partition], int] = {}
 _SKEW_CACHE: dict[tuple[Partition, Partition, Optional[int]], dict[Partition, int]] = {}
 _LR_EXPAND_CACHE: dict[tuple[Partition, Partition, Optional[int]], dict[Partition, int]] = {}
 _SUM_CACHE: dict[tuple[Partition, int, Optional[int]], dict[Partition, int]] = {}
+
+# An exact-length weight as a plain tuple, and a sum of such weights.
+Entries = tuple[int, ...]
+Expansion = dict[Entries, int]
 
 
 def hook_lengths(lam: Partition) -> list[int]:
@@ -56,7 +61,8 @@ def schur_dim(lam: Partition, n: int) -> int:
     den = 1
     for h in hook_lengths(lam):
         den *= h
-    assert num % den == 0
+    if num % den:
+        raise InconsistencyError(f"hook-content quotient not integral for {lam}, n={n}")
     return num // den
 
 
@@ -367,42 +373,64 @@ def cauchy_terms(t: int) -> list[Partition]:
     return partitions_in_box(t, t, t) if t > 0 else [()]
 
 
-def weight_tensor_expand(eta: WeightLike, rho: WeightLike, length: int
-                         ) -> dict[Weight, int]:
-    """Generalized LR expansion of S^eta x S^rho for GL_length.
+def _untwist(entries: Entries) -> tuple[Partition, int]:
+    """(partition, c): the least determinant twist c >= 0 making entries + c
+    a partition.  entries must be weakly decreasing."""
+    c = -entries[-1] if entries and entries[-1] < 0 else 0
+    return tuple(x + c for x in entries if x + c), c
 
-    Both factors are shifted by determinant powers until they are
-    partitions, expanded classically, and the results shifted back;
-    only weights fitting in `length` survive.
+
+def tensor_entries(left: Expansion, right: Expansion) -> Expansion:
+    """Tensor product of two expansions {entries: mult} for GL_length.
+
+    Every key on both sides is a weakly decreasing entry tuple of the same
+    exact length (validated by the caller; nothing here re-checks).  Each
+    pair of summands is twisted by determinant powers until both are
+    partitions, LR-expanded with at most `length` rows (longer products
+    vanish for GL_length), and twisted back.  Left summands are the LR
+    base, right summands the added strips.
     """
-    we, wr = as_weight(eta, length), as_weight(rho, length)
-    m = max(0, -min(we.entries, default=0))
-    k = max(0, -min(wr.entries, default=0))
-    a = partition(shift(we, m).entries)
-    b = partition(shift(wr, k).entries)
-    out: dict[Weight, int] = {}
-    for gam, mult in lr_expand(a, b, max_rows=length).items():
-        w = shift(as_weight(gam, length), -(m + k))
-        out[w] = out.get(w, 0) + mult
+    rights = [(_untwist(rho), m1) for rho, m1 in right.items()]
+    out: Expansion = {}
+    for eta, m0 in left.items():
+        length = len(eta)
+        a, ca = _untwist(eta)
+        for (b, cb), m1 in rights:
+            c = ca + cb
+            for gam, m2 in lr_expand(a, b, max_rows=length).items():
+                w = tuple(x - c for x in gam) + (-c,) * (length - len(gam))
+                out[w] = out.get(w, 0) + m0 * m1 * m2
     return out
 
 
-def tensor_expand_many(weights: list[WeightLike], length: int) -> dict[Weight, int]:
-    """Fold weight_tensor_expand over a list (empty product = trivial weight).
+def product_entries(weights: Sequence[Entries], length: int) -> Expansion:
+    """Product of validated exact-length weights (empty product = trivial).
 
-    The fold starts from the first weight itself: tensoring with the
-    trivial weight would return it unchanged.
+    The fold starts from the first weight itself, so each partial product
+    is the LR base and the next weight supplies the strips.
     """
     if not weights:
-        return {as_weight((), length): 1}
-    acc = {as_weight(weights[0], length): 1}
+        return {(0,) * length: 1}
+    acc = {weights[0]: 1}
     for w in weights[1:]:
-        nxt: dict[Weight, int] = {}
-        for base, m0 in acc.items():
-            for res, m1 in weight_tensor_expand(base, w, length).items():
-                nxt[res] = nxt.get(res, 0) + m0 * m1
-        acc = nxt
+        acc = tensor_entries(acc, {w: 1})
     return acc
+
+
+def tensor_expand_many(weights: list[WeightLike], length: int) -> dict[Weight, int]:
+    """`product_entries` for caller weights, keyed by Weight.
+
+    Each weight is validated once by `as_weight`: one too long for
+    `length` raises WeightLengthError, one not weakly decreasing ValueError.
+    """
+    entries = [as_weight(w, length).entries for w in weights]
+    return {Weight(e): m for e, m in product_entries(entries, length).items()}
+
+
+def weight_tensor_expand(eta: WeightLike, rho: WeightLike, length: int
+                         ) -> dict[Weight, int]:
+    """Generalized LR expansion of S^eta x S^rho for GL_length."""
+    return tensor_expand_many([eta, rho], length)
 
 
 def schur_of_sum_copies(beta: Partition, copies: int, max_rows: Optional[int] = None

@@ -8,7 +8,9 @@ import pytest
 
 import quotbwb
 
+from quotbwb import pipeline
 from quotbwb.cli import build_parser, main, run
+from quotbwb.partitions import InconsistencyError
 
 
 def run_json(capsys, argv):
@@ -51,6 +53,45 @@ class TestBasicCommands:
             {"degree": 8, "dim": "1",
              "dual": "-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2,-2",
              "gamma": "2,2,2,2,2,2,2,2,2,2,2,2"}]
+
+    # payloads of the version before `bwb` summed its table from its summand
+    # loop: negative weights, several weights a side, zero bundles
+    BWB_PAYLOADS = [
+        (["--k", "2", "--N", "5", "--a=-1,-2", "--b=0,0,-3"],
+         {"summands": [{"degree": 1, "dim": "50", "dual": "0,0,-2,-2,-2",
+                        "gamma": "2,2,2,0,0"}], "table": {"1": "50"}}),
+        (["--k", "2", "--N", "5", "--a", "1", "--a", "1,1", "--b", "2",
+          "--b=1,0,-1"],
+         {"summands": [{"degree": 1, "dim": "1", "dual": "1,1,1,1,1",
+                        "gamma": "-1,-1,-1,-1,-1"}], "table": {"1": "1"}}),
+        (["--k", "2", "--N", "4", "--a", "1,1,1", "--b", "1"],
+         {"summands": [], "table": {}}),
+        (["--k", "2", "--N", "4", "--b", "1", "--b", "1,1,1"],
+         {"summands": [], "table": {}}),
+        (["--k", "3", "--N", "6", "--a", "2,1", "--a=0,0,-1", "--b", "1",
+          "--b", "1", "--b", "1"],
+         {"summands": [{"degree": 0, "dim": "6", "dual": "1,1,1,1,1,0",
+                        "gamma": "0,-1,-1,-1,-1,-1"},
+                       {"degree": 1, "dim": "168", "dual": "2,1,1,1,0,0",
+                        "gamma": "0,0,-1,-1,-1,-2"},
+                       {"degree": 1, "dim": "240", "dual": "2,1,1,1,1,-1",
+                        "gamma": "1,-1,-1,-1,-1,-2"}],
+          "table": {"0": "6", "1": "408"}}),
+        (["--k", "2", "--N", "6", "--a=1,-1", "--a=2,-2", "--b=-1,-1,-1,-2",
+          "--b", "1"],
+         {"summands": [{"degree": 3, "dim": "210", "dual": "0,0,0,0,-1,-3",
+                        "gamma": "3,1,0,0,0,0"}], "table": {"3": "210"}}),
+        (["--k", "0", "--N", "3", "--b=0,-1,-2"],
+         {"summands": [{"degree": 0, "dim": "8", "dual": "0,-1,-2",
+                        "gamma": "2,1,0"}], "table": {"0": "8"}}),
+    ]
+
+    @pytest.mark.parametrize("argv,result", BWB_PAYLOADS)
+    def test_bwb_payloads_unchanged(self, capsys, argv, result):
+        status, payload = run_json(capsys, ["bwb"] + argv)
+        assert status == 0
+        assert payload["result"] == result
+        assert payload["notes"] == [] and payload["config"]["command"] == "bwb"
 
     def test_stromme(self, capsys):
         status, payload = run_json(capsys, ["stromme", "--n", "2", "--r", "1",
@@ -111,6 +152,21 @@ class TestValidationAndExitCodes:
             run(["scan", "--help"])
         assert help_exit.value.code == 0
         assert "usage: quotbwb scan" in capsys.readouterr().out
+
+    def test_internal_contradiction_exits_3(self, capsys, monkeypatch):
+        def contradicted(cells):
+            raise InconsistencyError("page contradicts itself")
+
+        monkeypatch.setattr(pipeline, "resolve_page", contradicted)
+        assert run(["scan", "--n", "2", "--r", "1", "--d", "1", "--m", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: page contradicts itself\n"
+        assert captured.out == ""
+        # any ArithmeticError escaping a command is internal, not a usage error
+        monkeypatch.setattr(pipeline, "resolve_page",
+                            lambda cells: 1 // 0)
+        assert run(["scan", "--n", "2", "--r", "1", "--d", "1", "--m", "1"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_setup(self, capsys):
         assert run(["stromme", "--n", "2", "--r", "1", "--d", "2",

@@ -1,7 +1,14 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import quotbwb
 
 from quotbwb.complexes import (
     HyperInsert,
@@ -252,6 +259,49 @@ class TestIntersect:
         second = _bounds(5, {0: 2}, {0: 4, 1: 1})
         with pytest.raises(ArithmeticError):
             _intersect([first, second])
+
+
+# Run under `python -O`: each internal check must raise InconsistencyError
+# although the interpreter strips every assert.
+_INVARIANTS_UNDER_O = """
+import json, sys
+from quotbwb import pipeline
+from quotbwb.complexes import _intersect
+from quotbwb.partitions import InconsistencyError, t_index
+from quotbwb.pipeline import E1Page, QuotReport, QuotSetup, stromme
+
+def report(euler, table):
+    return QuotReport(euler, True, table, table, table, True)
+
+page = E1Page(stromme(QuotSetup(2, 1, 1)), {(0, 0): 1}, {})
+pipeline.resolve_page = lambda cells: report(2, {0: 2})
+checks = {
+    "euler disagreement": lambda: _intersect([report(1, {0: 1}), report(2, {0: 1})]),
+    "exact outside bounds": lambda: _intersect([report(1, {0: 1}),
+                                                report(1, {0: 2, 1: 1})]),
+    "assemble euler": lambda: pipeline.assemble(page),
+    "t-index not unique": lambda: t_index((0, 0), -5),
+}
+raised = []
+for name, check in checks.items():
+    try:
+        check()
+    except InconsistencyError:
+        raised.append(name)
+assert False  # stripped
+print(json.dumps({"optimize": sys.flags.optimize, "raised": raised}))
+"""
+
+
+def test_invariants_raise_under_O():
+    src = str(Path(quotbwb.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", _INVARIANTS_UNDER_O],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert json.loads(out.stdout) == {
+        "optimize": 1,
+        "raised": ["euler disagreement", "exact outside bounds", "assemble euler",
+                   "t-index not unique"]}
 
 
 class TestProp47Randomized:

@@ -1,4 +1,6 @@
-"""Every module-level import in the package is used (`__init__` re-exports)."""
+"""Static checks of the package sources: every module-level import is used
+(`__init__` re-exports), and no invariant hides in an `assert`, which
+`python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -8,7 +10,8 @@ import pytest
 import quotbwb
 
 PACKAGE = Path(quotbwb.__file__).resolve().parent
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(p.name for p in PACKAGE.glob("*.py"))
+MODULES = [name for name in SOURCES if name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +35,19 @@ def test_checker_sees_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def bare_asserts(source: str) -> list[int]:
+    """Line numbers of the `assert` statements in a module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_checker_sees_asserts():
+    source = "def f(x):\n    assert x > 0\n    return x\nassert f(1)\n"
+    assert bare_asserts(source) == [2, 4]
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_no_bare_asserts(module):
+    assert bare_asserts((PACKAGE / module).read_text()) == []

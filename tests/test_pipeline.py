@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotbwb import pipeline
+from quotbwb.bwb import coh_bundle
 from quotbwb.partitions import (
     Weight,
+    as_weight,
     conjugate,
+    negate_reverse,
     partition,
     partitions_in_box,
     subpartitions,
@@ -235,6 +238,77 @@ class TestSurvivorMemo:
         target = self._target(p, True)
         one = self._page(p, target)
         assert self._page(p, target, jobs=2) == one
+
+
+def oracle_factor_survivors(params, factor, a, b, t):
+    """The survivor list by one `coh_bundle` call per Koszul partition,
+    with the partition first on its side."""
+    out = []
+    if factor == 1:
+        for mu in partitions_in_box(params.k1, 2 * params.r2, t):
+            table = coh_bundle(params.gr1, (mu,) + a, b)
+            if table:
+                out.append((mu, conjugate(mu), table))
+    else:
+        for sigma in partitions_in_box(params.r2, min(2 * params.k1, t), t):
+            dual = negate_reverse(as_weight(sigma, params.r2))
+            table = coh_bundle(params.gr2, a, (dual,) + b)
+            if table:
+                out.append((sigma, conjugate(sigma), table))
+    return out
+
+
+class TestFactorSurvivors:
+    """Prebuilt side expansions against one coh_bundle per partition."""
+
+    @staticmethod
+    def _insertions(p):
+        def mixed(rank):  # S^(1,0,...,0,-1): the adjoint
+            return Weight((1,) + (0,) * (rank - 2) + (-1,))
+
+        def too_long(rank):
+            return (1,) * (rank + 1)
+
+        return [
+            InsertionSpec(),
+            # every slot, two weights on a side, a Weight and a tuple
+            InsertionSpec(a1=((1,), (1, 1)), b1=(mixed(p.r1),),
+                          a2=((2,), Weight((1,) + (0,) * (p.k2 - 1))),
+                          b2=((1,), tuple(mixed(p.r2).entries))),
+            InsertionSpec(a1=(Weight((0,) * (p.k1 - 1) + (-1,)),), b1=((1,), (1,)),
+                          a2=(mixed(p.k2),), b2=((2, 1),)),
+            # a too-long partition beside the Koszul partition ...
+            InsertionSpec(a1=((1,), too_long(p.k1)), b2=(too_long(p.r2),)),
+            # ... and on the side without it
+            InsertionSpec(a1=((1,),), b1=(too_long(p.r1),),
+                          a2=(too_long(p.k2),), b2=((1,),)),
+        ]
+
+    @pytest.mark.parametrize("setup", [QuotSetup(2, 1, 1, m=3),
+                                       QuotSetup(2, 1, 2, m=4)])
+    def test_matches_per_partition_oracle(self, setup):
+        p = stromme(setup)
+        pipeline._SURVIVOR_CACHE.clear()
+        survived = 0
+        for ins in self._insertions(p):
+            a1, b1, a2, b2 = ins.key()
+            for t in range(p.rank_k + 1):
+                for factor, a, b, raw in ((1, a1, b1, (ins.a1, ins.b1)),
+                                          (2, a2, b2, (ins.a2, ins.b2))):
+                    got = pipeline._factor_survivors(p, factor, a, b, t)
+                    assert got == oracle_factor_survivors(p, factor, *raw, t), \
+                        (ins, factor, t)
+                    survived += len(got)
+                    # Weight objects in place of the entry tuples
+                    assert pipeline._factor_survivors(p, factor, *raw, t) == got
+        assert survived
+
+    def test_misordered_weight_raises(self):
+        p = stromme(QuotSetup(2, 1, 1, m=3))
+        for factor in (1, 2):
+            for a, b in ((((0, 1),), ()), ((), ((0, 1),))):
+                with pytest.raises(ValueError):
+                    pipeline._factor_survivors(p, factor, a, b, 2)
 
 
 class TestResolvePage:

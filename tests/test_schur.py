@@ -3,6 +3,8 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quotbwb.partitions import (
     Weight,
@@ -12,6 +14,7 @@ from quotbwb.partitions import (
     part,
     partition,
     partitions_in_box,
+    shift,
 )
 from quotbwb.schur import (
     cauchy_terms,
@@ -21,9 +24,11 @@ from quotbwb.schur import (
     lemma45_check,
     lr,
     lr_expand,
+    product_entries,
     schur_dim,
     schur_of_sum_copies,
     skew_expand,
+    tensor_entries,
     tensor_expand_many,
     weight_dim,
     weight_tensor_expand,
@@ -108,6 +113,58 @@ def weyl_dim(entries, n):
             den *= j - i
     assert num % den == 0
     return num // den
+
+
+def oracle_weight_tensor_expand(eta, rho, length):
+    """Generalized LR expansion through validated `Weight`s at every step
+    (shift to partitions, expand, shift back): the oracle for the entry
+    tuple kernel `tensor_entries`."""
+    we, wr = as_weight(eta, length), as_weight(rho, length)
+    m = max(0, -min(we.entries, default=0))
+    k = max(0, -min(wr.entries, default=0))
+    a = partition(shift(we, m).entries)
+    b = partition(shift(wr, k).entries)
+    out = {}
+    for gam, mult in lr_expand(a, b, max_rows=length).items():
+        w = shift(as_weight(gam, length), -(m + k))
+        out[w] = out.get(w, 0) + mult
+    return out
+
+
+def oracle_tensor_expand_many(weights, length):
+    """Fold of `oracle_weight_tensor_expand`, starting from the first weight."""
+    if not weights:
+        return {as_weight((), length): 1}
+    acc = {as_weight(weights[0], length): 1}
+    for w in weights[1:]:
+        nxt = {}
+        for base, m0 in acc.items():
+            for res, m1 in oracle_weight_tensor_expand(base, w, length).items():
+                nxt[res] = nxt.get(res, 0) + m0 * m1
+        acc = nxt
+    return acc
+
+
+@st.composite
+def weight_lists(draw):
+    """(length, weights): length 1-5 and up to three weights, each a
+    partition (at times one row too long), a mixed-sign weight of the exact
+    length, or a two-entry sequence that is not weakly decreasing."""
+    length = draw(st.integers(1, 5))
+    out = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("partition", "weight", "weight", "misordered")))
+        if kind == "partition":
+            parts = draw(st.lists(st.integers(1, 3), max_size=length + 1))
+            out.append(tuple(sorted(parts, reverse=True)))
+        elif kind == "weight":
+            entries = draw(st.lists(st.integers(-3, 3), min_size=length,
+                                    max_size=length))
+            out.append(Weight(tuple(sorted(entries, reverse=True))))
+        else:
+            low = draw(st.integers(-3, 2))
+            out.append((low, low + draw(st.integers(1, 3))))
+    return length, out
 
 
 def small_partitions(max_size):
@@ -349,6 +406,41 @@ class TestWeightTensor:
                     fold_from_trivial(weights, length), (weights, length)
         with pytest.raises(ValueError):
             tensor_expand_many([(1, 1, 1)], 2)
+
+    def test_kernel_anchors(self):
+        # (1,1) x (1,1) = (2,2) + (2,1,1) + (1,1,1,1); GL_3 drops the last
+        assert tensor_entries({(1, 1, 0): 1}, {(1, 1, 0): 1}) == \
+            {(2, 2, 0): 1, (2, 1, 1): 1}
+        # the dual and the standard representation of GL_3
+        assert tensor_entries({(0, 0, -1): 1}, {(1, 0, 0): 1}) == \
+            {(1, 0, -1): 1, (0, 0, 0): 1}
+        # multiplicities multiply through both expansions
+        assert tensor_entries({(1, 0): 2}, {(1, 0): 3, (0, 0): 5}) == \
+            {(2, 0): 6, (1, 1): 6, (1, 0): 10}
+        assert product_entries([], 3) == {(0, 0, 0): 1}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(weight_lists())
+    @example((4, [(2, 1, 1), (1, 1, 1), Weight((1, 0, 0, -2))]))  # row cap
+    @example((2, [(1,), (1, 1, 1)]))  # too long: WeightLengthError
+    @example((3, [(1,), Weight((0, 0, -1)), (0, 1)]))  # misordered: ValueError
+    def test_kernel_matches_weight_oracle(self, case):
+        length, weights = case
+        try:
+            want = oracle_tensor_expand_many(weights, length)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                tensor_expand_many(weights, length)
+            assert type(got.value) is type(exc)
+            return
+        assert tensor_expand_many(weights, length) == want
+        entries = [as_weight(w, length).entries for w in weights]
+        flat = product_entries(entries, length)
+        assert flat == {w.entries: m for w, m in want.items()}
+        if len(entries) > 1:
+            # the first weight against the prebuilt product of the rest
+            rest = product_entries(entries[1:], length)
+            assert tensor_entries({entries[0]: 1}, rest) == flat
 
 
 class TestHorn:
