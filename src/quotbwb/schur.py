@@ -2,13 +2,14 @@
 
 Everything is arbitrary-precision integer arithmetic.  LR coefficients are
 counted by depth-first enumeration of column-strict skew fillings whose
-reverse reading word is a lattice word; Horn, Weyl, size and containment
-predicates serve only as pruning filters (positivity never comes from a
-saturation shortcut).  Memo tables are keyed on canonical tuples and grow
-unboundedly.
+reverse reading word is a lattice word; Horn, Weyl, size, containment
+and dominance predicates serve only as pruning filters (positivity never
+comes from a saturation shortcut).  Memo tables are keyed on canonical
+tuples and grow unboundedly.
 """
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional, Sequence
 
 from .partitions import (
@@ -90,23 +91,20 @@ def _skew_cells(lam: Partition, nu: Partition) -> list[tuple[int, int]]:
             for c in range(lam[r - 1], part(nu, r), -1)]
 
 
-def skew_expand(lam: Partition, nu: Partition, max_rows: Optional[int] = None
-                ) -> dict[Partition, int]:
-    """Expansion of the skew Schur functor: {beta: c^lam_{nu, beta}}.
-
-    Counts LR fillings of lam/nu cell by cell in reverse reading order.
-    `max_rows` caps the number of distinct letters (partitions beta with
-    more rows are dropped, matching a rank-limited target bundle).
-    """
-    lam, nu = partition(lam), partition(nu)
-    if not contains(lam, nu):
-        raise ValueError(f"{nu} is not contained in {lam}")
+def _skew_key(lam: Partition, nu: Partition, max_rows: Optional[int]
+              ) -> tuple[Partition, Partition, Optional[int]]:
+    """The skew memo key: a row cap of at least |lam| - |nu| caps nothing."""
     if max_rows is not None and max_rows >= size(lam) - size(nu):
         max_rows = None
-    key = (lam, nu, max_rows)
-    hit = _SKEW_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return lam, nu, max_rows
+
+
+def _skew_fill(key: tuple[Partition, Partition, Optional[int]]) -> dict[Partition, int]:
+    """Expand and memoize the skew shape of a `_skew_key` key.
+
+    The shape is taken as given: canonical partitions with nu inside lam.
+    """
+    lam, nu, max_rows = key
     cells = _skew_cells(lam, nu)
     ncells = len(cells)
     cap = ncells if max_rows is None else max_rows
@@ -135,6 +133,22 @@ def skew_expand(lam: Partition, nu: Partition, max_rows: Optional[int] = None
     fill(0)
     _SKEW_CACHE[key] = out
     return out
+
+
+def skew_expand(lam: Partition, nu: Partition, max_rows: Optional[int] = None
+                ) -> dict[Partition, int]:
+    """Expansion of the skew Schur functor: {beta: c^lam_{nu, beta}}.
+
+    Counts LR fillings of lam/nu cell by cell in reverse reading order.
+    `max_rows` caps the number of distinct letters (partitions beta with
+    more rows are dropped, matching a rank-limited target bundle).
+    """
+    lam, nu = partition(lam), partition(nu)
+    if not contains(lam, nu):
+        raise ValueError(f"{nu} is not contained in {lam}")
+    key = _skew_key(lam, nu, max_rows)
+    hit = _SKEW_CACHE.get(key)
+    return hit if hit is not None else _skew_fill(key)
 
 
 def lr_expand(alpha: Partition, beta: Partition, max_rows: Optional[int] = None
@@ -474,15 +488,85 @@ def lemma45_check(sigma: Partition, lam: Partition, chi: WeightLike, s: int) -> 
     return lhs <= rhs
 
 
-def _weyl_fits(lam: Partition, alpha: Partition, width: int, height: int) -> bool:
-    """Weyl's bounds for c^lam_{alpha,beta} != 0 with beta_1 <= width and
-    len(beta) <= height: lam_i <= alpha_i + width, lam_{i+height} <= alpha_i."""
-    for i, x in enumerate(lam):
-        if x > part(alpha, i + 1) + width:
-            return False
-        if i >= height and x > part(alpha, i + 1 - height):
+def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int
+                 ) -> list[Partition]:
+    """The alpha of `koszul_pair_mult`'s sum that pass its size and Weyl cuts.
+
+    With kappa = theta ^ sigma and rows = min(max_rows, len(kappa)), lists
+    (in descending-lex order) every partition alpha inside kappa with at
+    most `rows` rows, |alpha| >= |theta| - |kappa|, and, for lam in
+    {theta, sigma} and every j, alpha_j >= lam_j - kappa_1 and
+    alpha_j >= lam_{j+rows}.  Those are per-row lower bounds, weakly
+    decreasing in j as a maximum of weakly decreasing sequences.  A
+    positive bound past row `rows` leaves the list empty.
+    """
+    meet = tuple(min(a, b) for a, b in zip(theta, sigma))
+    rows = min(max_rows, len(meet))
+    least = size(theta) - size(meet)
+    width = part(meet, 1)
+    low = [0] * max(len(theta), len(sigma))
+    for lam in (theta, sigma):
+        for j, x in enumerate(lam):
+            low[j] = max(low[j], x - width, part(lam, j + 1 + rows))
+    if any(low[rows:]):
+        return []
+    high = meet[:rows]
+    alpha: list[int] = []
+    out: list[Partition] = []
+
+    def rec(j: int, bound: int, total: int):
+        if j < rows:
+            for x in range(min(bound, high[j]), max(low[j], 1) - 1, -1):
+                # rows past j add at most min(x, high[i]) each; stop once
+                # least is out of reach (smaller x reach less)
+                if total + x + sum(min(x, h) for h in high[j + 1:]) < least:
+                    return
+                alpha.append(x)
+                rec(j + 1, x, total + x)
+                alpha.pop()
+            if low[j]:
+                return
+        # the rest of alpha is 0, which low allows once low[j] is 0
+        if total >= least:
+            out.append(tuple(alpha))
+
+    rec(0, width, 0)
+    return out
+
+
+def _dominated(rows: list[int], cols: list[int]) -> bool:
+    """Whether rows <= cols^dag in dominance order, for two weakly
+    decreasing lists of the same total.
+
+    The k-th part of cols^dag counts the entries of cols that are >= k.
+    """
+    n = len(cols)
+    acc = bound = 0
+    for k, x in enumerate(rows, 1):
+        while n and cols[n - 1] < k:
+            n -= 1
+        if not n:
+            return True  # the conjugate's partial sums have reached the total
+        acc += x
+        bound += n
+        if acc > bound:
             return False
     return True
+
+
+def _intervals_meet(theta: Partition, theta_dag: Partition, sigma: Partition,
+                    sigma_dag: Partition, alpha: Partition) -> bool:
+    """rows(theta/alpha) <= cols(sigma/alpha)^dag and rows(sigma/alpha) <=
+    cols(theta/alpha)^dag in dominance order; alpha lies in theta ^ sigma."""
+    alpha_dag = conjugate(alpha)
+    return (_dominated(_skew_rows(theta, alpha), _skew_rows(sigma_dag, alpha_dag))
+            and _dominated(_skew_rows(sigma, alpha), _skew_rows(theta_dag, alpha_dag)))
+
+
+def _skew_rows(lam: Partition, nu: Partition) -> list[int]:
+    """Row lengths of lam/nu, sorted decreasing (zeros kept); for lam^dag/nu^dag
+    these are the column lengths of lam/nu."""
+    return sorted(map(sub, lam, nu + (0,) * (len(lam) - len(nu))), reverse=True)
 
 
 def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
@@ -491,32 +575,42 @@ def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
     Evaluated as sum_alpha <s_{theta/alpha}, s_{sigma/alpha}> over common
     subpartitions with at most `max_rows` rows.  Both alpha and beta lie
     in the meet kappa = theta ^ sigma (a nonzero c^theta_{alpha,beta} puts
-    them inside theta, c^sigma_{alpha,beta} inside sigma), which gives
-    three cuts, each dropping only zero terms:
+    them inside theta, c^sigma_{alpha,beta} inside sigma).  Each cut below
+    drops only zero terms:
       - beta is enumerated with at most len(kappa) rows;
-      - alpha with |alpha| < |theta| - |kappa| is skipped (its beta would
-        be larger than kappa);
-      - alpha is skipped unless theta/alpha and sigma/alpha meet Weyl's
-        inequalities lam_{i+j-1} <= alpha_i + beta_j at j = 1 and
-        j = len(kappa) + 1, with beta_1 <= kappa_1 and no row of beta past
-        len(kappa).
+      - alpha is generated, not filtered (`_pair_alphas`): |alpha| >=
+        |theta| - |kappa| (a smaller alpha leaves a beta larger than
+        kappa), and Weyl's inequalities lam_{i+j-1} <= alpha_i + beta_j
+        at j = 1 and j = len(kappa) + 1, with beta_1 <= kappa_1 and no
+        row of beta past len(kappa), read as lower bounds on each row of
+        alpha;
+      - a term whose two skew expansions are both memoized is summed at
+        once; otherwise alpha is skipped unless the dominance intervals
+        of theta/alpha and sigma/alpha meet.  Every constituent beta of a
+        skew Schur function s_A lies in [rows(A), cols(A)^dag] in
+        dominance order (P. McNamara, Necessary conditions for
+        Schur-positivity, J. Algebraic Combin. 28, 2008), so a common
+        constituent needs rows(theta/alpha) <= cols(sigma/alpha)^dag and
+        rows(sigma/alpha) <= cols(theta/alpha)^dag.
+    The memo goes first because the cut costs more than a lookup, and on
+    pair-dense lists most terms are nonzero and memoized.
     """
     theta, sigma = partition(theta), partition(sigma)
     if size(theta) != size(sigma):
         return 0
-    meet = tuple(min(a, b) for a, b in zip(theta, sigma))
-    rows = min(max_rows, len(meet))
-    least = size(theta) - size(meet)
-    width = part(meet, 1)
+    rows = min(max_rows, len(theta), len(sigma))
+    theta_dag, sigma_dag = conjugate(theta), conjugate(sigma)
     total = 0
-    for alpha in subpartitions(meet, max_rows):
-        if size(alpha) < least:
-            continue
-        if not (_weyl_fits(theta, alpha, width, rows)
-                and _weyl_fits(sigma, alpha, width, rows)):
-            continue
-        e1 = skew_expand(theta, alpha, rows)
-        e2 = skew_expand(sigma, alpha, rows)
+    for alpha in _pair_alphas(theta, sigma, max_rows):
+        k1, k2 = _skew_key(theta, alpha, rows), _skew_key(sigma, alpha, rows)
+        e1, e2 = _SKEW_CACHE.get(k1), _SKEW_CACHE.get(k2)
+        if e1 is None or e2 is None:
+            if not _intervals_meet(theta, theta_dag, sigma, sigma_dag, alpha):
+                continue
+            if e1 is None:
+                e1 = _skew_fill(k1)
+            if e2 is None:
+                e2 = _skew_fill(k2)
         if len(e2) < len(e1):
             e1, e2 = e2, e1
         total += sum(m * e2.get(b, 0) for b, m in e1.items())

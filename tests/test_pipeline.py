@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotbwb import pipeline
+from quotbwb import pipeline, schur
 from quotbwb.bwb import coh_bundle
 from quotbwb.partitions import (
     Weight,
     as_weight,
     conjugate,
     negate_reverse,
+    part,
     partition,
     partitions_in_box,
+    size,
     subpartitions,
 )
 from quotbwb.pipeline import (
@@ -32,8 +34,11 @@ from quotbwb.pipeline import (
     verify_thm41,
 )
 from quotbwb.schur import (
+    _intervals_meet,
+    _pair_alphas,
     koszul_pair_mult,
     koszul_pair_possible,
+    lr,
     lr_expand,
     schur_dim,
     skew_expand,
@@ -54,6 +59,59 @@ def koszul_sigma_expansion(mu, r2):
             for sigma, c2 in lr_expand(alpha, beta, r2).items():
                 out[sigma] = out.get(sigma, 0) + c1 * c2
     return out
+
+
+def weyl_fits(lam, alpha, width, height):
+    """Weyl's bounds for c^lam_{alpha,beta} != 0 with beta_1 <= width and
+    len(beta) <= height: lam_i <= alpha_i + width, lam_{i+height} <= alpha_i."""
+    for i, x in enumerate(lam):
+        if x > part(alpha, i + 1) + width:
+            return False
+        if i >= height and x > part(alpha, i + 1 - height):
+            return False
+    return True
+
+
+def oracle_pair_alphas(theta, sigma, max_rows):
+    """The alpha of the pair sum by filtering every subpartition of the meet
+    by size and by Weyl's bounds on both sides."""
+    meet = tuple(min(a, b) for a, b in zip(theta, sigma))
+    rows = min(max_rows, len(meet))
+    least = size(theta) - size(meet)
+    width = part(meet, 1)
+    return [alpha for alpha in subpartitions(meet, max_rows)
+            if size(alpha) >= least and weyl_fits(theta, alpha, width, rows)
+            and weyl_fits(sigma, alpha, width, rows)]
+
+
+def oracle_koszul_pair_mult(theta, sigma, max_rows):
+    """sum_alpha <s_{theta/alpha}, s_{sigma/alpha}> over the filtered
+    subpartitions, every term expanded: the pair loop with no dominance cut
+    and no generated alpha."""
+    theta, sigma = partition(theta), partition(sigma)
+    if size(theta) != size(sigma):
+        return 0
+    rows = min(max_rows, len(theta), len(sigma))
+    total = 0
+    for alpha in oracle_pair_alphas(theta, sigma, max_rows):
+        e1 = skew_expand(theta, alpha, rows)
+        e2 = skew_expand(sigma, alpha, rows)
+        total += sum(m * e2.get(b, 0) for b, m in e1.items())
+    return total
+
+
+def prefiltered_pairs(setup):
+    """(theta, sigma, r2) for every pair of every t-box of the setup that
+    passes `koszul_pair_possible`."""
+    p = stromme(setup)
+    for t in range(p.rank_k + 1):
+        sigmas = [(s, conjugate(s))
+                  for s in partitions_in_box(p.r2, min(2 * p.k1, t), t)]
+        for mu in partitions_in_box(p.k1, 2 * p.r2, t):
+            theta = conjugate(mu)
+            for sigma, sigma_dag in sigmas:
+                if koszul_pair_possible(theta, mu, sigma, sigma_dag):
+                    yield theta, sigma, p.r2
 
 
 def oracle_koszul_terms(p, t):
@@ -183,11 +241,113 @@ class TestPairPrefilter:
                 assert koszul_pair_possible(theta, mu, sigma, conjugate(sigma)), \
                     (setup, mu, sigma)
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dominance_cut_keeps_every_nonzero_term(self, data):
+        # every alpha with c^theta_{alpha,beta} c^sigma_{alpha,beta} != 0 in
+        # the full expansion must pass both directions of the pair loop's cut
+        setup = data.draw(st.sampled_from(_PRUNE_SETUPS))
+        p = stromme(setup)
+        t = data.draw(st.integers(0, p.rank_k))
+        mu = data.draw(st.sampled_from(partitions_in_box(p.k1, 2 * p.r2, t)))
+        theta, theta_dag = conjugate(mu), mu
+        for alpha in subpartitions(theta, p.r2):
+            for beta in skew_expand(theta, alpha, p.r2):
+                for sigma in lr_expand(alpha, beta, p.r2):
+                    assert _intervals_meet(theta, theta_dag, sigma,
+                                           conjugate(sigma), alpha), \
+                        (setup, mu, sigma, alpha)
+
+    def test_pair_mult_matches_filter_loop(self):
+        # generated alpha, memo-first order and dominance cut against the
+        # plain filter loop on every prefiltered pair, zeros included
+        setups = [QuotSetup(2, 1, 2, m=3), QuotSetup(2, 1, 2, m=4),
+                  QuotSetup(3, 1, 1, m=1), QuotSetup(3, 1, 1, m=2),
+                  QuotSetup(3, 1, 2, m=2), QuotSetup(3, 2, 1, m=2),
+                  QuotSetup(2, 1, 1, m=2)]
+        pairs = [pair for setup in setups for pair in prefiltered_pairs(setup)]
+        assert len(pairs) == 2857
+        for theta, sigma, r2 in pairs:
+            assert koszul_pair_mult(theta, sigma, r2) == \
+                oracle_koszul_pair_mult(theta, sigma, r2), (theta, sigma, r2)
+
+    def test_dominance_cut_needs_both_directions(self):
+        # s_{(1,1)} and s_{(2)} share no constituent: rows((1,1)) = (1,1) <=
+        # cols((2))^dag = (2), but rows((2)) = (2) is not <= cols((1,1))^dag
+        assert not _intervals_meet((1, 1), (2,), (2,), (1, 1), ())
+        assert not _intervals_meet((2,), (1, 1), (1, 1), (2,), ())
+        assert _intervals_meet((2, 1), (2, 1), (2, 1), (2, 1), ())
+
     def test_prefilter_prunes(self):
         # g((1,1,1,1), (4), nu) is nonzero only for nu = (1,1,1,1)
         assert koszul_pair_mult((1, 1, 1, 1), (4,), 4) == 0
         assert not koszul_pair_possible((1, 1, 1, 1), (4,), (4,), (1, 1, 1, 1))
         assert koszul_pair_possible((2, 1), (2, 1), (2, 1), (2, 1))
+
+
+class TestPairAlphas:
+    """The generated alpha of the pair sum against the filtered enumeration."""
+
+    @pytest.mark.parametrize("theta, sigma, max_rows, expected", [
+        ((), (), 3, [()]),                            # empty meet
+        ((1,), (), 3, []),                            # empty meet, bound past it
+        ((4,), (1, 1, 1, 1), 4, []),                  # least = 3 > |meet| = 1
+        ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1), 2, []),    # lam_5 > 0 needs a third row
+        ((3, 3, 3), (3, 3, 3), 1, []),                # lam_3 > 0 needs a second row
+        ((2, 1), (2, 1), 2, [(2, 1), (2,), (1, 1), (1,), ()]),  # all-zero bound
+    ])
+    def test_edge_cases(self, theta, sigma, max_rows, expected):
+        assert _pair_alphas(theta, sigma, max_rows) == expected
+        assert oracle_pair_alphas(theta, sigma, max_rows) == expected
+        if not expected and size(theta) == size(sigma):
+            assert koszul_pair_mult(theta, sigma, max_rows) == 0
+
+    def test_matches_filtered_subpartitions(self):
+        shapes = [lam for n in range(7) for lam in partitions_in_box(5, 4, n)]
+        for theta in shapes:
+            for sigma in shapes:
+                for max_rows in (1, 2, 3, 5):
+                    assert _pair_alphas(theta, sigma, max_rows) == \
+                        oracle_pair_alphas(theta, sigma, max_rows), \
+                        (theta, sigma, max_rows)
+
+
+class TestSkewMemoKey:
+    """The pair loop and `skew_expand` share one memo and one key."""
+
+    # the row cap changes every multiplicity here but the last
+    PAIRS = [((2, 2, 1, 1), (2, 2, 2), 1), ((3, 2, 1), (2, 2, 1, 1), 2),
+             ((2, 2, 1, 1), (3, 1, 1, 1), 2), ((4, 2), (3, 3), 1),
+             ((2, 2, 1, 1), (2, 2, 1, 1), 2), ((3, 2, 1), (3, 2, 1), 3)]
+
+    @staticmethod
+    def lr_pair_mult(theta, sigma, max_rows):
+        # sum over alpha, beta (at most max_rows rows each) of
+        # c^theta_{alpha,beta} c^sigma_{alpha,beta}, by `lr`, which keeps no
+        # skew memo
+        meet = tuple(min(a, b) for a, b in zip(theta, sigma))
+        subs = subpartitions(meet, max_rows)
+        return sum(lr(alpha, beta, theta) * lr(alpha, beta, sigma)
+                   for alpha in subs for beta in subs
+                   if size(alpha) + size(beta) == size(theta))
+
+    def test_cold_and_warm_memo_agree(self):
+        cold = []
+        for theta, sigma, max_rows in self.PAIRS:
+            schur._SKEW_CACHE.clear()
+            cold.append(koszul_pair_mult(theta, sigma, max_rows))
+        assert cold == [self.lr_pair_mult(*pair) for pair in self.PAIRS]
+        # warm: uncapped expansions of every alpha, then the other pairs
+        schur._SKEW_CACHE.clear()
+        for theta, sigma, _ in self.PAIRS:
+            for lam in (theta, sigma):
+                for alpha in subpartitions(lam):
+                    skew_expand(lam, alpha)
+        for pair, expected in zip(self.PAIRS, cold):
+            for other in self.PAIRS:
+                if other != pair:
+                    koszul_pair_mult(*other)
+            assert koszul_pair_mult(*pair) == expected, pair
 
 
 class TestSurvivorMemo:

@@ -297,6 +297,8 @@ class TestSkewAndSums:
         assert skew_expand((2, 1), (2, 1)) == {(): 1}
         with pytest.raises(ValueError):
             skew_expand((2,), (3,))
+        with pytest.raises(ValueError):
+            skew_expand((2, 1), (1, 1, 1))
 
     def test_skew_is_lr(self):
         for lam in small_partitions(6):
