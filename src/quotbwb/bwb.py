@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .partitions import (
-    Partition,
-    parity_sign,
     Weight,
     WeightLengthError,
     WeightLike,
@@ -23,10 +21,6 @@ from .partitions import (
     dual_entries,
     inversions,
     negate_reverse,
-    partition,
-    size,
-    split_signs,
-    t_eta_indices,
     t_index,
 )
 from .schur import Entries, Expansion, product_entries, schur_dim
@@ -165,23 +159,6 @@ def index_nonvanish(chi: WeightLike, k: int) -> Optional[tuple[int, int]]:
     return None if j is None else (j, k * j)
 
 
-def index_degree_bound(mu: Partition, eta: WeightLike, gr: GrSpec
-                       ) -> Optional[tuple[int, int]]:
-    """(n-k; eta)-index of mu and the degree bound |delta| + sum(mu_1..i) - i^2.
-
-    Among qualifying indices the one minimizing the bound is reported (the
-    defining inequalities do not pin i uniquely); None when none qualifies.
-    """
-    mu = partition(mu)
-    eta = as_weight(eta, gr.quotient_rank)
-    _, delta = split_signs(eta)
-    candidates = t_eta_indices(mu, gr.quotient_rank, eta)
-    if not candidates:
-        return None
-    best = min(candidates, key=lambda i: sum(mu[:i]) - i * i)
-    return best, size(delta) + sum(mu[:best]) - best * best
-
-
 def kunneth(t1: CohomTable, t2: CohomTable) -> CohomTable:
     """Degree-convolution of two cohomology tables."""
     out: CohomTable = {}
@@ -189,7 +166,3 @@ def kunneth(t1: CohomTable, t2: CohomTable) -> CohomTable:
         for d2, v2 in t2.items():
             out[d1 + d2] = out.get(d1 + d2, 0) + v1 * v2
     return out
-
-
-def table_euler(t: CohomTable) -> int:
-    return sum(parity_sign(d) * v for d, v in t.items())

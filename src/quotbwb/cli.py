@@ -35,7 +35,7 @@ from .pipeline import (
     verify_prop47,
     verify_thm41,
 )
-from .schur import lr, schur_dim, weight_dim
+from .schur import lr, weight_dim
 
 
 class CliError(ValueError):
@@ -83,10 +83,7 @@ def _insert_arg(text: str) -> HyperInsert:
         lam = _partition_arg(pieces[1])
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    side = pieces[2] if len(pieces) == 3 else "quot"
-    if side not in ("quot", "sub"):
-        raise CliError(f"insert side '{side}' must be quot or sub")
-    return HyperInsert(e, lam, side)
+    return HyperInsert(e, lam, *pieces[2:])
 
 
 def _s(x: int) -> str:
@@ -122,11 +119,6 @@ def _page_json(page) -> dict:
     return {"entries": entries}
 
 
-def _setup_json(setup: QuotSetup) -> dict:
-    return {"n": setup.n, "r": setup.r, "d": setup.d,
-            "splitting": list(setup.splitting), "m": setup.m}
-
-
 def _verdict_json(v) -> dict:
     out = {
         "statement": v.statement,
@@ -150,10 +142,7 @@ def cmd_lr(args):
 
 
 def cmd_dim(args):
-    w = _weight_arg(args.weight)
-    if isinstance(w, Weight):
-        return {"dim": _s(weight_dim(w, args.n))}, 0
-    return {"dim": _s(schur_dim(w, args.n))}, 0
+    return {"dim": _s(weight_dim(_weight_arg(args.weight), args.n))}, 0
 
 
 def cmd_index(args):
@@ -234,7 +223,7 @@ def cmd_ext(args):
 
 def cmd_closed_form(args):
     splitting = _split_arg(args.b, args.n)
-    inserts = [(_insert_arg(x).e, _insert_arg(x).lam) for x in args.insert or []]
+    inserts = [(i.e, i.lam) for i in map(_insert_arg, args.insert or [])]
     cf = closed_form_multi(args.n, args.r, args.d, splitting, inserts)
     return {"table": _table_json(cf.table),
             "hypotheses_hold": cf.hypotheses_hold,

@@ -35,7 +35,7 @@ from .pipeline import (
     resolve_page,
     stromme,
 )
-from .schur import direct_sum_expand, schur_dim, schur_of_sum_copies, skew_expand
+from .schur import direct_sum_expand, schur_dim, schur_of_sum_copies, skew_dim, skew_expand
 
 # A term key lists the partitions inserted on each of the four bundles.
 TermKey = tuple[tuple[Partition, ...], tuple[Partition, ...],
@@ -173,30 +173,6 @@ def _ranks(params: StrommeParams) -> dict[str, int]:
 # --------------------------------------------------- two-term representations
 
 
-@dataclass(frozen=True)
-class TwoTermComplex:
-    """Rank-validated two-term representation of a twisted tautological complex.
-
-    The slot multiplicities are the line cohomologies of the corrected
-    twists O(e - m - 1) (left) and O(e - m) (right); the window records
-    whether the complex sits in degrees [-1, 0] or [0, 1].
-    """
-
-    side: str
-    e: int
-    m: int
-    left: tuple[int, int]
-    right: tuple[int, int]
-    window: tuple[int, int]
-    left_rank: int
-    right_rank: int
-
-    @property
-    def virtual_rank(self) -> int:
-        return (self.right[0] - self.right[1]) * self.right_rank \
-            - (self.left[0] - self.left[1]) * self.left_rank
-
-
 def _rep_window(setup: QuotSetup, e: int) -> tuple[tuple[int, int], int, int]:
     """Window and left/right slot multiplicities of the representation of O(e).
 
@@ -206,62 +182,6 @@ def _rep_window(setup: QuotSetup, e: int) -> tuple[tuple[int, int], int, int]:
     if e >= setup.m:
         return (-1, 0), line_coh(e - setup.m - 1)[0], line_coh(e - setup.m)[0]
     return (0, 1), line_coh(e - setup.m - 1)[1], line_coh(e - setup.m)[1]
-
-
-def m_bracket_rep(setup: QuotSetup, e: int, side: str = "quot") -> TwoTermComplex:
-    """Two-term representation of O(e)^{[d]} (side 'quot') or O(e)^{{d}} ('sub').
-
-    The left slot is twisted by O(e - m - 1) because Beilinson's resolution
-    of O(e) on P^1 by O(m - 1) and O(m) carries H(O(e - m - 1)) in its
-    first term; the rank check below (InconsistencyError) fails for e - m + 1.
-    """
-    if side not in ("quot", "sub"):
-        raise ValueError("side must be 'quot' or 'sub'")
-    params = stromme(setup)
-    window, lm, rm = _rep_window(setup, e)
-    left, right = ((lm, 0), (rm, 0)) if window == (-1, 0) else ((0, lm), (0, rm))
-    if side == "quot":
-        lrk, rrk = params.r1, params.r2
-        expected = setup.r * e + setup.r + setup.d
-    else:
-        lrk, rrk = params.k1, params.k2
-        expected = (setup.n - setup.r) * (e + 1) - setup.b - setup.d
-    rep = TwoTermComplex(side, e, setup.m, left, right, window, lrk, rrk)
-    # signed multiplicities h0 - h1 already carry the window shift
-    if rep.virtual_rank != expected:
-        raise InconsistencyError(
-            f"rank oracle failed for e={e} {side}: {rep.virtual_rank} vs {expected}")
-    return rep
-
-
-def schur_complex_terms(lam: Partition, orientation: str = "cohomological"
-                        ) -> dict[int, list[tuple[Partition, Partition, int]]]:
-    """Terms of the Schur complex of a single map E1 -> E2.
-
-    Cohomological: degree q holds S^{lam/nu}(E1) x S^{nu^dag}(E2) over
-    nu inside lam with |nu| = q, the skew factor expanded into straight
-    shapes.  Homological: the mirrored terms in degree -q.
-    """
-    lam = partition(lam)
-    out: dict[int, list[tuple[Partition, Partition, int]]] = {}
-    for nu in subpartitions(lam):
-        q = size(nu)
-        for beta, c in sorted(skew_expand(lam, nu).items(), reverse=True):
-            if orientation == "cohomological":
-                out.setdefault(q, []).append((beta, conjugate(nu), c))
-            else:
-                out.setdefault(-q, []).append((conjugate(nu), beta, c))
-    return out
-
-
-def sx_resolution(lam: Partition) -> dict[int, list[tuple[Partition, Partition, int]]]:
-    """Homological Schur complex resolving the fixed-point sub restriction.
-
-    Degree -q holds S^{nu^dag}(first sub bundle) x S^{lam/nu}(second sub
-    bundle); the alternating rank sum is the Schur dimension polynomial
-    at the virtual rank n - r.
-    """
-    return schur_complex_terms(lam, "homological")
 
 
 # ------------------------------------------------------------- hyper driver
@@ -294,38 +214,30 @@ def _terms_insert_theta(setup: QuotSetup, ranks, e: int, lam: Partition
     if e >= setup.d + setup.b:
         # [sub -> triv] in degrees [-1, 0]: S^{nu^dag}(sub) x S^{lam/nu}(triv)
         for nu in subpartitions(lam):
-            scalar = sum(c * schur_dim(beta, h0v)
-                         for beta, c in skew_expand(lam, nu).items())
+            scalar = skew_dim(lam, nu, h0v)
             if not scalar:
                 continue
             inner = _terms_insert_L(setup, ranks, e, conjugate(nu), "sub")
             _accumulate(out, inner, scalar, -size(nu))
-    elif e < 0:
-        # [W -> triv] in degrees [0, 1], W the shifted sub-side complex:
-        # S^{lam/nu}(W) x S^{nu^dag}(triv) in degree |nu|; S^beta(W) is the
-        # homological Schur complex of the (injective) two-term resolution.
-        window, lm, rm = _rep_window(setup, e)
-        if window != (0, 1):
-            raise InconsistencyError(f"twist {e} below m = {setup.m} has window {window}")
-        for nu in subpartitions(lam):
-            scalar = schur_dim(conjugate(nu), h1v)
-            if not scalar:
-                continue
-            for beta, c in skew_expand(lam, nu).items():
-                inner = _two_term_schur(beta, (("a1", lm),), (("a2", rm),),
-                                        (-1, 0), ranks)
-                _accumulate(out, inner, scalar * c, size(nu))
-    else:
+        return {d: terms for d, terms in out.items() if terms}
+    window, lm, rm = _rep_window(setup, e)
+    if window != (0, 1):
+        raise InconsistencyError(f"twist {e} below m = {setup.m} has window {window}")
+    if e >= 0:
         # 0 <= e < d + b: merged two-term [A1-slot -> A2-slot + triv].
-        window, lm, rm = _rep_window(setup, e)
-        if window != (0, 1):
-            raise InconsistencyError(f"twist {e} below m = {setup.m} has window {window}")
-        merged = _two_term_schur(lam, (("a1", lm),),
-                                 (("a2", rm), ("triv", h0v)), (-1, 0), ranks)
-        for d, terms in merged.items():
-            bucket = out.setdefault(d, {})
-            for k, v in terms.items():
-                bucket[k] = bucket.get(k, 0) + v
+        return _two_term_schur(lam, (("a1", lm),), (("a2", rm), ("triv", h0v)),
+                               (-1, 0), ranks)
+    # [W -> triv] in degrees [0, 1], W the shifted sub-side complex:
+    # S^{lam/nu}(W) x S^{nu^dag}(triv) in degree |nu|; S^beta(W) is the
+    # homological Schur complex of the (injective) two-term resolution.
+    for nu in subpartitions(lam):
+        scalar = schur_dim(conjugate(nu), h1v)
+        if not scalar:
+            continue
+        for beta, c in skew_expand(lam, nu).items():
+            inner = _two_term_schur(beta, (("a1", lm),), (("a2", rm),),
+                                    (-1, 0), ranks)
+            _accumulate(out, inner, scalar * c, size(nu))
     return {d: terms for d, terms in out.items() if terms}
 
 

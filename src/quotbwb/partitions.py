@@ -52,14 +52,6 @@ def contains(lam: Partition, nu: Partition) -> bool:
     return len(nu) <= len(lam) and all(nu[i] <= lam[i] for i in range(len(nu)))
 
 
-def durfee_rank(lam: Partition) -> int:
-    """Side length of the Durfee square: largest j with lam_j >= j."""
-    j = 0
-    while part(lam, j + 1) >= j + 1:
-        j += 1
-    return j
-
-
 @dataclass(frozen=True)
 class Weight:
     """A GL highest weight: weakly decreasing integers of explicit length."""
@@ -152,46 +144,17 @@ def t_index(chi: WeightLike, t: int) -> Optional[int]:
     conditions j = 0 and j = length drop the vacuous half).  For t >= 0
     at most one j qualifies; for t = 0 it is the Durfee rank.
     """
-    entries = tuple(chi.entries) if isinstance(chi, Weight) else tuple(chi)
+    entries = tuple(chi)
     m = len(entries)
     found = None
     for j in range(m + 1):
         ok_low = j == 0 or entries[j - 1] >= j + t
-        if isinstance(chi, Weight):
-            ok_high = j == m or entries[j] <= j
-        else:
-            ok_high = part(entries, j + 1) <= j
+        ok_high = j == m or entries[j] <= j
         if ok_low and ok_high:
             if found is not None:
                 raise InconsistencyError(f"t-index not unique for {entries}, t={t}")
             found = j
     return found
-
-
-def t_eta_indices(mu: Partition, t: int, eta: Weight) -> list[int]:
-    """All qualifying (t; eta)-indices of mu, smallest first.
-
-    i qualifies when mu_{i+1-s} >= i + t - gamma^dag_s and
-    mu_{i+s} <= i + delta^dag_s for all s >= 1, where eta = (gamma, -delta).
-    Constraints with row index <= 0 are vacuous; rows past mu are zero.
-    """
-    gamma, delta = split_signs(eta)
-    gdag, ddag = conjugate(gamma), conjugate(delta)
-    out = []
-    for i in range(0, len(mu) + len(gamma) + 1):
-        ok = all(part(mu, i + 1 - s) >= i + t - part(gdag, s) for s in range(1, i + 1))
-        if ok:
-            ok = all(part(mu, i + s) <= i + part(ddag, s)
-                     for s in range(1, len(mu) - i + 1))
-        if ok:
-            out.append(i)
-    return out
-
-
-def t_eta_index(mu: Partition, t: int, eta: Weight) -> Optional[int]:
-    """Smallest (t; eta)-index of mu, or None when none qualifies."""
-    found = t_eta_indices(mu, t, eta)
-    return found[0] if found else None
 
 
 def partitions_in_box(rows: int, cols: int, total: Optional[int] = None) -> list[Partition]:
@@ -233,7 +196,7 @@ def subpartitions(lam: Partition, max_rows: Optional[int] = None) -> tuple[Parti
     out: list[Partition] = []
 
     def rec(prefix: list[int], r: int):
-        out.append(partition(prefix))
+        out.append(tuple(prefix))  # positive and weakly decreasing by construction
         if r >= rows:
             return
         hi = min(lam[r], prefix[-1] if prefix else lam[0])
@@ -273,33 +236,6 @@ def inversions(seq: Sequence[int]) -> int:
         return merged, n
 
     return count(arr)[1]
-
-
-def abacus_check(alpha: Partition, lam: Partition, slots: int, q: int
-                 ) -> Optional[tuple[int, bool]]:
-    """Sorting-permutation length and bounds for the two-block abacus string.
-
-    Builds (alpha_i, alpha_{i-1}+1, ..., alpha_1+i-1, lam_q, ..., lam_1+q-1)
-    with alpha padded to `slots` parts and lam to q parts.  Returns None on a
-    repetition; otherwise (length, bound_holds) where bound_holds checks both
-    length <= |alpha| and alpha_{i-s} >= q - lam^dag_s for 0 <= s < i.
-    """
-    if len(alpha) > slots or len(lam) > q:
-        raise ValueError("declared block sizes too small")
-    block_a = [part(alpha, slots - s) + s for s in range(slots)]
-    block_l = [part(lam, q - s) + s for s in range(q)]
-    word = block_a + block_l
-    if len(set(word)) != len(word):
-        return None
-    # ascending sort here (each block is already increasing), so count
-    # out-of-order pairs for the increasing order
-    length = inversions([-x for x in word])
-    ldag = conjugate(lam)
-    bound = length <= size(alpha) and all(
-        part(alpha, slots - s) >= q - (q if s == 0 else part(ldag, s))
-        for s in range(slots)
-    )
-    return length, bound
 
 
 def format_parts(seq: Sequence[int]) -> str:

@@ -37,7 +37,7 @@ from .schur import (
     koszul_pair_mult,
     koszul_pair_possible,
     schur_dim,
-    skew_expand,
+    skew_dim,
     tensor_entries,
 )
 
@@ -618,9 +618,7 @@ def closed_form_multi(n: int, r: int, d: int, splitting: Sequence[int],
         h0, h1 = bundle_coh(splitting, e)
         factor: CohomTable = {}
         for nu in subpartitions(lam):
-            inner = sum(c * schur_dim(beta, h0)
-                        for beta, c in skew_expand(lam, nu).items())
-            v = inner * schur_dim(conjugate(nu), h1)
+            v = skew_dim(lam, nu, h0) * schur_dim(conjugate(nu), h1)
             if v:
                 factor[size(nu)] = factor.get(size(nu), 0) + v
         table = kunneth(table, factor)

@@ -23,7 +23,6 @@ from .partitions import (
     contains,
     part,
     partition,
-    partitions_in_box,
     shift,
     size,
     subpartitions,
@@ -151,6 +150,11 @@ def skew_expand(lam: Partition, nu: Partition, max_rows: Optional[int] = None
     return hit if hit is not None else _skew_fill(key)
 
 
+def skew_dim(lam: Partition, nu: Partition, n: int) -> int:
+    """Dimension of the skew Schur functor S^{lam/nu}(C^n)."""
+    return sum(c * schur_dim(beta, n) for beta, c in skew_expand(lam, nu).items())
+
+
 def lr_expand(alpha: Partition, beta: Partition, max_rows: Optional[int] = None
               ) -> dict[Partition, int]:
     """Tensor-product expansion {gamma: c^gamma_{alpha, beta}}.
@@ -218,10 +222,10 @@ class HornRecord:
     size: bool
     weyl: bool
     dominance1: bool
-    dominance2: Optional[bool]
+    dominance2: bool
 
     def all_hold(self) -> bool:
-        return self.size and self.weyl and self.dominance1 and self.dominance2 in (True, None)
+        return self.size and self.weyl and self.dominance1 and self.dominance2
 
 
 def _prefix(seq, s: int) -> int:
@@ -234,35 +238,16 @@ def horn_predicates(alpha, beta, gamma) -> HornRecord:
     size: |alpha| + |beta| = |gamma|; weyl: alpha_i + beta_j >= gamma_{i+j-1};
     dominance1: partial sums of gamma bounded by those of alpha + beta;
     dominance2: partial sums of alpha and beta bounded by double-width sums
-    of gamma.  dominance2 is evaluated for partitions only (None for weights,
-    where the inequality is stated but untested).
+    of gamma.
     """
-    seqs = []
-    all_partitions = True
-    for x in (alpha, beta, gamma):
-        if isinstance(x, Weight):
-            seqs.append(tuple(x.entries))
-            all_partitions = False
-        else:
-            seqs.append(partition(x))
-    a, b, g = seqs
+    a, b, g = partition(alpha), partition(beta), partition(gamma)
     ok_size = sum(a) + sum(b) == sum(g)
-    ok_weyl = True
-    for i in range(1, len(g) + 1):
-        for j in range(1, len(g) + 2 - i):
-            ai = a[i - 1] if i <= len(a) else (0 if all_partitions else None)
-            bj = b[j - 1] if j <= len(b) else (0 if all_partitions else None)
-            if ai is None or bj is None:
-                continue
-            if ai + bj < g[i + j - 2]:
-                ok_weyl = False
+    ok_weyl = all(part(a, i) + part(b, j) >= g[i + j - 2]
+                  for i in range(1, len(g) + 1) for j in range(1, len(g) + 2 - i))
     top = max(len(a), len(b), len(g)) + 1
     ok_dom1 = all(_prefix(g, s) <= _prefix(a, s) + _prefix(b, s) for s in range(1, top))
-    if all_partitions:
-        ok_dom2 = all(_prefix(a, t) + _prefix(b, t) <= _prefix(g, 2 * t)
-                      for t in range(1, top))
-    else:
-        ok_dom2 = None
+    ok_dom2 = all(_prefix(a, t) + _prefix(b, t) <= _prefix(g, 2 * t)
+                  for t in range(1, top))
     return HornRecord(ok_size, ok_weyl, ok_dom1, ok_dom2)
 
 
@@ -382,11 +367,6 @@ def direct_sum_expand(gamma: Partition, max_rows: Optional[int] = None
     return out
 
 
-def cauchy_terms(t: int) -> list[Partition]:
-    """All partitions of size t, in the fixed descending-lex order."""
-    return partitions_in_box(t, t, t) if t > 0 else [()]
-
-
 def _untwist(entries: Entries) -> tuple[Partition, int]:
     """(partition, c): the least determinant twist c >= 0 making entries + c
     a partition.  entries must be weakly decreasing."""
@@ -441,12 +421,6 @@ def tensor_expand_many(weights: list[WeightLike], length: int) -> dict[Weight, i
     return {Weight(e): m for e, m in product_entries(entries, length).items()}
 
 
-def weight_tensor_expand(eta: WeightLike, rho: WeightLike, length: int
-                         ) -> dict[Weight, int]:
-    """Generalized LR expansion of S^eta x S^rho for GL_length."""
-    return tensor_expand_many([eta, rho], length)
-
-
 def schur_of_sum_copies(beta: Partition, copies: int, max_rows: Optional[int] = None
                         ) -> dict[Partition, int]:
     """Decompose S^beta(U + ... + U) (`copies` summands) into S^theta(U).
@@ -473,19 +447,6 @@ def schur_of_sum_copies(beta: Partition, copies: int, max_rows: Optional[int] = 
                         out[theta] = out.get(theta, 0) + c * m1 * m2
     _SUM_CACHE[key] = out
     return out
-
-
-def lemma45_check(sigma: Partition, lam: Partition, chi: WeightLike, s: int) -> bool:
-    """Conjugate-sum inequality for generalized LR factors.
-
-    sigma^dag_1 + ... + sigma^dag_s - |lam| <= chi^dag_1 + ... + chi^dag_s,
-    where chi^dag_j counts entries of chi that are >= j.
-    """
-    entries = tuple(chi.entries) if isinstance(chi, Weight) else tuple(chi)
-    sdag = conjugate(partition(sigma))
-    lhs = sum(part(sdag, j) for j in range(1, s + 1)) - size(partition(lam))
-    rhs = sum(sum(1 for x in entries if x >= j) for j in range(1, s + 1))
-    return lhs <= rhs
 
 
 def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int

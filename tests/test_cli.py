@@ -128,6 +128,16 @@ class TestBasicCommands:
         status, payload = run_json(capsys, ["hyper", *base, "--insert=-2:1"])
         assert payload["result"]["report"]["table"] == {"1": "2"}
 
+    def test_table_format(self, capsys):
+        argv = ["lr", "--alpha", "2,1", "--beta", "2,1", "--gamma", "3,2,1",
+                "--format", "table"]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("elapsed_ms: ")
+        assert lines[:-1] == ["version: 0.1.0", "config:", "  command: lr",
+                              "  alpha: 2,1", "  beta: 2,1", "  gamma: 3,2,1",
+                              "result:", "  coefficient: 2", "notes:"]
+
 
 class TestValidationAndExitCodes:
     def test_bad_partition(self, capsys):
@@ -167,6 +177,12 @@ class TestValidationAndExitCodes:
                             lambda cells: 1 // 0)
         assert run(["scan", "--n", "2", "--r", "1", "--d", "1", "--m", "1"]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_insert_side(self, capsys):
+        assert run(["hyper", "--n", "2", "--r", "1", "--d", "1",
+                    "--insert=1:1:foo"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
 
     def test_bad_setup(self, capsys):
         assert run(["stromme", "--n", "2", "--r", "1", "--d", "2",

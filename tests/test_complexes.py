@@ -13,11 +13,10 @@ import quotbwb
 from quotbwb.complexes import (
     HyperInsert,
     _intersect,
+    _rep_window,
+    _two_term_schur,
     hyper_cohomology,
-    m_bracket_rep,
-    schur_complex_terms,
     sx_cohomology,
-    sx_resolution,
 )
 from quotbwb.partitions import conjugate, partition, partitions_in_box, size
 from quotbwb.pipeline import (
@@ -27,6 +26,7 @@ from quotbwb.pipeline import (
     assemble,
     closed_form_multi,
     e1_page,
+    line_coh,
     stromme,
 )
 from quotbwb.schur import schur_dim
@@ -51,87 +51,113 @@ def dim_polynomial(lam, value):
     return out
 
 
+# Slot ranks that cap no partition of the sizes below.
+WIDE = {"a1": 9, "b1": 9, "a2": 9, "b2": 9}
+
+
+def schur_complex(lam, window, ranks=WIDE):
+    """`_two_term_schur` of one map E1 -> E2 (slots a1 -> a2, one copy
+    each) as {degree: {(E1 partition, E2 partition): multiplicity}}."""
+    terms = _two_term_schur(lam, (("a1", 1),), (("a2", 1),), window, ranks)
+    return {d: {(key[0][0] if key[0] else (), key[2][0] if key[2] else ()): m
+                for key, m in keyed.items()}
+            for d, keyed in terms.items()}
+
+
 class TestSchurComplexTerms:
     def test_symmetric_square(self):
-        terms = schur_complex_terms((2,), "cohomological")
-        assert terms == {0: [((2,), (), 1)],
-                         1: [((1,), (1,), 1)],
-                         2: [((), (1, 1), 1)]}
+        terms = schur_complex((2,), (0, 1))
+        assert terms == {0: {((2,), ()): 1},
+                         1: {((1,), (1,)): 1},
+                         2: {((), (1, 1)): 1}}
 
     def test_exterior_square(self):
-        terms = schur_complex_terms((1, 1), "cohomological")
-        assert terms == {0: [((1, 1), (), 1)],
-                         1: [((1,), (1,), 1)],
-                         2: [((), (2,), 1)]}
+        terms = schur_complex((1, 1), (0, 1))
+        assert terms == {0: {((1, 1), ()): 1},
+                         1: {((1,), (1,)): 1},
+                         2: {((), (2,)): 1}}
 
     def test_single_box(self):
-        assert schur_complex_terms((1,), "cohomological") == \
-            {0: [((1,), (), 1)], 1: [((), (1,), 1)]}
+        assert schur_complex((1,), (0, 1)) == \
+            {0: {((1,), ()): 1}, 1: {((), (1,)): 1}}
 
     def test_shift_identity(self):
         # homological terms of lam are the cohomological terms of its
         # conjugate shifted by |lam| (Schur-complex duality)
         for lam in all_partitions_upto(6):
-            hom = schur_complex_terms(lam, "homological")
-            coh = schur_complex_terms(conjugate(lam), "cohomological")
+            hom = schur_complex(lam, (-1, 0))
+            coh = schur_complex(conjugate(lam), (0, 1))
             n = size(lam)
             assert set(hom) == {q - n for q in coh}
             for q, terms in hom.items():
-                assert sorted(terms) == sorted(coh[q + n]), (lam, q)
+                assert terms == coh[q + n], (lam, q)
+
+
+def virtual_rank(setup, e, side):
+    """Signed rank of the two-term representation of O(e) that `_rep_window`
+    describes: slot multiplicities times bundle ranks, right minus left,
+    negated for the window [0, 1]."""
+    window, lm, rm = _rep_window(setup, e)
+    p = stromme(setup)
+    left, right = (p.r1, p.r2) if side == "quot" else (p.k1, p.k2)
+    sign = 1 if window == (-1, 0) else -1
+    return sign * (rm * right - lm * left)
 
 
 class TestTwoTermRep:
     def test_collapse_points(self):
         setup = QuotSetup(2, 1, 1, m=2)
-        rep = m_bracket_rep(setup, 2)          # e = m
-        assert rep.left == (0, 0) and rep.right == (1, 0)
-        assert rep.virtual_rank == stromme(setup).r2
-        rep = m_bracket_rep(setup, 1)          # e = m - 1
-        assert rep.right == (0, 0) and rep.left == (0, 1)
-        assert rep.virtual_rank == stromme(setup).r1
-        rep = m_bracket_rep(setup, 3)          # e = m + 1
-        assert rep.left == (1, 0) and rep.right == (2, 0)
-        assert rep.virtual_rank == 2 * stromme(setup).r2 - stromme(setup).r1
+        assert _rep_window(setup, 2) == ((-1, 0), 0, 1)      # e = m
+        assert virtual_rank(setup, 2, "quot") == stromme(setup).r2
+        assert _rep_window(setup, 1) == ((0, 1), 1, 0)       # e = m - 1
+        assert virtual_rank(setup, 1, "quot") == stromme(setup).r1
+        assert _rep_window(setup, 3) == ((-1, 0), 1, 2)      # e = m + 1
+        assert virtual_rank(setup, 3, "quot") == \
+            2 * stromme(setup).r2 - stromme(setup).r1
 
     def test_rank_oracle_sweep(self):
         for n, r, d, m in [(2, 1, 1, 2), (3, 1, 1, 1), (3, 2, 2, 3), (2, 1, 2, 4)]:
             setup = QuotSetup(n, r, d, m=m)
             for side in ("quot", "sub"):
                 for e in range(m - 3, m + 4):
-                    rep = m_bracket_rep(setup, e, side)
                     expected = (r * e + r + d if side == "quot"
                                 else (n - r) * (e + 1) - d)
-                    assert rep.virtual_rank == expected
+                    assert virtual_rank(setup, e, side) == expected
 
     def test_at_most_one_multiplicity_slot(self):
+        # the window's degree carries all the cohomology of both twists
         setup = QuotSetup(3, 1, 2, m=2)
         for e in range(-4, 7):
-            rep = m_bracket_rep(setup, e)
-            assert not (rep.left[0] and rep.left[1])
-            assert not (rep.right[0] and rep.right[1])
+            window, lm, rm = _rep_window(setup, e)
+            other = 1 if window == (-1, 0) else 0
+            assert line_coh(e - setup.m - 1)[other] == 0
+            assert line_coh(e - setup.m)[other] == 0
+            assert (lm, rm) == (line_coh(e - setup.m - 1)[1 - other],
+                                line_coh(e - setup.m)[1 - other])
 
 
 class TestSxResolution:
     def test_single_box(self):
-        assert sx_resolution((1,)) == {0: [((), (1,), 1)],
-                                       -1: [((1,), (), 1)]}
+        assert schur_complex((1,), (-1, 0)) == {0: {((), (1,)): 1},
+                                                -1: {((1,), ()): 1}}
 
     def test_symmetric_square(self):
-        assert sx_resolution((2,)) == {0: [((), (2,), 1)],
-                                       -1: [((1,), (1,), 1)],
-                                       -2: [((1, 1), (), 1)]}
+        assert schur_complex((2,), (-1, 0)) == {0: {((), (2,)): 1},
+                                                -1: {((1,), (1,)): 1},
+                                                -2: {((1, 1), ()): 1}}
 
     def test_alternating_rank_sum(self):
         # sum of (-1)^q rank(term at -q) with ranks k1, k2 equals the Schur
         # dimension polynomial at the virtual rank k2 - k1 = n - r
         for n, r, d, m in [(2, 1, 1, 2), (3, 1, 1, 1), (3, 2, 1, 2)]:
             p = stromme(QuotSetup(n, r, d, m=m))
+            ranks = {"a1": p.k1, "b1": p.r1, "a2": p.k2, "b2": p.r2}
             for lam in all_partitions_upto(4):
                 total = 0
-                for mq, terms in sx_resolution(lam).items():
+                for mq, terms in schur_complex(lam, (-1, 0), ranks).items():
                     sign = 1 if mq % 2 == 0 else -1
                     total += sign * sum(c * schur_dim(a, p.k1) * schur_dim(b, p.k2)
-                                        for a, b, c in terms)
+                                        for (a, b), c in terms.items())
                 assert total == dim_polynomial(lam, n - r), (n, r, lam)
 
 

@@ -1,6 +1,7 @@
 """Static checks of the package sources: every module-level import is used
-(`__init__` re-exports), and no invariant hides in an `assert`, which
-`python -O` strips."""
+(`__init__` re-exports), every module-level definition is read by the
+package itself, and no invariant hides in an `assert`, which `python -O`
+strips."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,52 @@ def test_checker_sees_asserts():
 @pytest.mark.parametrize("module", SOURCES)
 def test_no_bare_asserts(module):
     assert bare_asserts((PACKAGE / module).read_text()) == []
+
+
+# Definitions read only from outside the package, with the reason.
+READ_FROM_OUTSIDE = {
+    "schur.tensor_expand_many": "bench/tracer.py wraps it by name",
+}
+
+
+def definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Module-level `def`, `class` and assignment nodes by bound name."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each definition that no code reads outside the
+    definition itself: neither its own module nor a `from .module import`."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {f"{node.module}.{alias.name}"
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    out = []
+    for module, tree in trees.items():
+        for name, node in definitions(tree).items():
+            own = {id(n) for n in ast.walk(node)}
+            read = any(isinstance(n, ast.Name) and n.id == name
+                       and isinstance(n.ctx, ast.Load) and id(n) not in own
+                       for n in ast.walk(tree))
+            if not read and f"{module}.{name}" not in imported:
+                out.append(f"{module}.{name}")
+    return sorted(out)
+
+
+def test_checker_sees_unread_definitions():
+    sources = {"a": "X = 1\nY = X\ndef f():\n    return f()\nclass C:\n    pass\n",
+               "b": "from .a import C\nZ: int = 2\nprint(C)\n"}
+    assert unread_definitions(sources) == ["a.Y", "a.f", "b.Z"]
+
+
+def test_every_definition_is_read():
+    sources = {name[:-3]: (PACKAGE / name).read_text() for name in MODULES}
+    assert unread_definitions(sources) == sorted(READ_FROM_OUTSIDE)

@@ -1,13 +1,14 @@
 import random
 
+from itertools import product
+
 import pytest
 
+from lemmas import abacus_check, durfee_rank, t_eta_indices
 from quotbwb.partitions import (
     Weight,
-    abacus_check,
     as_weight,
     conjugate,
-    durfee_rank,
     format_parts,
     inversions,
     negate_reverse,
@@ -17,8 +18,6 @@ from quotbwb.partitions import (
     shift,
     split_signs,
     subpartitions,
-    t_eta_index,
-    t_eta_indices,
     t_index,
 )
 
@@ -136,20 +135,20 @@ class TestIndices:
                     assert lam[j - 1] - j >= t
 
     def test_t_eta_index_worked_example(self):
-        assert t_eta_index((6, 4, 3, 1), 3, Weight((1, -1, -1))) == 2
+        assert t_eta_indices((6, 4, 3, 1), 3, Weight((1, -1, -1)))[0] == 2
 
     def test_t_eta_zero_weight_reduces_to_t_index(self):
         zero4 = Weight((0, 0, 0, 0))
-        assert t_eta_index((6, 5, 2, 1), 3, zero4) == 2
-        assert t_eta_index((7, 4, 2, 2), 3, zero4) is None
+        assert t_eta_indices((6, 5, 2, 1), 3, zero4) == [2]
+        assert t_eta_indices((7, 4, 2, 2), 3, zero4) == []
         rng = random.Random(11)
         for _ in range(1000):
             lam = partition(sorted((rng.randrange(0, 10) for _ in range(4)),
                                    reverse=True))
             t = rng.randrange(1, 5)
             expect = t_index(lam, t)
-            got = t_eta_index(lam, t, zero4)
-            assert got == expect, (lam, t)
+            got = t_eta_indices(lam, t, zero4)
+            assert got == ([] if expect is None else [expect]), (lam, t)
 
     def test_t_eta_indices_all_variant(self):
         found = t_eta_indices((6, 4, 3, 1), 3, Weight((1, -1, -1)))
@@ -173,6 +172,20 @@ class TestBoxesAndAbacus:
     def test_subpartitions(self):
         assert set(subpartitions((2, 1))) == {(), (1,), (2,), (1, 1), (2, 1)}
         assert set(subpartitions((2, 1), max_rows=1)) == {(), (1,), (2,)}
+
+    def test_subpartitions_match_validated_enumeration(self):
+        # the prefixes are canonical by construction: they equal every
+        # row-capped sub-box tuple that partition() accepts
+        for lam in all_partitions_upto(8):
+            for cap in [None, *range(len(lam) + 2)]:
+                rows = len(lam) if cap is None else min(cap, len(lam))
+                expect = set()
+                for parts in product(*(range(x + 1) for x in lam[:rows])):
+                    try:
+                        expect.add(partition(parts))
+                    except ValueError:
+                        continue
+                assert subpartitions(lam, cap) == tuple(sorted(expect, reverse=True))
 
     def test_abacus_trivials(self):
         assert abacus_check((), (), 0, 0) == (0, True)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lemmas import lemma45_check
 from quotbwb.partitions import (
     Weight,
     WeightLengthError,
@@ -17,11 +18,9 @@ from quotbwb.partitions import (
     shift,
 )
 from quotbwb.schur import (
-    cauchy_terms,
     direct_sum_expand,
     horn_predicates,
     koszul_pair_mult,
-    lemma45_check,
     lr,
     lr_expand,
     product_entries,
@@ -31,7 +30,6 @@ from quotbwb.schur import (
     tensor_entries,
     tensor_expand_many,
     weight_dim,
-    weight_tensor_expand,
 )
 
 # ---------------------------------------------------------------- oracles
@@ -323,15 +321,15 @@ class TestSkewAndSums:
                 assert total == schur_dim(gamma, na + nb)
 
     def test_cauchy(self):
-        assert cauchy_terms(1) == [(1,)]
-        assert cauchy_terms(2) == [(2,), (1, 1)]
+        assert partitions_in_box(1, 1, 1) == [(1,)]
+        assert partitions_in_box(2, 2, 2) == [(2,), (1, 1)]
         for a, b in [(3, 4), (2, 2), (4, 3), (4, 4)]:
             for t in range(0, a * b + 1):
                 total = sum(schur_dim(mu, a) * schur_dim(conjugate(mu), b)
-                            for mu in cauchy_terms(t))
+                            for mu in partitions_in_box(t, t, t))
                 assert total == comb(a * b, t), (a, b, t)
         total = sum(schur_dim(mu, 3) * schur_dim(conjugate(mu), 4)
-                    for mu in cauchy_terms(5))
+                    for mu in partitions_in_box(5, 5, 5))
         assert total == 792
 
     def test_schur_of_sum_copies(self):
@@ -351,10 +349,10 @@ class TestSkewAndSums:
 class TestWeightTensor:
     def test_trivial_unit(self):
         eta = Weight((2, 0, -1))
-        assert weight_tensor_expand(eta, Weight((0, 0, 0)), 3) == {eta: 1}
+        assert tensor_expand_many([eta, Weight((0, 0, 0))], 3) == {eta: 1}
 
     def test_sl2_adjoint_square(self):
-        got = weight_tensor_expand(Weight((1, -1)), Weight((1, -1)), 2)
+        got = tensor_expand_many([Weight((1, -1)), Weight((1, -1))], 2)
         assert got == {Weight((2, -2)): 1, Weight((1, -1)): 1, Weight((0, 0)): 1}
 
     def test_shift_invariance(self):
@@ -364,9 +362,9 @@ class TestWeightTensor:
             e1 = tuple(sorted((rng.randrange(-3, 4) for _ in range(n)), reverse=True))
             e2 = tuple(sorted((rng.randrange(-3, 4) for _ in range(n)), reverse=True))
             c = rng.randrange(-3, 4)
-            base = weight_tensor_expand(Weight(e1), Weight(e2), n)
-            shifted = weight_tensor_expand(Weight(tuple(x + c for x in e1)),
-                                           Weight(e2), n)
+            base = tensor_expand_many([Weight(e1), Weight(e2)], n)
+            shifted = tensor_expand_many([Weight(tuple(x + c for x in e1)),
+                                          Weight(e2)], n)
             assert shifted == {Weight(tuple(x + c for x in w.entries)): m
                                for w, m in base.items()}
 
@@ -376,7 +374,7 @@ class TestWeightTensor:
             n = rng.randrange(1, 5)
             e1 = tuple(sorted((rng.randrange(-3, 4) for _ in range(n)), reverse=True))
             e2 = tuple(sorted((rng.randrange(-3, 4) for _ in range(n)), reverse=True))
-            exp = weight_tensor_expand(Weight(e1), Weight(e2), n)
+            exp = tensor_expand_many([Weight(e1), Weight(e2)], n)
             assert sum(m * weight_dim(w, n) for w, m in exp.items()) == \
                 weight_dim(Weight(e1), n) * weight_dim(Weight(e2), n)
 
@@ -389,7 +387,7 @@ class TestWeightTensor:
             for w in weights:
                 nxt = {}
                 for base, m0 in acc.items():
-                    for res, m1 in weight_tensor_expand(base, w, length).items():
+                    for res, m1 in tensor_expand_many([base, w], length).items():
                         nxt[res] = nxt.get(res, 0) + m0 * m1
                 acc = nxt
             return acc
@@ -498,7 +496,7 @@ class TestLemma45:
             for x in rho:
                 (nu if x >= 0 else lam).append(abs(x))
             lam = partition(sorted(lam, reverse=True))
-            exp = weight_tensor_expand(sigma, Weight(rho), n)
+            exp = tensor_expand_many([sigma, Weight(rho)], n)
             for chi, mult in exp.items():
                 if mult <= 0:
                     continue
