@@ -13,17 +13,8 @@ half, for callers that hold the dual-convention summands already.
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .partitions import (
-    Weight,
-    WeightLengthError,
-    WeightLike,
-    as_weight,
-    dual_entries,
-    inversions,
-    negate_reverse,
-    t_index,
-)
-from .schur import Entries, Expansion, product_entries, schur_dim
+from .partitions import WeightLengthError, as_weight, dual_entries, inversions, t_index
+from .schur import Entries, Expansion, schur_dim, tensor_expand_many
 
 CohomTable = dict[int, int]
 
@@ -52,14 +43,15 @@ class GrSpec:
 class BwbOutcome:
     """Result of BWB for one weight pair: vanishing, or one (degree, weight).
 
-    `weight` is the highest weight of the dual answer S^gamma(C^n)^dual,
-    i.e. negate_reverse(gamma); `gamma` is kept for printing next to it.
+    Both weights are entry tuples: `weight` is the highest weight of the
+    dual answer S^gamma(C^n)^dual, i.e. dual_entries(gamma); `gamma` is
+    kept for printing next to it.
     """
 
     vanishes: bool
     degree: int = 0
-    gamma: Optional[Weight] = None
-    weight: Optional[Weight] = None
+    gamma: Optional[Entries] = None
+    weight: Optional[Entries] = None
     dim: int = 0
 
 
@@ -82,34 +74,30 @@ def _bwb(n: int, dual: tuple[int, ...]) -> Optional[tuple[int, tuple[int, ...], 
     return inversions(omega), gamma, schur_dim(tuple(x - low for x in gamma), n)
 
 
-def bwb_dual_weights(gr: GrSpec, rho: WeightLike, chi: WeightLike) -> BwbOutcome:
+def bwb_dual_weights(gr: GrSpec, rho: Sequence[int], chi: Sequence[int]) -> BwbOutcome:
     """Cohomology of S^rho(A^dual) x S^chi(B^dual) on Gr(k, n).
 
     Validates rho and chi once (`as_weight`), then runs `_bwb`.
     """
-    rho = as_weight(rho, gr.k)
-    chi = as_weight(chi, gr.quotient_rank)
-    hit = _bwb(gr.n, rho.entries + chi.entries)
+    hit = _bwb(gr.n, as_weight(rho, gr.k) + as_weight(chi, gr.quotient_rank))
     if hit is None:
         return BwbOutcome(vanishes=True)
     degree, gamma, dim = hit
-    gamma_w = Weight(gamma)
-    return BwbOutcome(False, degree, gamma_w, negate_reverse(gamma_w), dim)
+    return BwbOutcome(False, degree, gamma, dual_entries(gamma), dim)
 
 
-def expand_side(weights: Sequence[WeightLike], length: int) -> Expansion:
-    """Tensor expansion {entries: mult} of the bundle-side weights on one
-    universal bundle, each weight validated once by `as_weight`.
+def expand_side(weights: Sequence[Sequence[int]], length: int) -> Expansion:
+    """`tensor_expand_many` of the bundle-side weights on one universal
+    bundle, with the zero bundle as the empty expansion.
 
-    An empty expansion is the zero bundle: a partition too long for the
-    bundle raises WeightLengthError.  A weight that is not weakly
-    decreasing is an input error and propagates.
+    A partition too long for the bundle is the zero bundle (its
+    WeightLengthError maps to {}).  A weight that is not weakly decreasing
+    is an input error and propagates.
     """
     try:
-        entries = [as_weight(w, length).entries for w in weights]
+        return tensor_expand_many(weights, length)
     except WeightLengthError:
         return {}
-    return product_entries(entries, length)
 
 
 def dual_side(exp: Expansion) -> list[tuple[Entries, int]]:
@@ -135,8 +123,8 @@ def coh_duals(n: int, rhos: list[tuple[Entries, int]],
     return table
 
 
-def coh_bundle(gr: GrSpec, a_weights: Sequence[WeightLike] = (),
-               b_weights: Sequence[WeightLike] = ()) -> CohomTable:
+def coh_bundle(gr: GrSpec, a_weights: Sequence[Sequence[int]] = (),
+               b_weights: Sequence[Sequence[int]] = ()) -> CohomTable:
     """Total cohomology table of a tensor product of universal bundles.
 
     `a_weights` act on the rank-k subbundle A, `b_weights` on the rank
@@ -150,7 +138,7 @@ def coh_bundle(gr: GrSpec, a_weights: Sequence[WeightLike] = (),
     return coh_duals(gr.n, dual_side(expand_side(a_weights, gr.k)), chis)
 
 
-def index_nonvanish(chi: WeightLike, k: int) -> Optional[tuple[int, int]]:
+def index_nonvanish(chi: Entries, k: int) -> Optional[tuple[int, int]]:
     """Fast criterion for S^chi(B^dual) on Gr(k, n): (k-index j, degree kj).
 
     None exactly when the core algorithm vanishes at rho = 0.

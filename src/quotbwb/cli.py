@@ -21,7 +21,7 @@ from .complexes import (
     hyper_cohomology,
     sx_cohomology,
 )
-from .partitions import Weight, dual_entries, format_parts, parse_parts, partition
+from .partitions import as_weight, dual_entries, format_parts, parse_parts, partition
 from .pipeline import (
     InsertionSpec,
     QuotReport,
@@ -54,7 +54,7 @@ def _weight_arg(text: str):
         entries = parse_parts(text)
         if all(x >= 0 for x in entries):
             return partition(entries)
-        return Weight(entries)
+        return as_weight(entries, len(entries))
     except ValueError as exc:
         raise CliError(f"invalid weight '{text}': {exc}") from exc
 
@@ -170,8 +170,8 @@ def cmd_bwb(args):
             table[out.degree] = table.get(out.degree, 0) + dim
             summands.append({
                 "degree": out.degree,
-                "gamma": format_parts(out.gamma.entries),
-                "dual": format_parts(out.weight.entries),
+                "gamma": format_parts(out.gamma),
+                "dual": format_parts(out.weight),
                 "dim": _s(dim),
             })
     return {"table": _table_json(table), "summands": summands}, 0
@@ -346,7 +346,7 @@ def cmd_examples(args):
                    "matches": ok}
         return payload, 0 if ok else 2
     setup = QuotSetup(3, 1, 3, m=3)
-    ins = InsertionSpec(b1=(Weight((0, 0, 0, 0, 0, -2)),))
+    ins = InsertionSpec(b1=((0, 0, 0, 0, 0, -2),))
     page = e1_page(stromme(setup), ins, jobs=args.jobs)
     report = assemble(page)
     ok = (page.entries == SYM2_EXPECT["entries"]

@@ -97,8 +97,8 @@ def _schur_of_slots(beta: Partition, slots: Sequence[Slot],
 
     Bundle slots expand through the direct-sum rule recombined by LR;
     trivial slots contribute their exact Schur dimension as a scalar.
+    beta must be canonical (every caller passes a built partition).
     """
-    beta = partition(beta)
     live = [s for s in slots if s[1] > 0]
     if not live:
         return {UNIT_KEY: 1} if not beta else {}
@@ -139,9 +139,9 @@ def _two_term_schur(lam: Partition, left: Sequence[Slot], right: Sequence[Slot],
 
     Window (-1, 0) is the homological form (term S^{nu^dag}(left) x
     S^{lam/nu}(right) in degree -|nu|); window (0, 1) the cohomological
-    form (S^{lam/nu}(left) x S^{nu^dag}(right) in degree +|nu|).
+    form (S^{lam/nu}(left) x S^{nu^dag}(right) in degree +|nu|).  lam
+    must be canonical.
     """
-    lam = partition(lam)
     out: FormalTerms = {}
     for nu in subpartitions(lam):
         q = size(nu)
@@ -204,9 +204,9 @@ def _terms_insert_theta(setup: QuotSetup, ranks, e: int, lam: Partition
     O(e)^{[d]} is the cone of (sub-side complex) -> H(V(e)) x O; the three
     degree regimes give two-term complexes whose Schur terms reduce to
     sub-side insertions and trivial factors.  None when H(V(e)) lives in
-    two degrees at once (no two-term representation of this shape).
+    two degrees at once (no two-term representation of this shape).  lam
+    must be canonical (`HyperInsert.lam`).
     """
-    lam = partition(lam)
     h0v, h1v = bundle_coh(setup.splitting, e)
     if h0v and h1v:
         return None

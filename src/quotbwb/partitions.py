@@ -2,14 +2,14 @@
 
 Partitions are plain tuples of positive integers in weakly decreasing
 order with trailing zeros never stored, so tuple equality is partition
-equality.  Weights (weakly decreasing integer sequences, possibly
-negative) keep their full entry list: two weights of different lengths
-are different objects even when they agree up to trailing zeros.
+equality.  Weights are plain tuples too: weakly decreasing integers,
+possibly negative, of an explicit length (`as_weight` pads and checks
+them), so two weights of different lengths differ even when they agree
+up to trailing zeros.
 """
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 Partition = tuple[int, ...]
 
@@ -52,35 +52,6 @@ def contains(lam: Partition, nu: Partition) -> bool:
     return len(nu) <= len(lam) and all(nu[i] <= lam[i] for i in range(len(nu)))
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A GL highest weight: weakly decreasing integers of explicit length."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        e = tuple(int(x) for x in self.entries)
-        if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
-            raise ValueError(f"not weakly decreasing: {e}")
-        object.__setattr__(self, "entries", e)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries)
-
-
-WeightLike = Union[Weight, Partition, Sequence[int]]
-
-
 class WeightLengthError(ValueError):
     """A weight with more entries than the length it is embedded into."""
 
@@ -93,26 +64,24 @@ class InconsistencyError(ArithmeticError):
     """
 
 
-def as_weight(w: WeightLike, length: int) -> Weight:
-    """Embed a partition or weight into a weight of the given length.
+def as_weight(w: Sequence[int], length: int) -> tuple[int, ...]:
+    """The entries of a partition or weight embedded into the given length.
 
     Partitions pad with trailing zeros.  Weights of the exact length pass
     through; shorter weights gain interior zeros at the sign boundary,
     matching the canonical form (gamma, 0...0, -delta).  A partition with
     more parts than `length` has no embedding (the Schur functor of a
     bundle of that rank is zero) and raises WeightLengthError; callers
-    treat that, and only that, as the zero bundle.  Any other malformed
-    weight raises a plain ValueError.
+    treat that, and only that, as the zero bundle.  Entries that are not
+    weakly decreasing raise a plain ValueError.
     """
-    entries = tuple(w.entries) if isinstance(w, Weight) else tuple(int(x) for x in w)
+    entries = tuple(int(x) for x in w)
     if len(entries) > length:
         raise WeightLengthError(f"weight {entries} does not fit in length {length}")
-    pos = tuple(x for x in entries if x > 0)
-    zer = tuple(x for x in entries if x == 0)
-    neg = tuple(x for x in entries if x < 0)
-    if pos + zer + neg != entries:
+    if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
         raise ValueError(f"not weakly decreasing: {entries}")
-    return Weight(pos + (0,) * (length - len(pos) - len(neg)) + neg)
+    cut = sum(1 for x in entries if x >= 0)
+    return entries[:cut] + (0,) * (length - len(entries)) + entries[cut:]
 
 
 def dual_entries(entries: tuple[int, ...]) -> tuple[int, ...]:
@@ -120,39 +89,28 @@ def dual_entries(entries: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([-x for x in reversed(entries)])
 
 
-def negate_reverse(w: Weight) -> Weight:
-    """The dual weight -w = (-w_k, ..., -w_1)."""
-    return Weight(dual_entries(w.entries))
-
-
-def shift(w: Weight, c: int) -> Weight:
-    """Add c to every entry (a determinant twist)."""
-    return Weight(tuple(x + c for x in w.entries))
-
-
-def split_signs(w: Weight) -> tuple[Partition, Partition]:
+def split_signs(w: tuple[int, ...]) -> tuple[Partition, Partition]:
     """Write w = (gamma, -delta) and return the partitions (gamma, delta)."""
-    gamma = partition(x for x in w.entries if x > 0)
-    delta = partition(-x for x in reversed(w.entries) if x < 0)
+    gamma = partition(x for x in w if x > 0)
+    delta = partition(-x for x in reversed(w) if x < 0)
     return gamma, delta
 
 
-def t_index(chi: WeightLike, t: int) -> Optional[int]:
+def t_index(chi: tuple[int, ...], t: int) -> Optional[int]:
     """The t-index of a weakly decreasing sequence, or None.
 
     j qualifies when chi_j >= j + t and chi_{j+1} <= j (the boundary
     conditions j = 0 and j = length drop the vacuous half).  For t >= 0
     at most one j qualifies; for t = 0 it is the Durfee rank.
     """
-    entries = tuple(chi)
-    m = len(entries)
+    m = len(chi)
     found = None
     for j in range(m + 1):
-        ok_low = j == 0 or entries[j - 1] >= j + t
-        ok_high = j == m or entries[j] <= j
+        ok_low = j == 0 or chi[j - 1] >= j + t
+        ok_high = j == m or chi[j] <= j
         if ok_low and ok_high:
             if found is not None:
-                raise InconsistencyError(f"t-index not unique for {entries}, t={t}")
+                raise InconsistencyError(f"t-index not unique for {chi}, t={t}")
             found = j
     return found
 

@@ -18,13 +18,10 @@ from .partitions import (
     InconsistencyError,
     Partition,
     parity_sign,
-    Weight,
     WeightLengthError,
-    WeightLike,
     as_weight,
     conjugate,
     dual_entries,
-    negate_reverse,
     partition,
     partitions_in_box,
     size,
@@ -137,21 +134,21 @@ class InsertionSpec:
     """Weights of Schur functors inserted on the four universal bundles.
 
     a1/a2 land on the rank k1/k2 subbundles (the sub-side tautological
-    bundles), b1/b2 on the rank r1/r2 quotients.  Entries are partitions
-    (padded to the bundle rank) or exact-length weights; a dual bundle
-    S^w(E^dual) is entered as the bundle-side weight negate_reverse(w).
+    bundles), b1/b2 on the rank r1/r2 quotients.  Each weight is a
+    sequence of integers: a partition (padded to the bundle rank) or an
+    exact-length weight; a dual bundle S^w(E^dual) is entered as the
+    bundle-side weight dual_entries(w).
     """
 
-    a1: tuple[WeightLike, ...] = ()
-    b1: tuple[WeightLike, ...] = ()
-    a2: tuple[WeightLike, ...] = ()
-    b2: tuple[WeightLike, ...] = ()
+    a1: tuple[Sequence[int], ...] = ()
+    b1: tuple[Sequence[int], ...] = ()
+    a2: tuple[Sequence[int], ...] = ()
+    b2: tuple[Sequence[int], ...] = ()
 
     def key(self) -> tuple:
-        def norm(ws):
-            return tuple(tuple(w.entries) if isinstance(w, Weight) else tuple(w)
-                         for w in ws)
-        return (norm(self.a1), norm(self.b1), norm(self.a2), norm(self.b2))
+        """The four slots as tuples of entry tuples."""
+        return tuple(tuple(tuple(w) for w in ws)
+                     for ws in (self.a1, self.b1, self.a2, self.b2))
 
 
 EMPTY_INSERTION = InsertionSpec()
@@ -219,13 +216,12 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
     factor 1: mu in the k1 x 2r2 box with |mu| = t, table
     H(Gr1, S^mu(A1) x a x b); factor 2: sigma in the r2 x min(2k1, t) box,
     table H(Gr2, a x S^sigma(B2^dual) x b).  Each survivor comes with its
-    conjugate.  `a` and `b` are entry tuples (`InsertionSpec.key()`), so a
-    Weight and a tuple with the same entries share one entry: the tables
-    depend on the insertions only through `as_weight`, which reads entries.
-    The side without the Koszul partition is validated, expanded and
-    dualized once per list, and the insertions beside the partition are
-    multiplied out once; each partition is then one tensor with that
-    product.
+    conjugate.  `a` and `b` are tuples of entry tuples
+    (`InsertionSpec.key()`), so insertions given as lists or tuples with
+    the same entries share one memo entry.  The side without the Koszul
+    partition is validated, expanded and dualized once per list, and the
+    insertions beside the partition are multiplied out once; each
+    partition is then one tensor with that product.
     """
     key = (params, factor, a, b, t)
     hit = _SURVIVOR_CACHE.get(key)
@@ -494,7 +490,7 @@ class Verdict:
         return self.matches is None or self.matches
 
 
-def verify_thm41(setup: QuotSetup, eta: WeightLike, rho: WeightLike,
+def verify_thm41(setup: QuotSetup, eta: Sequence[int], rho: Sequence[int],
                  jobs: int = 1) -> Verdict:
     """Two-insertion vanishing / global-sections statement.
 
@@ -528,7 +524,7 @@ def verify_thm41(setup: QuotSetup, eta: WeightLike, rho: WeightLike,
     return Verdict(statement, hyp, matches, expected, report, notes)
 
 
-def verify_prop47(setup: QuotSetup, eta: WeightLike, rho: WeightLike,
+def verify_prop47(setup: QuotSetup, eta: Sequence[int], rho: Sequence[int],
                   jobs: int = 1) -> Verdict:
     """Degree-concentration bound: nothing above |delta| + |nu|."""
     params = stromme(setup)
@@ -568,7 +564,7 @@ def ext_table(setup: QuotSetup, nu: Partition, lam: Partition) -> ExtResult:
     if not hyp_size:
         notes.append("size hypothesis fails")
     try:
-        dual_nu = negate_reverse(as_weight(nu, params.r1))
+        dual_nu = dual_entries(as_weight(nu, params.r1))
         lam_w = as_weight(lam, params.r1)
     except WeightLengthError:
         return ExtResult({}, hyp_first and hyp_size, notes + ["zero bundle"])

@@ -15,15 +15,12 @@ from typing import Optional, Sequence
 from .partitions import (
     InconsistencyError,
     Partition,
-    Weight,
     WeightLengthError,
-    WeightLike,
     as_weight,
     conjugate,
     contains,
     part,
     partition,
-    shift,
     size,
     subpartitions,
 )
@@ -66,22 +63,19 @@ def schur_dim(lam: Partition, n: int) -> int:
     return num // den
 
 
-def weight_dim(w: WeightLike, n: int) -> int:
+def weight_dim(w: Sequence[int], n: int) -> int:
     """Dimension of the irreducible GL_n representation with highest weight w.
 
     Embeds w into length n, twists by a power of the determinant until all
-    entries are nonnegative, and evaluates hook-content on the resulting
-    partition.  Weights that do not fit in length n give zero; a sequence
-    that is not weakly decreasing raises ValueError.
+    entries are nonnegative (`_untwist`), and evaluates hook-content on the
+    resulting partition.  Weights that do not fit in length n give zero; a
+    sequence that is not weakly decreasing raises ValueError.
     """
     try:
-        ww = as_weight(w, n)
+        entries = as_weight(w, n)
     except WeightLengthError:
         return 0
-    c = -min(ww.entries, default=0)
-    if c > 0:
-        ww = shift(ww, c)
-    return schur_dim(partition(ww.entries), n)
+    return schur_dim(_untwist(entries)[0], n)
 
 
 def _skew_cells(lam: Partition, nu: Partition) -> list[tuple[int, int]]:
@@ -411,14 +405,13 @@ def product_entries(weights: Sequence[Entries], length: int) -> Expansion:
     return acc
 
 
-def tensor_expand_many(weights: list[WeightLike], length: int) -> dict[Weight, int]:
-    """`product_entries` for caller weights, keyed by Weight.
+def tensor_expand_many(weights: Sequence[Sequence[int]], length: int) -> Expansion:
+    """`product_entries` for caller weights: {entries: mult}.
 
     Each weight is validated once by `as_weight`: one too long for
     `length` raises WeightLengthError, one not weakly decreasing ValueError.
     """
-    entries = [as_weight(w, length).entries for w in weights]
-    return {Weight(e): m for e, m in product_entries(entries, length).items()}
+    return product_entries([as_weight(w, length) for w in weights], length)
 
 
 def schur_of_sum_copies(beta: Partition, copies: int, max_rows: Optional[int] = None
@@ -426,9 +419,8 @@ def schur_of_sum_copies(beta: Partition, copies: int, max_rows: Optional[int] = 
     """Decompose S^beta(U + ... + U) (`copies` summands) into S^theta(U).
 
     Iterated direct-sum expansion recombined through LR; pure LR data, no
-    Kronecker coefficients.
+    Kronecker coefficients.  beta must be canonical.
     """
-    beta = partition(beta)
     if copies <= 0:
         return {(): 1} if not beta else {}
     key = (beta, copies, max_rows)

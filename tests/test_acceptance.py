@@ -10,13 +10,7 @@ from math import comb
 from quotbwb.bwb import GrSpec, bwb_dual_weights, coh_bundle, index_nonvanish
 from quotbwb.cli import run as cli_run
 from quotbwb.complexes import hyper_cohomology, sx_cohomology
-from quotbwb.partitions import (
-    Weight,
-    as_weight,
-    conjugate,
-    partition,
-    partitions_in_box,
-)
+from quotbwb.partitions import as_weight, conjugate, partition, partitions_in_box
 from quotbwb.pipeline import (
     InsertionSpec,
     QuotSetup,
@@ -63,8 +57,7 @@ def test_criterion_1_sharpness_example():
 def test_criterion_2_sym2_example():
     started = time.monotonic()
     params = stromme(SYM2_SETUP)
-    page = e1_page(params, InsertionSpec(b1=(Weight((0, 0, 0, 0, 0, -2)),)),
-                   jobs=4)
+    page = e1_page(params, InsertionSpec(b1=((0, 0, 0, 0, 0, -2),)), jobs=4)
     assert page.entries == {(12, 13): 63, (11, 13): 72}
     assert [(mu, sg, mult) for mu, sg, mult, _ in page.contributions[(12, 13)]] \
         == [((8, 2, 2), (6, 1, 1, 1, 1, 1, 1), 7)]
@@ -127,13 +120,13 @@ def test_criterion_6_thm41_vanishing():
     for a in range(1, params.r1 + 1):          # delta = (1^a), nu empty
         if 1 * a >= bound:
             continue
-        v = verify_thm41(setup, Weight((0,) * (params.r1 - a) + (-1,) * a), ())
+        v = verify_thm41(setup, (0,) * (params.r1 - a) + (-1,) * a, ())
         assert v.hypotheses_hold and v.matches and v.report.is_zero(), a
         cases += 1
     for c in range(1, params.r2 + 1):          # nu = (1^c), delta empty
         if 1 * c >= bound:
             continue
-        v = verify_thm41(setup, (), Weight((0,) * (params.r2 - c) + (-1,) * c))
+        v = verify_thm41(setup, (), (0,) * (params.r2 - c) + (-1,) * c)
         assert v.hypotheses_hold and v.matches and v.report.is_zero(), c
         cases += 1
     assert cases == 5
@@ -144,7 +137,7 @@ def test_criterion_6_thm41_vanishing():
 def test_criterion_7_bwb_oracle_equivalence():
     gr = GrSpec(1, 2)
     for e in range(-8, 9):
-        w = as_weight((e,) if e >= 0 else Weight((e,)), 1)
+        w = as_weight((e,), 1)
         table = coh_bundle(gr, (), (w,))
         expect = {}
         if e >= 0:
@@ -157,8 +150,7 @@ def test_criterion_7_bwb_oracle_equivalence():
     for _ in range(1000):
         k = rng.randrange(1, 7)
         qr = rng.randrange(1, 7)
-        chi = Weight(tuple(sorted((rng.randrange(-5, 12) for _ in range(qr)),
-                                  reverse=True)))
+        chi = tuple(sorted((rng.randrange(-5, 12) for _ in range(qr)), reverse=True))
         res = index_nonvanish(chi, k)
         out = bwb_dual_weights(GrSpec(k, k + qr), as_weight((), k), chi)
         if res is None:

@@ -15,11 +15,10 @@ from quotbwb.bwb import (
     kunneth,
 )
 from quotbwb.partitions import (
-    Weight,
     WeightLengthError,
     as_weight,
+    dual_entries,
     inversions,
-    negate_reverse,
     partition,
     partitions_in_box,
 )
@@ -27,27 +26,37 @@ from quotbwb.schur import schur_dim, tensor_expand_many, weight_dim
 
 
 def random_weight(rng, length, lo=-6, hi=7):
-    return Weight(tuple(sorted((rng.randrange(lo, hi) for _ in range(length)),
-                               reverse=True)))
+    return tuple(sorted((rng.randrange(lo, hi) for _ in range(length)), reverse=True))
+
+
+def decreasing(entries):
+    """entries as a tuple, checked weakly decreasing."""
+    entries = tuple(entries)
+    assert all(a >= b for a, b in zip(entries, entries[1:])), entries
+    return entries
+
+
+def negated(w):
+    """The dual weight (-w_k, ..., -w_1), checked weakly decreasing."""
+    return decreasing(-x for x in reversed(w))
 
 
 def oracle_bwb(gr, rho, chi) -> BwbOutcome:
-    """Borel-Weil-Bott through validated `Weight` objects at every step:
-    the oracle for the tuple core `_bwb`."""
+    """Borel-Weil-Bott with every intermediate weight checked weakly
+    decreasing: the oracle for the tuple core `_bwb`."""
     rho = as_weight(rho, gr.k)
     chi = as_weight(chi, gr.quotient_rank)
-    omega = [x + (gr.n - 1 - i) for i, x in enumerate(tuple(rho) + tuple(chi))]
+    omega = [x + (gr.n - 1 - i) for i, x in enumerate(rho + chi)]
     if len(set(omega)) != len(omega):
         return BwbOutcome(vanishes=True)
     degree = inversions(omega)
-    gamma = Weight(tuple(x - (gr.n - 1 - i)
-                         for i, x in enumerate(sorted(omega, reverse=True))))
-    dual = negate_reverse(gamma)
-    return BwbOutcome(False, degree, gamma, dual, weight_dim(gamma, gr.n))
+    gamma = decreasing(x - (gr.n - 1 - i)
+                       for i, x in enumerate(sorted(omega, reverse=True)))
+    return BwbOutcome(False, degree, gamma, negated(gamma), weight_dim(gamma, gr.n))
 
 
 def oracle_coh_bundle(gr, a_weights, b_weights) -> dict[int, int]:
-    """coh_bundle summed through `oracle_bwb`, one Weight pair at a time."""
+    """coh_bundle summed through `oracle_bwb`, one weight pair at a time."""
     try:
         a_exp = tensor_expand_many(list(a_weights), gr.k)
         b_exp = tensor_expand_many(list(b_weights), gr.quotient_rank)
@@ -56,7 +65,7 @@ def oracle_coh_bundle(gr, a_weights, b_weights) -> dict[int, int]:
     table: dict[int, int] = {}
     for wa, ma in a_exp.items():
         for wb, mb in b_exp.items():
-            out = oracle_bwb(gr, negate_reverse(wa), negate_reverse(wb))
+            out = oracle_bwb(gr, negated(wa), negated(wb))
             if not out.vanishes:
                 table[out.degree] = table.get(out.degree, 0) + ma * mb * out.dim
     return {d: v for d, v in table.items() if v}
@@ -90,7 +99,7 @@ def bundle_cases(draw):
                 parts = draw(st.lists(st.integers(1, 3), max_size=rank + 1))
                 out.append(tuple(sorted(parts, reverse=True)))
             else:
-                out.append(Weight(_sorted_weight(draw, rank, -3, 3)))
+                out.append(_sorted_weight(draw, rank, -3, 3))
         return out
 
     return k, n, side(k), side(n - k)
@@ -107,10 +116,10 @@ class TestCore:
         assert (out.degree, out.dim) == (1, 2)
 
     def test_hand_run_degree_15(self):
-        out = bwb_dual_weights(GrSpec(3, 10), Weight((-4, -10, -10)),
-                               Weight((0, -1, -1, -1, -1, -1, -1)))
+        out = bwb_dual_weights(GrSpec(3, 10), (-4, -10, -10),
+                               (0, -1, -1, -1, -1, -1, -1))
         assert out.degree == 15
-        assert out.gamma == Weight((-3,) * 10)
+        assert out.gamma == (-3,) * 10
         assert out.dim == 1
 
     def test_vanishing_on_repetition(self):
@@ -133,7 +142,6 @@ class TestCore:
         # shifts (rho, chi) to (-rho - (n-k), -chi + k) and must flip the
         # degree within [0, dim Gr] while preserving the dimension
         rng = random.Random(13)
-        from quotbwb.partitions import shift
         checked = 0
         for _ in range(2000):
             n = rng.randrange(1, 7)
@@ -141,8 +149,8 @@ class TestCore:
             rho = random_weight(rng, k, -5, 6)
             chi = random_weight(rng, n - k, -5, 6)
             out = bwb_dual_weights(GrSpec(k, n), rho, chi)
-            rs = shift(negate_reverse(rho), -(n - k))
-            cs = shift(negate_reverse(chi), k)
+            rs = tuple(x - (n - k) for x in negated(rho))
+            cs = tuple(x + k for x in negated(chi))
             dual = bwb_dual_weights(GrSpec(k, n), rs, cs)
             assert out.vanishes == dual.vanishes, (rho, chi)
             if not out.vanishes:
@@ -173,10 +181,10 @@ class TestTupleKernel:
         if got is not None:
             degree, gamma, dim = got
             assert degree == want.degree
-            assert gamma == want.gamma.entries
+            assert gamma == want.gamma
             assert dim == want.dim
         # the public wrapper: the same outcome, dual weight included
-        assert bwb_dual_weights(gr, Weight(rho), Weight(chi)) == want
+        assert bwb_dual_weights(gr, rho, chi) == want
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(bundle_cases())
@@ -203,10 +211,7 @@ class TestCohBundle:
     def test_p1_line_bundles(self):
         gr = GrSpec(1, 2)  # A = O(-1), B = O(1)
         for e in range(-8, 9):
-            if e >= 0:
-                table = coh_bundle(gr, (), ((e,),))
-            else:
-                table = coh_bundle(gr, (), (Weight((e,)),))
+            table = coh_bundle(gr, (), ((e,),))
             expect = {}
             if e + 1 > 0:
                 expect[0] = e + 1
@@ -216,13 +221,13 @@ class TestCohBundle:
 
     def test_dual_sigma_on_gr_4_12(self):
         sigma = (6, 6, 2, 2, 2, 2, 2, 2)
-        dual = negate_reverse(as_weight(sigma, 8))
+        dual = dual_entries(as_weight(sigma, 8))
         table = coh_bundle(GrSpec(4, 12), (), (dual,))
         assert table == {8: 1}
 
     def test_hom_bundle_adjoint(self):
         # A^dual x B on Gr(2,4): sections are the traceless endomorphisms
-        table = coh_bundle(GrSpec(2, 4), (Weight((0, -1)),), ((1,),))
+        table = coh_bundle(GrSpec(2, 4), ((0, -1),), ((1,),))
         assert table == {0: 15}
         # the literal bundle A x B has no cohomology at all
         assert coh_bundle(GrSpec(2, 4), ((1,),), ((1,),)) == {}
@@ -249,7 +254,7 @@ class TestCohBundle:
 class TestIndexCriteria:
     def test_examples(self):
         assert index_nonvanish((6, 6, 2, 2, 2, 2, 2, 2), 4) == (2, 8)
-        assert index_nonvanish(Weight((0, -2, -3)), 4) == (0, 0)
+        assert index_nonvanish((0, -2, -3), 4) == (0, 0)
         assert index_nonvanish((5, 1), 3) == (1, 3)
 
     def test_agreement_with_core(self):

@@ -84,6 +84,10 @@ class TestBasicCommands:
         (["--k", "0", "--N", "3", "--b=0,-1,-2"],
          {"summands": [{"degree": 0, "dim": "8", "dual": "0,-1,-2",
                         "gamma": "2,1,0"}], "table": {"0": "8"}}),
+        # a trailing zero is stripped, so three entries fit on rank 2
+        (["--k", "2", "--N", "4", "--a", "2,1,0", "--b", "1"],
+         {"summands": [{"degree": 1, "dim": "1", "dual": "1,1,1,1",
+                        "gamma": "-1,-1,-1,-1"}], "table": {"1": "1"}}),
     ]
 
     @pytest.mark.parametrize("argv,result", BWB_PAYLOADS)
@@ -177,6 +181,13 @@ class TestValidationAndExitCodes:
                             lambda cells: 1 // 0)
         assert run(["scan", "--n", "2", "--r", "1", "--d", "1", "--m", "1"]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_misordered_weight(self, capsys):
+        assert run(["dim", "--weight", "3,5,-1", "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: invalid weight '3,5,-1': "
+                                "not weakly decreasing: (3, 5, -1)\n")
+        assert captured.out == ""
 
     def test_bad_insert_side(self, capsys):
         assert run(["hyper", "--n", "2", "--r", "1", "--d", "1",

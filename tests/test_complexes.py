@@ -253,6 +253,40 @@ class TestSx:
         assert rep.exact and rep.table == {0: 1}
 
 
+def test_private_sites_get_canonical_partitions(monkeypatch):
+    # the hyper and sx paths hand these four routines partitions that are
+    # canonical already (HyperInsert.lam, conjugates, skew and subpartition
+    # keys), so none of them re-validates its partition argument
+    from quotbwb import complexes, schur
+    seen = dict.fromkeys(["schur_of_sum_copies", "_schur_of_slots",
+                          "_two_term_schur", "_terms_insert_theta"], 0)
+
+    def watch(module, name, pos):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            lam = args[pos]
+            assert type(lam) is tuple and partition(lam) == lam, (name, lam)
+            seen[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+        return wrapped
+
+    monkeypatch.setattr(schur, "_SUM_CACHE", {})
+    monkeypatch.setattr(complexes, "schur_of_sum_copies",
+                        watch(schur, "schur_of_sum_copies", 0))
+    watch(complexes, "_schur_of_slots", 0)
+    watch(complexes, "_two_term_schur", 0)
+    watch(complexes, "_terms_insert_theta", 3)
+    for setup in (QuotSetup(2, 1, 1, m=1), QuotSetup(2, 1, 1, (0, 1))):
+        for e in range(-2, 4):  # every regime of _terms_insert_theta
+            hyper_cohomology(setup, [(e, (2, 1))])
+        hyper_cohomology(setup, [(1, (1,), "sub"), (-1, (1, 1))])
+        sx_cohomology(setup, [2, 1, 0])
+    assert all(seen.values()), seen
+
+
 def _bounds(euler, lower, upper, exact=False):
     table = dict(upper) if exact else None
     return QuotReport(euler, exact, table, lower, upper, exact)
@@ -335,7 +369,6 @@ class TestProp47Randomized:
         # randomized suite over nonpositive-degree splittings
         rng = random.Random(606)
         from quotbwb.pipeline import verify_prop47
-        from quotbwb.partitions import Weight
         checked = 0
         while checked < 20:
             n = rng.randrange(2, 4)
@@ -346,12 +379,10 @@ class TestProp47Randomized:
             params = stromme(setup)
             if params.r1 == 0 or params.rank_k > 10:
                 continue
-            eta = Weight(tuple(sorted((rng.randrange(-2, 3)
-                                       for _ in range(params.r1)),
-                                      reverse=True)))
-            rho = Weight(tuple(sorted((rng.randrange(-2, 3)
-                                       for _ in range(params.r2)),
-                                      reverse=True)))
+            eta = tuple(sorted((rng.randrange(-2, 3) for _ in range(params.r1)),
+                               reverse=True))
+            rho = tuple(sorted((rng.randrange(-2, 3) for _ in range(params.r2)),
+                               reverse=True))
             v = verify_prop47(setup, eta, rho)
             assert v.matches, (setup, eta, rho)
             checked += 1

@@ -54,12 +54,6 @@ def test_no_bare_asserts(module):
     assert bare_asserts((PACKAGE / module).read_text()) == []
 
 
-# Definitions read only from outside the package, with the reason.
-READ_FROM_OUTSIDE = {
-    "schur.tensor_expand_many": "bench/tracer.py wraps it by name",
-}
-
-
 def definitions(tree: ast.Module) -> dict[str, ast.AST]:
     """Module-level `def`, `class` and assignment nodes by bound name."""
     out = {}
@@ -100,4 +94,4 @@ def test_checker_sees_unread_definitions():
 
 def test_every_definition_is_read():
     sources = {name[:-3]: (PACKAGE / name).read_text() for name in MODULES}
-    assert unread_definitions(sources) == sorted(READ_FROM_OUTSIDE)
+    assert unread_definitions(sources) == []

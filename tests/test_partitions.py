@@ -6,16 +6,14 @@ import pytest
 
 from lemmas import abacus_check, durfee_rank, t_eta_indices
 from quotbwb.partitions import (
-    Weight,
     as_weight,
     conjugate,
+    dual_entries,
     format_parts,
     inversions,
-    negate_reverse,
     parse_parts,
     partition,
     partitions_in_box,
-    shift,
     split_signs,
     subpartitions,
     t_index,
@@ -71,25 +69,22 @@ class TestPartitionBasics:
 class TestWeights:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            Weight((0, 1))
-        assert len(Weight((2, 0, -1))) == 3
+            as_weight((0, 1), 2)
+        assert as_weight([2, 0, -1], 3) == (2, 0, -1)
 
     def test_negate_reverse(self):
-        assert negate_reverse(Weight((2, 0, -1))) == Weight((1, 0, -2))
-        w = Weight((3, 1, 1, -2))
-        assert negate_reverse(negate_reverse(w)) == w
-
-    def test_shift(self):
-        assert shift(Weight((1, 0, -2)), 2) == Weight((3, 2, 0))
+        assert dual_entries((2, 0, -1)) == (1, 0, -2)
+        w = (3, 1, 1, -2)
+        assert dual_entries(dual_entries(w)) == w
 
     def test_split_signs(self):
-        assert split_signs(Weight((1, -1, -1))) == ((1,), (1, 1))
-        assert split_signs(Weight((2, 0, -1))) == ((2,), (1,))
-        assert split_signs(Weight((0, 0))) == ((), ())
+        assert split_signs((1, -1, -1)) == ((1,), (1, 1))
+        assert split_signs((2, 0, -1)) == ((2,), (1,))
+        assert split_signs((0, 0)) == ((), ())
 
     def test_as_weight_interior_zeros(self):
-        assert as_weight(Weight((1, -1)), 4) == Weight((1, 0, 0, -1))
-        assert as_weight((2, 1), 4) == Weight((2, 1, 0, 0))
+        assert as_weight((1, -1), 4) == (1, 0, 0, -1)
+        assert as_weight((2, 1), 4) == (2, 1, 0, 0)
         with pytest.raises(ValueError):
             as_weight((1, 1, 1), 2)
 
@@ -105,8 +100,8 @@ class TestIndices:
             assert t_index(lam, 0) == durfee_rank(lam)
 
     def test_t_index_boundary_conventions(self):
-        assert t_index(Weight((0, -1)), 2) == 0
-        assert t_index(Weight((9, 8)), 2) == 2
+        assert t_index((0, -1), 2) == 0
+        assert t_index((9, 8), 2) == 2
 
     def test_t_index_uniqueness_over_random_weights(self):
         # at most one j satisfies both defining inequalities; the library
@@ -115,8 +110,7 @@ class TestIndices:
         defined = 0
         for _ in range(2000):
             n = rng.randrange(1, 8)
-            w = Weight(tuple(sorted((rng.randrange(-6, 12) for _ in range(n)),
-                                    reverse=True)))
+            w = tuple(sorted((rng.randrange(-6, 12) for _ in range(n)), reverse=True))
             t = rng.randrange(1, 6)
             if t_index(w, t) is not None:
                 defined += 1
@@ -135,10 +129,10 @@ class TestIndices:
                     assert lam[j - 1] - j >= t
 
     def test_t_eta_index_worked_example(self):
-        assert t_eta_indices((6, 4, 3, 1), 3, Weight((1, -1, -1)))[0] == 2
+        assert t_eta_indices((6, 4, 3, 1), 3, (1, -1, -1))[0] == 2
 
     def test_t_eta_zero_weight_reduces_to_t_index(self):
-        zero4 = Weight((0, 0, 0, 0))
+        zero4 = (0, 0, 0, 0)
         assert t_eta_indices((6, 5, 2, 1), 3, zero4) == [2]
         assert t_eta_indices((7, 4, 2, 2), 3, zero4) == []
         rng = random.Random(11)
@@ -151,7 +145,7 @@ class TestIndices:
             assert got == ([] if expect is None else [expect]), (lam, t)
 
     def test_t_eta_indices_all_variant(self):
-        found = t_eta_indices((6, 4, 3, 1), 3, Weight((1, -1, -1)))
+        found = t_eta_indices((6, 4, 3, 1), 3, (1, -1, -1))
         assert found and found[0] == 2
 
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotbwb import pipeline, schur
-from quotbwb.bwb import coh_bundle
+from quotbwb.bwb import GrSpec, coh_bundle
 from quotbwb.partitions import (
-    Weight,
+    WeightLengthError,
     as_weight,
     conjugate,
-    negate_reverse,
+    dual_entries,
     part,
     partition,
     partitions_in_box,
@@ -42,6 +42,7 @@ from quotbwb.schur import (
     lr_expand,
     schur_dim,
     skew_expand,
+    weight_dim,
 )
 
 
@@ -356,11 +357,8 @@ class TestSurvivorMemo:
     SETUPS = [QuotSetup(2, 1, 1, m=3), QuotSetup(2, 1, 2, m=4)]
 
     @staticmethod
-    def _target(p, as_weight_objects: bool) -> InsertionSpec:
-        entries = (1,) + (0,) * (p.r1 - 2) + (-1,)
-        if as_weight_objects:
-            return InsertionSpec(b1=(Weight(entries),), a2=((1,),))
-        return InsertionSpec(b1=(entries,), a2=(Weight((1,)),))
+    def _target(p) -> InsertionSpec:
+        return InsertionSpec(b1=((1,) + (0,) * (p.r1 - 2) + (-1,),), a2=((1,),))
 
     @staticmethod
     def _page(p, ins, jobs=1):
@@ -370,11 +368,11 @@ class TestSurvivorMemo:
     @pytest.mark.parametrize("setup", SETUPS)
     def test_cold_warm_and_entry_forms_agree(self, setup):
         p = stromme(setup)
-        target = self._target(p, True)
+        target = self._target(p)
         # each insertion shares one factor's insertions with another, and
         # the empty one has the same (empty) insertions on both factors
         pages = [InsertionSpec(),
-                 InsertionSpec(b1=(Weight((0,) * (p.r1 - 1) + (-1,)),), b2=((1,),)),
+                 InsertionSpec(b1=((0,) * (p.r1 - 1) + (-1,),), b2=((1,),)),
                  InsertionSpec(b1=target.b1), InsertionSpec(a2=target.a2),
                  InsertionSpec(a2=target.a2, b2=((1,),)), target]
         cold = []
@@ -384,18 +382,19 @@ class TestSurvivorMemo:
         assert cold[-1][0]
         pipeline._SURVIVOR_CACHE.clear()
         for other in self.SETUPS:
-            self._page(stromme(other), self._target(stromme(other), True))
+            self._page(stromme(other), self._target(stromme(other)))
         for ins, want in zip(pages, cold):
             assert self._page(p, ins) == want, ins
-        # a tuple with the same entries as the Weight reuses its entries
+        # lists with the same entries as the tuples reuse their entries
         held = len(pipeline._SURVIVOR_CACHE)
-        assert self._page(p, self._target(p, False)) == cold[-1]
+        as_lists = InsertionSpec(b1=tuple(map(list, target.b1)), a2=([1],))
+        assert self._page(p, as_lists) == cold[-1]
         assert len(pipeline._SURVIVOR_CACHE) == held
 
     @pytest.mark.parametrize("setup", SETUPS)
     def test_jobs_under_warm_memo(self, setup):
         p = stromme(setup)
-        target = self._target(p, True)
+        target = self._target(p)
         one = self._page(p, target)
         assert self._page(p, target, jobs=2) == one
 
@@ -411,7 +410,7 @@ def oracle_factor_survivors(params, factor, a, b, t):
                 out.append((mu, conjugate(mu), table))
     else:
         for sigma in partitions_in_box(params.r2, min(2 * params.k1, t), t):
-            dual = negate_reverse(as_weight(sigma, params.r2))
+            dual = dual_entries(as_weight(sigma, params.r2))
             table = coh_bundle(params.gr2, a, (dual,) + b)
             if table:
                 out.append((sigma, conjugate(sigma), table))
@@ -424,18 +423,19 @@ class TestFactorSurvivors:
     @staticmethod
     def _insertions(p):
         def mixed(rank):  # S^(1,0,...,0,-1): the adjoint
-            return Weight((1,) + (0,) * (rank - 2) + (-1,))
+            return (1,) + (0,) * (rank - 2) + (-1,)
 
         def too_long(rank):
             return (1,) * (rank + 1)
 
         return [
             InsertionSpec(),
-            # every slot, two weights on a side, a Weight and a tuple
+            # every slot, two weights on a side, partitions and
+            # exact-length weights
             InsertionSpec(a1=((1,), (1, 1)), b1=(mixed(p.r1),),
-                          a2=((2,), Weight((1,) + (0,) * (p.k2 - 1))),
-                          b2=((1,), tuple(mixed(p.r2).entries))),
-            InsertionSpec(a1=(Weight((0,) * (p.k1 - 1) + (-1,)),), b1=((1,), (1,)),
+                          a2=((2,), (1,) + (0,) * (p.k2 - 1)),
+                          b2=((1,), mixed(p.r2))),
+            InsertionSpec(a1=((0,) * (p.k1 - 1) + (-1,),), b1=((1,), (1,)),
                           a2=(mixed(p.k2),), b2=((2, 1),)),
             # a too-long partition beside the Koszul partition ...
             InsertionSpec(a1=((1,), too_long(p.k1)), b2=(too_long(p.r2),)),
@@ -459,8 +459,6 @@ class TestFactorSurvivors:
                     assert got == oracle_factor_survivors(p, factor, *raw, t), \
                         (ins, factor, t)
                     survived += len(got)
-                    # Weight objects in place of the entry tuples
-                    assert pipeline._factor_survivors(p, factor, *raw, t) == got
         assert survived
 
     def test_misordered_weight_raises(self):
@@ -541,6 +539,18 @@ class TestScans:
         assert e1_page(p, InsertionSpec(b1=((1, 1, 1),))).entries == {}
         assert e1_page(p, InsertionSpec(b1=((2, 1),))).entries
 
+    @pytest.mark.parametrize("w", [(1, 2), (3, 5, -1), (0, -2, -1)])
+    def test_misordered_inside_a_sign_block(self, w):
+        # as_weight alone checks the order inside each sign block
+        p = stromme(QuotSetup(2, 1, 1, m=3))
+        for check in (lambda: as_weight(w, len(w)),
+                      lambda: coh_bundle(GrSpec(1, len(w) + 1), (), (w,)),
+                      lambda: weight_dim(w, len(w)),
+                      lambda: e1_page(p, InsertionSpec(b1=(w,)))):
+            with pytest.raises(ValueError) as err:
+                check()
+            assert not isinstance(err.value, WeightLengthError)
+
     def test_jobs_determinism(self):
         setup = QuotSetup(3, 1, 1, m=1)
         ins = InsertionSpec(b1=((1,),))
@@ -550,7 +560,7 @@ class TestScans:
 
     def test_diagnostics_present(self):
         setup = QuotSetup(3, 1, 3, m=3)
-        page = e1_page(stromme(setup), InsertionSpec(b1=(Weight((0, 0, 0, 0, 0, -2)),)))
+        page = e1_page(stromme(setup), InsertionSpec(b1=((0, 0, 0, 0, 0, -2),)))
         assert page.entries == {(12, 13): 63, (11, 13): 72}
         assert page.contributions[(12, 13)][0][:2] == ((8, 2, 2), (6, 1, 1, 1, 1, 1, 1))
         assert page.contributions[(11, 13)][0][:2] == ((7, 2, 2), (6, 1, 1, 1, 1, 1))
@@ -567,13 +577,13 @@ class TestVerifiers:
 
     def test_thm41_part_i(self):
         setup = QuotSetup(3, 1, 1, m=1)
-        v = verify_thm41(setup, Weight((0, -1)), ())
+        v = verify_thm41(setup, (0, -1), ())
         assert v.hypotheses_hold and v.matches and v.report.is_zero()
 
     def test_thm41_vacuous_bookkeeping(self):
         # first-part hypothesis fails: delta_1 + nu_1 = 2 = n - r
         setup = QuotSetup(3, 1, 1, m=1)
-        v = verify_thm41(setup, Weight((0, -2)), ())
+        v = verify_thm41(setup, (0, -2), ())
         assert not v.hypotheses_hold and v.matches is None and v.ok
         assert v.notes
 
@@ -609,7 +619,7 @@ class TestVerifiers:
         assert v.matches and v.report.table == {0: 1}
         setup = QuotSetup(3, 1, 1, m=1)
         r1 = stromme(setup).r1
-        v = verify_prop47(setup, Weight((0,) * (r1 - 1) + (-1,)), ())
+        v = verify_prop47(setup, (0,) * (r1 - 1) + (-1,), ())
         assert v.matches
         top = v.report.max_degree()
         assert top is None or top <= 1
