@@ -1,19 +1,21 @@
 """Borel-Weil-Bott on a single Grassmannian, plus Kunneth combination.
 
-The core routine `_bwb` takes the entries of weights on the duals of the
-universal sub- and quotient bundles as one plain tuple, forms the
-rho-shifted vector, and reads the unique nonvanishing degree off the
-sorting permutation.  `bwb_dual_weights` validates its weights and calls
-it; `coh_bundle` is the bundle-side wrapper: weights on A and B
-themselves, validated once, tensor-expanded on entry tuples and converted
-to the dual convention before the sort.  `coh_duals` is its second
-half, for callers that hold the dual-convention summands already.
+The core routine `_bwb` takes the weights on the duals of the universal
+sub- and quotient bundles as two plain entry tuples, shifts each by its
+part of rho, and merges the two strictly decreasing blocks: a tie means
+vanishing, and the inversions counted during the merge (the length of
+the sorting permutation) give the unique nonvanishing degree.
+`bwb_dual_weights` validates its weights and calls it; `coh_bundle` is
+the bundle-side wrapper: weights on A and B themselves, validated once,
+tensor-expanded on entry tuples and converted to the dual convention
+before the merge.  `coh_duals` is its second half, for callers that hold
+the dual-convention summands already.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .partitions import WeightLengthError, as_weight, dual_entries, inversions, t_index
+from .partitions import WeightLengthError, as_weight, dual_entries, t_index
 from .schur import Entries, Expansion, schur_dim, tensor_expand_many
 
 CohomTable = dict[int, int]
@@ -55,23 +57,36 @@ class BwbOutcome:
     dim: int = 0
 
 
-def _bwb(n: int, dual: tuple[int, ...]) -> Optional[tuple[int, tuple[int, ...], int]]:
-    """BWB on a plain entry tuple: None, or (degree, gamma, dim).
+def _bwb(n: int, rho: Entries, chi: Entries) -> Optional[tuple[int, Entries, int]]:
+    """BWB on plain entry tuples: None, or (degree, gamma, dim).
 
-    `dual` is (rho, chi) concatenated, each part weakly decreasing, of
-    total length n.  omega = dual + (n-1, ..., 0); a repetition kills
-    everything, otherwise the inversion count of omega is the single
-    degree and the sorted-and-unshifted weight gamma gives the answer
+    rho (length k) and chi (length n - k) are weakly decreasing, so the
+    blocks of omega = (rho, chi) + (n-1, ..., 0) are each strictly
+    decreasing and sorting omega is one merge.  A tie between the blocks
+    kills everything; otherwise the degree is the number of inversions of
+    omega, counted as each chi entry passes the rho entries still pending,
+    and the sorted-and-unshifted weight gamma gives the answer
     S^gamma(C^n)^dual, of dimension dim.  gamma is weakly decreasing by
     construction, so it is never re-validated.
     """
-    omega = [x + (n - 1 - i) for i, x in enumerate(dual)]
-    if len(set(omega)) != n:
-        return None
-    gamma = tuple(x - (n - 1 - i) for i, x in enumerate(sorted(omega, reverse=True)))
+    k = len(rho)
+    top = [x + n - 1 - i for i, x in enumerate(rho)]
+    omega: list[int] = []
+    degree = i = 0
+    for j, x in enumerate(chi):
+        y = x + n - k - 1 - j
+        while i < k and top[i] > y:
+            omega.append(top[i])
+            i += 1
+        if i < k and top[i] == y:
+            return None
+        omega.append(y)
+        degree += k - i
+    omega += top[i:]
+    gamma = tuple(x - (n - 1 - p) for p, x in enumerate(omega))
     # a determinant twist keeps the dimension and makes gamma a partition
     low = gamma[-1] if gamma else 0
-    return inversions(omega), gamma, schur_dim(tuple(x - low for x in gamma), n)
+    return degree, gamma, schur_dim(tuple(x - low for x in gamma), n)
 
 
 def bwb_dual_weights(gr: GrSpec, rho: Sequence[int], chi: Sequence[int]) -> BwbOutcome:
@@ -79,7 +94,7 @@ def bwb_dual_weights(gr: GrSpec, rho: Sequence[int], chi: Sequence[int]) -> BwbO
 
     Validates rho and chi once (`as_weight`), then runs `_bwb`.
     """
-    hit = _bwb(gr.n, as_weight(rho, gr.k) + as_weight(chi, gr.quotient_rank))
+    hit = _bwb(gr.n, as_weight(rho, gr.k), as_weight(chi, gr.quotient_rank))
     if hit is None:
         return BwbOutcome(vanishes=True)
     degree, gamma, dim = hit
@@ -109,14 +124,16 @@ def dual_side(exp: Expansion) -> list[tuple[Entries, int]]:
 def coh_duals(n: int, rhos: list[tuple[Entries, int]],
               chis: list[tuple[Entries, int]]) -> CohomTable:
     """Total cohomology table on Gr(k, n) of the summands
-    m_rho m_chi S^rho(A^dual) x S^chi(B^dual), each run through `_bwb`.
+    m_rho m_chi S^rho(A^dual) x S^chi(B^dual), each pair of blocks merged
+    by `_bwb`.
 
-    Every term is positive, so every degree in the table is nonzero.
+    Every term is positive, so every degree in the table is nonzero, and
+    the table is empty exactly when every pair collides.
     """
     table: CohomTable = {}
     for rho, ma in rhos:
         for chi, mb in chis:
-            hit = _bwb(n, rho + chi)
+            hit = _bwb(n, rho, chi)
             if hit is not None:
                 degree, _, dim = hit
                 table[degree] = table.get(degree, 0) + ma * mb * dim

@@ -35,7 +35,7 @@ from .pipeline import (
     resolve_page,
     stromme,
 )
-from .schur import direct_sum_expand, schur_dim, schur_of_sum_copies, skew_dim, skew_expand
+from .schur import _skew_expand, direct_sum_expand, schur_dim, schur_of_sum_copies, skew_dim
 
 # A term key lists the partitions inserted on each of the four bundles.
 TermKey = tuple[tuple[Partition, ...], tuple[Partition, ...],
@@ -155,7 +155,7 @@ def _two_term_schur(lam: Partition, left: Sequence[Slot], right: Sequence[Slot],
         if not straight_exp:
             continue
         skew_exp: dict[TermKey, int] = {}
-        for beta, c in skew_expand(lam, nu).items():
+        for beta, c in _skew_expand(lam, nu).items():
             for k, m in _schur_of_slots(beta, skew_slots, ranks).items():
                 skew_exp[k] = skew_exp.get(k, 0) + c * m
         bucket = out.setdefault(deg, {})
@@ -234,7 +234,7 @@ def _terms_insert_theta(setup: QuotSetup, ranks, e: int, lam: Partition
         scalar = schur_dim(conjugate(nu), h1v)
         if not scalar:
             continue
-        for beta, c in skew_expand(lam, nu).items():
+        for beta, c in _skew_expand(lam, nu).items():
             inner = _two_term_schur(beta, (("a1", lm),), (("a2", rm),),
                                     (-1, 0), ranks)
             _accumulate(out, inner, scalar * c, size(nu))

@@ -41,10 +41,14 @@ def part(lam: Sequence[int], i: int) -> int:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram: result[j] = #{i : lam_i >= j+1}."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for x in lam if x >= j) for j in range(1, lam[0] + 1))
+    """Transpose of the Young diagram: result[j] = #{i : lam_i >= j+1}.
+
+    One walk up the rows: columns lam_{i+1}+1 .. lam_i have height i.
+    """
+    out: list[int] = []
+    for i in range(len(lam), 0, -1):
+        out += [i] * (lam[i - 1] - len(out))
+    return tuple(out)
 
 
 def contains(lam: Partition, nu: Partition) -> bool:
@@ -165,35 +169,6 @@ def subpartitions(lam: Partition, max_rows: Optional[int] = None) -> tuple[Parti
 
     rec([], 0)
     return tuple(sorted(set(out), reverse=True))
-
-
-def inversions(seq: Sequence[int]) -> int:
-    """Pairs i < j with seq[i] < seq[j]: the length of the permutation
-    sorting seq into strictly decreasing order.  Stable merge count."""
-    arr = list(seq)
-    if len(arr) < 2:
-        return 0
-
-    def count(a: list[int]) -> tuple[list[int], int]:
-        if len(a) <= 1:
-            return a, 0
-        mid = len(a) // 2
-        left, nl = count(a[:mid])
-        right, nr = count(a[mid:])
-        merged, n, i, j = [], nl + nr, 0, 0
-        while i < len(left) and j < len(right):
-            if left[i] >= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                n += len(left) - i
-                j += 1
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        return merged, n
-
-    return count(arr)[1]
 
 
 def format_parts(seq: Sequence[int]) -> str:

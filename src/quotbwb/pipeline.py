@@ -209,6 +209,55 @@ def _times(entries: Entries, product: Optional[Expansion]) -> Expansion:
     return {entries: 1} if product is None else tensor_entries({entries: 1}, product)
 
 
+def _window(product: Optional[Expansion]) -> tuple[int, int]:
+    """[lo, hi]: the least last entry and the greatest first entry over the
+    summands of a product of insertions; [0, 0] for no insertion (or a
+    rank-0 bundle, whose box has no row)."""
+    if not product or not next(iter(product)):
+        return 0, 0
+    return min(w[-1] for w in product), max(w[0] for w in product)
+
+
+def _dead_values(forbidden: set[int], lo: int, hi: int) -> frozenset[int]:
+    """The v whose whole window v + [lo, hi] lies in `forbidden`."""
+    return frozenset(f - lo for f in forbidden
+                     if all(f + e in forbidden for e in range(1, hi - lo + 1)))
+
+
+def _collision_free(rows: int, cols: int, total: int,
+                    dead: list[frozenset[int]]) -> list[Partition]:
+    """Partitions lam of `total` in the rows x cols box, in the descending
+    lex order of `partitions_in_box`, for which some set in `dead` misses
+    lam_i - i in every row i < rows, zero rows included.
+
+    Rows are chosen top down and a prefix is dropped as soon as each set
+    holds one of its values, so no box partition outside the result is
+    built.
+    """
+    out: list[Partition] = []
+    lam: list[int] = []
+
+    def rec(i: int, bound: int, remaining: int, alive: list[frozenset[int]]):
+        if not remaining:
+            # the rows from i on are zero
+            if any(all(-j not in d for j in range(i, rows)) for d in alive):
+                out.append(tuple(lam))
+            return
+        slots = rows - i
+        for x in range(min(bound, remaining), 0, -1):
+            if x * slots < remaining:
+                break
+            keep = [d for d in alive if x - i not in d]
+            if keep:
+                lam.append(x)
+                rec(i + 1, x, remaining - x, keep)
+                lam.pop()
+
+    if 0 <= total <= rows * cols:
+        rec(0, cols, total, dead)
+    return out
+
+
 def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
                       t: int) -> list[tuple[Partition, Partition, CohomTable]]:
     """Koszul partitions of the t-th term whose Grassmannian factor survives.
@@ -220,8 +269,28 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
     (`InsertionSpec.key()`), so insertions given as lists or tuples with
     the same entries share one memo entry.  The side without the Koszul
     partition is validated, expanded and dualized once per list, and the
-    insertions beside the partition are multiplied out once; each
-    partition is then one tensor with that product.
+    insertions beside the partition are multiplied out once (P; an empty
+    product, from a partition too long for its bundle, empties the list).
+
+    Only partitions that pass the BWB collision criterion are built
+    (`_collision_free`); each is then one tensor with P and one
+    `coh_duals` table, kept when nonempty.  The criterion, with 0-indexed
+    rows counting zero rows:
+      - factor 1 (Gr(k1, n1), q = r1): a constituent gamma of mu x P
+        against a chi-side summand chi ties in `_bwb` exactly when
+        gamma_i - i lies in F_chi = {1 + j - chi_j} for some row i;
+      - every constituent has gamma_i - mu_i in [lo, hi] (`_window`):
+        twisting a summand w of P by det^(-w_last) gives a partition beta,
+        and gamma = g + w_last for a constituent g of mu x beta; LR
+        containment gives g_i >= mu_i, and Weyl's inequality at j = 1
+        gives g_i <= mu_i + beta_1, so gamma_i - mu_i is in
+        [w_last, w_first];
+      - so if, for every chi, some row has all of mu_i - i + [lo, hi] in
+        F_chi, every term collides and the table is empty; mu is a
+        candidate only otherwise, and with no insertion beside mu
+        ([lo, hi] = [0, 0]) the criterion is exact;
+      - factor 2 (Gr(k2, n2)) is the same with F_rho = {rho_i + k2 - i}
+        and the window sigma_j - j + [-hi, -lo], P the product of b.
     """
     key = (params, factor, a, b, t)
     hit = _SURVIVOR_CACHE.get(key)
@@ -232,22 +301,28 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
         gr = params.gr1
         chis = dual_side(expand_side(b, gr.quotient_rank))
         product = expand_side(a, gr.k) if a else None
-        box = partitions_in_box(params.k1, 2 * params.r2, t) if chis else []
-        for mu in box:
-            rhos = dual_side(_times(mu + (0,) * (gr.k - len(mu)), product))
-            table = coh_duals(gr.n, rhos, chis)
-            if table:
-                out.append((mu, conjugate(mu), table))
+        if chis and product != {}:
+            lo, hi = _window(product)
+            dead = list({_dead_values({1 + j - x for j, x in enumerate(chi)}, lo, hi)
+                         for chi, _ in chis})
+            for mu in _collision_free(params.k1, 2 * params.r2, t, dead):
+                rhos = dual_side(_times(mu + (0,) * (gr.k - len(mu)), product))
+                table = coh_duals(gr.n, rhos, chis)
+                if table:
+                    out.append((mu, conjugate(mu), table))
     else:
         gr = params.gr2
         rhos = dual_side(expand_side(a, gr.k))
         product = expand_side(b, gr.quotient_rank) if b else None
-        box = partitions_in_box(params.r2, min(2 * params.k1, t), t) if rhos else []
-        for sigma in box:
-            dual = (0,) * (gr.quotient_rank - len(sigma)) + dual_entries(sigma)
-            table = coh_duals(gr.n, rhos, dual_side(_times(dual, product)))
-            if table:
-                out.append((sigma, conjugate(sigma), table))
+        if rhos and product != {}:
+            lo, hi = _window(product)
+            dead = list({_dead_values({x + gr.k - i for i, x in enumerate(rho)}, -hi, -lo)
+                         for rho, _ in rhos})
+            for sigma in _collision_free(params.r2, min(2 * params.k1, t), t, dead):
+                dual = (0,) * (gr.quotient_rank - len(sigma)) + dual_entries(sigma)
+                table = coh_duals(gr.n, rhos, dual_side(_times(dual, product)))
+                if table:
+                    out.append((sigma, conjugate(sigma), table))
     _SURVIVOR_CACHE[key] = out
     return out
 

@@ -139,6 +139,13 @@ def skew_expand(lam: Partition, nu: Partition, max_rows: Optional[int] = None
     lam, nu = partition(lam), partition(nu)
     if not contains(lam, nu):
         raise ValueError(f"{nu} is not contained in {lam}")
+    return _skew_expand(lam, nu, max_rows)
+
+
+def _skew_expand(lam: Partition, nu: Partition, max_rows: Optional[int] = None
+                 ) -> dict[Partition, int]:
+    """`skew_expand` for internal callers, which pass canonical partitions
+    with nu inside lam: nothing is re-checked."""
     key = _skew_key(lam, nu, max_rows)
     hit = _SKEW_CACHE.get(key)
     return hit if hit is not None else _skew_fill(key)
@@ -155,9 +162,10 @@ def lr_expand(alpha: Partition, beta: Partition, max_rows: Optional[int] = None
 
     Builds chains alpha = g0 < g1 < ... by adding horizontal strips of sizes
     beta_i subject to the lattice condition (the count of letter i in rows
-    <= r never exceeds the count of letter i-1 in rows <= r-1).
+    <= r never exceeds the count of letter i-1 in rows <= r-1).  alpha and
+    beta must be canonical partitions: every caller in the package passes
+    built ones, so nothing is re-checked.
     """
-    alpha, beta = partition(alpha), partition(beta)
     if max_rows is not None and max_rows >= len(alpha) + len(beta):
         max_rows = None
     key = (alpha, beta, max_rows)
@@ -355,7 +363,7 @@ def direct_sum_expand(gamma: Partition, max_rows: Optional[int] = None
     gamma = partition(gamma)
     out = []
     for alpha in subpartitions(gamma, max_rows):
-        exp = skew_expand(gamma, alpha, max_rows)
+        exp = _skew_expand(gamma, alpha, max_rows)
         for beta in sorted(exp, reverse=True):
             out.append((alpha, beta, exp[beta]))
     return out
@@ -432,7 +440,7 @@ def schur_of_sum_copies(beta: Partition, copies: int, max_rows: Optional[int] = 
         out = {}
         rest_cap = None if max_rows is None else max_rows * (copies - 1)
         for a in subpartitions(beta, max_rows):
-            for b, c in skew_expand(beta, a, rest_cap).items():
+            for b, c in _skew_expand(beta, a, rest_cap).items():
                 for theta1, m1 in schur_of_sum_copies(b, copies - 1,
                                                       max_rows).items():
                     for theta, m2 in lr_expand(a, theta1, max_rows).items():

@@ -2,7 +2,8 @@
 path evaluates.  The tests confirm each statement on exhaustive or random
 instances against the live code."""
 
-from quotbwb.partitions import as_weight, conjugate, inversions, part, partition, split_signs
+from oracles import inversions
+from quotbwb.partitions import as_weight, conjugate, part, partition, split_signs
 
 
 def durfee_rank(lam):

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lemmas import index_degree_bound
+from oracles import inversions
 from quotbwb.bwb import (
     BwbOutcome,
     GrSpec,
@@ -18,7 +19,6 @@ from quotbwb.partitions import (
     WeightLengthError,
     as_weight,
     dual_entries,
-    inversions,
     partition,
     partitions_in_box,
 )
@@ -172,11 +172,19 @@ class TestCore:
 class TestTupleKernel:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(bwb_cases())
+    # colliding blocks (a tie at the merge's first, middle and last step),
+    # then an empty block on either side and on both
+    @example((3, 5, (0, 0, 0), (3, 0)))
+    @example((3, 5, (0, 0, 0), (5, 3)))
+    @example((3, 5, (0, 0, 0), (5, 2)))
+    @example((0, 3, (), (4, 0, -2)))
+    @example((3, 3, (1, 1, -5), ()))
+    @example((0, 0, (), ()))
     def test_core_matches_weight_oracle(self, case):
         k, n, rho, chi = case
         gr = GrSpec(k, n)
         want = oracle_bwb(gr, rho, chi)
-        got = _bwb(n, rho + chi)
+        got = _bwb(n, rho, chi)
         assert (got is None) == want.vanishes
         if got is not None:
             degree, gamma, dim = got

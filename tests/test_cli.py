@@ -118,6 +118,17 @@ class TestBasicCommands:
                                             "--b1", "1", "--b2", "1"])
         assert payload["result"]["euler"] == "24"
 
+    def test_scan_too_long_beside_koszul_partition(self, capsys):
+        # (1, 1) does not fit on A1 of rank k1 = 1: the zero bundle, an
+        # empty page and exit 0
+        status, payload = run_json(capsys, ["scan", "--n", "2", "--r", "1",
+                                            "--d", "1", "--m", "2", "--a1", "1,1"])
+        assert status == 0
+        assert payload["result"] == {
+            "e1": {"entries": []},
+            "report": {"degenerate": True, "euler": "0", "exact": True,
+                       "notes": [], "table": {}}}
+
     def test_ext(self, capsys):
         status, payload = run_json(capsys, ["ext", "--n", "3", "--r", "1",
                                             "--d", "1", "--m", "2",

@@ -18,7 +18,7 @@ from quotbwb.complexes import (
     hyper_cohomology,
     sx_cohomology,
 )
-from quotbwb.partitions import conjugate, partition, partitions_in_box, size
+from quotbwb.partitions import conjugate, contains, partition, partitions_in_box, size
 from quotbwb.pipeline import (
     InsertionSpec,
     QuotReport,
@@ -285,6 +285,44 @@ def test_private_sites_get_canonical_partitions(monkeypatch):
         hyper_cohomology(setup, [(1, (1,), "sub"), (-1, (1, 1))])
         sx_cohomology(setup, [2, 1, 0])
     assert all(seen.values()), seen
+
+
+def test_unchecked_expansions_get_canonical_partitions(monkeypatch):
+    # every package caller of the unchecked skew and LR expansions hands
+    # them canonical partitions (nu inside lam for the skew), so neither
+    # re-validates; the check stays in `skew_expand` for outside input
+    from quotbwb import complexes, pipeline, schur
+    callers = set()
+
+    def watch(fn, skew):
+        def wrapped(lam, nu, max_rows=None):
+            for x in (lam, nu):
+                assert type(x) is tuple and partition(x) == x, (fn.__name__, x)
+            assert not skew or contains(lam, nu), (lam, nu)
+            callers.add(sys._getframe(1).f_code.co_name)
+            return fn(lam, nu, max_rows)
+
+        return wrapped
+
+    skew = watch(schur._skew_expand, True)
+    monkeypatch.setattr(schur, "_skew_expand", skew)
+    monkeypatch.setattr(complexes, "_skew_expand", skew)
+    monkeypatch.setattr(schur, "lr_expand", watch(schur.lr_expand, False))
+    for memo in ("_SUM_CACHE", "_SKEW_CACHE", "_LR_EXPAND_CACHE"):
+        monkeypatch.setattr(schur, memo, {})
+    monkeypatch.setattr(complexes, "_SCAN_CACHE", {})
+    monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
+    for setup in (QuotSetup(2, 1, 1, m=1), QuotSetup(2, 1, 1, (0, 1))):
+        for e in range(-2, 4):  # every regime of _terms_insert_theta
+            hyper_cohomology(setup, [(e, (2, 1))])
+        hyper_cohomology(setup, [(1, (1,), "sub"), (-1, (1, 1))])
+        sx_cohomology(setup, [2, 1, 0])
+    e1_page(stromme(QuotSetup(2, 1, 1, m=3)),
+            InsertionSpec(a1=((1,), (0, -1)), b1=((2, 1),), a2=((1,),), b2=((1,),)))
+    # skew_expand calls in after its own check (skew_dim's route)
+    assert callers == {"tensor_entries", "schur_of_sum_copies", "_two_term_schur",
+                       "direct_sum_expand", "_terms_insert_theta",
+                       "skew_expand"}, callers
 
 
 def _bounds(euler, lower, upper, exact=False):

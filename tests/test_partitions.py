@@ -1,16 +1,17 @@
 import random
 
 from itertools import product
+from math import comb
 
 import pytest
 
 from lemmas import abacus_check, durfee_rank, t_eta_indices
+from oracles import inversions
 from quotbwb.partitions import (
     as_weight,
     conjugate,
     dual_entries,
     format_parts,
-    inversions,
     parse_parts,
     partition,
     partitions_in_box,
@@ -59,6 +60,13 @@ class TestPartitionBasics:
             assert dag == conjugate_oracle(lam)
             assert conjugate(dag) == lam
             assert sum(dag) == sum(lam)
+
+    def test_conjugate_matches_column_counts(self):
+        # the row walk against the per-column count, on a whole box
+        box = partitions_in_box(6, 7)
+        assert () in box and len(box) == comb(13, 6)
+        for lam in box:
+            assert conjugate(lam) == conjugate_oracle(lam), lam
 
     def test_durfee(self):
         assert durfee_rank((5, 4, 2, 1)) == 2

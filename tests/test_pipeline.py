@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from quotbwb.partitions import (
     partitions_in_box,
     size,
     subpartitions,
+    t_index,
 )
 from quotbwb.pipeline import (
     InsertionSpec,
@@ -417,6 +419,57 @@ def oracle_factor_survivors(params, factor, a, b, t):
     return out
 
 
+@contextmanager
+def recorded_tables():
+    """Collects every table `pipeline._factor_survivors` asks `coh_duals`
+    for, one per candidate partition."""
+    real, tables = pipeline.coh_duals, []
+
+    def recorded(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    pipeline.coh_duals = recorded
+    try:
+        yield tables
+    finally:
+        pipeline.coh_duals = real
+
+
+# embeddings with n <= 3, d <= 2, m <= d + 2 and k1 * r2 <= 8, so that
+# every box is small; k1 = 0 among them
+SMALL_PARAMS = [p for p in (stromme(QuotSetup(n, r, d, m=m))
+                            for n in (2, 3) for r in range(1, n) for d in range(3)
+                            for m in range(max(d, 1), d + 3))
+                if p.k1 * p.r2 <= 8]
+
+
+@st.composite
+def survivor_cases(draw):
+    """(params, insertions): a small setup and zero to three weights in each
+    slot, each a partition (at times one row too long for its bundle), a
+    determinant power or an exact-length weight with mixed signs."""
+    p = draw(st.sampled_from(SMALL_PARAMS))
+
+    def slot(rank):
+        out = []
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["partition", "too long", "det", "mixed"]))
+            if kind == "det":
+                out.append((draw(st.integers(-2, 2)),) * rank)
+            elif kind == "mixed":
+                entries = draw(st.lists(st.integers(-2, 2), min_size=rank,
+                                        max_size=rank))
+                out.append(tuple(sorted(entries, reverse=True)))
+            else:
+                rows = rank + 1 if kind == "too long" else draw(st.integers(0, rank))
+                parts = draw(st.lists(st.integers(1, 2), min_size=rows, max_size=rows))
+                out.append(tuple(sorted(parts, reverse=True)))
+        return tuple(out)
+
+    return p, InsertionSpec(slot(p.k1), slot(p.r1), slot(p.k2), slot(p.r2))
+
+
 class TestFactorSurvivors:
     """Prebuilt side expansions against one coh_bundle per partition."""
 
@@ -460,6 +513,49 @@ class TestFactorSurvivors:
                         (ins, factor, t)
                     survived += len(got)
         assert survived
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(survivor_cases())
+    def test_generated_lists_match_oracle(self, case):
+        p, ins = case
+        pipeline._SURVIVOR_CACHE.clear()
+        a1, b1, a2, b2 = ins.key()
+        with recorded_tables() as tables:
+            for t in range(p.rank_k + 1):
+                for factor, a, b, raw in ((1, a1, b1, (ins.a1, ins.b1)),
+                                          (2, a2, b2, (ins.a2, ins.b2))):
+                    tables.clear()
+                    got = pipeline._factor_survivors(p, factor, a, b, t)
+                    assert got == oracle_factor_survivors(p, factor, *raw, t), \
+                        (ins, factor, t)
+                    # nothing beside the Koszul partition: the criterion is
+                    # exact, so every candidate gets a nonempty table
+                    beside = a if factor == 1 else b
+                    assert beside or all(tables), (ins, factor, t)
+
+    @pytest.mark.parametrize("setup", [QuotSetup(2, 1, 1, m=3),
+                                       QuotSetup(2, 1, 2, m=4),
+                                       QuotSetup(3, 1, 1, m=2),
+                                       QuotSetup(3, 2, 1, m=1)])
+    def test_no_insertion_is_the_index_criterion(self, setup):
+        # with nothing beside the Koszul partition the collision criterion
+        # is exact: every candidate gets a table, and the survivors are the
+        # box partitions with a t-index, each with its single degree
+        # (`bwb.index_nonvanish`)
+        p = stromme(setup)
+        pipeline._SURVIVOR_CACHE.clear()
+        with recorded_tables() as tables:
+            for t in range(p.rank_k + 1):
+                for factor, rows, cols, q in ((1, p.k1, 2 * p.r2, p.r1),
+                                              (2, p.r2, min(2 * p.k1, t), p.k2)):
+                    tables.clear()
+                    got = pipeline._factor_survivors(p, factor, (), (), t)
+                    assert all(tables), (factor, t)
+                    want = [lam for lam in partitions_in_box(rows, cols, t)
+                            if t_index(lam, q) is not None]
+                    assert [lam for lam, _, _ in got] == want, (factor, t)
+                    for lam, _, table in got:
+                        assert list(table) == [q * t_index(lam, q)], (factor, lam)
 
     def test_misordered_weight_raises(self):
         p = stromme(QuotSetup(2, 1, 1, m=3))
