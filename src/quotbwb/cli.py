@@ -67,9 +67,10 @@ def _split_arg(text: str, n: int) -> tuple[int, ...]:
 
 
 def _setup_from(args) -> QuotSetup:
+    # closed-form takes no --m: its setup gets the default twist b + d
     try:
         return QuotSetup(args.n, args.r, args.d, _split_arg(args.b, args.n),
-                         args.m)
+                         getattr(args, "m", None))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -146,6 +147,8 @@ def cmd_dim(args):
 
 
 def cmd_index(args):
+    if args.k < 0:
+        raise CliError(f"--k {args.k} is negative")
     chi = _weight_arg(args.chi)
     res = index_nonvanish(chi, args.k)
     if res is None:
@@ -222,9 +225,9 @@ def cmd_ext(args):
 
 
 def cmd_closed_form(args):
-    splitting = _split_arg(args.b, args.n)
+    setup = _setup_from(args)
     inserts = [(i.e, i.lam) for i in map(_insert_arg, args.insert or [])]
-    cf = closed_form_multi(args.n, args.r, args.d, splitting, inserts)
+    cf = closed_form_multi(setup.n, setup.r, setup.d, setup.splitting, inserts)
     return {"table": _table_json(cf.table),
             "hypotheses_hold": cf.hypotheses_hold,
             "degree": cf.degree}, 0

@@ -119,38 +119,6 @@ def t_index(chi: tuple[int, ...], t: int) -> Optional[int]:
     return found
 
 
-def partitions_in_box(rows: int, cols: int, total: Optional[int] = None) -> list[Partition]:
-    """All partitions with <= rows parts, each <= cols, in descending lex order.
-
-    With `total` given, only partitions of that size.  The order is fixed so
-    that parallel scans chunk the same list identically on every run.
-    """
-    if total is not None and (total < 0 or total > rows * cols):
-        return []
-    out: list[Partition] = []
-
-    def rec(prefix: list[int], bound: int, remaining: Optional[int]):
-        if remaining == 0 or len(prefix) == rows:
-            if remaining in (None, 0):
-                out.append(tuple(prefix))
-            return
-        if remaining is None:
-            out.append(tuple(prefix))
-        top = min(bound, cols)
-        if remaining is not None:
-            top = min(top, remaining)
-        slots = rows - len(prefix)
-        for x in range(top, 0, -1):
-            if remaining is not None and x * slots < remaining:
-                break
-            prefix.append(x)
-            rec(prefix, x, None if remaining is None else remaining - x)
-            prefix.pop()
-
-    rec([], cols, total)
-    return out
-
-
 @cache
 def subpartitions(lam: Partition, max_rows: Optional[int] = None) -> tuple[Partition, ...]:
     """All partitions contained in lam (optionally with a row cap)."""

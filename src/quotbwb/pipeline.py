@@ -23,7 +23,6 @@ from .partitions import (
     conjugate,
     dual_entries,
     partition,
-    partitions_in_box,
     size,
     split_signs,
     subpartitions,
@@ -187,10 +186,11 @@ def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
     """
     if not 0 <= t <= params.rank_k:
         raise ValueError(f"t = {t} outside [0, {params.rank_k}]")
+    keep_all = [frozenset()]
     sigmas = [(sigma, conjugate(sigma))
-              for sigma in partitions_in_box(params.r2, min(2 * params.k1, t), t)]
+              for sigma in _collision_free(params.r2, min(2 * params.k1, t), t, keep_all)]
     terms = []
-    for mu in partitions_in_box(params.k1, 2 * params.r2, t):
+    for mu in _collision_free(params.k1, 2 * params.r2, t, keep_all):
         theta = conjugate(mu)
         for sigma, sigma_dag in sigmas:
             mult = _pair_mult(params, mu, theta, sigma, sigma_dag)
@@ -226,9 +226,11 @@ def _dead_values(forbidden: set[int], lo: int, hi: int) -> frozenset[int]:
 
 def _collision_free(rows: int, cols: int, total: int,
                     dead: list[frozenset[int]]) -> list[Partition]:
-    """Partitions lam of `total` in the rows x cols box, in the descending
-    lex order of `partitions_in_box`, for which some set in `dead` misses
-    lam_i - i in every row i < rows, zero rows included.
+    """Partitions lam of `total` in the rows x cols box, in descending lex
+    order, for which some set in `dead` misses lam_i - i in every row
+    i < rows, zero rows included; with dead = [frozenset()], every such
+    partition.  The order is fixed, so parallel scans chunk the same list
+    identically on every run.
 
     Rows are chosen top down and a prefix is dropped as soon as each set
     holds one of its values, so no box partition outside the result is

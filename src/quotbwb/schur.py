@@ -1,14 +1,16 @@
 """Exact Schur-functor dimensions and Littlewood-Richardson expansions.
 
-Everything is arbitrary-precision integer arithmetic.  LR coefficients are
-counted by depth-first enumeration of column-strict skew fillings whose
-reverse reading word is a lattice word; Horn, Weyl, size, containment
-and dominance predicates serve only as pruning filters (positivity never
-comes from a saturation shortcut).  Memo tables are keyed on canonical
-tuples and grow unboundedly.
+Everything is arbitrary-precision integer arithmetic.  One engine counts
+LR coefficients: `_skew_fill` enumerates the column-strict fillings of a
+skew shape whose reverse reading word is a lattice word.  A product
+s_alpha s_beta is the skew shape of the disjoint union alpha * beta, and
+c^gamma_{alpha,beta} is a coefficient of gamma/alpha, so `lr_expand` and
+`lr` read the same memo.  Size, containment, Weyl and dominance
+predicates serve only to skip terms that are provably zero (positivity
+never comes from a filter).  Memo tables are keyed on canonical tuples
+and grow unboundedly.
 """
 
-from dataclasses import dataclass
 from operator import sub
 from typing import Optional, Sequence
 
@@ -25,7 +27,6 @@ from .partitions import (
     subpartitions,
 )
 
-_LR_CACHE: dict[tuple[Partition, Partition, Partition], int] = {}
 _SKEW_CACHE: dict[tuple[Partition, Partition, Optional[int]], dict[Partition, int]] = {}
 _LR_EXPAND_CACHE: dict[tuple[Partition, Partition, Optional[int]], dict[Partition, int]] = {}
 _SUM_CACHE: dict[tuple[Partition, int, Optional[int]], dict[Partition, int]] = {}
@@ -158,99 +159,27 @@ def skew_dim(lam: Partition, nu: Partition, n: int) -> int:
 
 def lr_expand(alpha: Partition, beta: Partition, max_rows: Optional[int] = None
               ) -> dict[Partition, int]:
-    """Tensor-product expansion {gamma: c^gamma_{alpha, beta}}.
+    """Tensor-product expansion {gamma: c^gamma_{alpha, beta}}, gamma with
+    at most `max_rows` rows.
 
-    Builds chains alpha = g0 < g1 < ... by adding horizontal strips of sizes
-    beta_i subject to the lattice condition (the count of letter i in rows
-    <= r never exceeds the count of letter i-1 in rows <= r-1).  alpha and
-    beta must be canonical partitions: every caller in the package passes
-    built ones, so nothing is re-checked.
+    s_alpha s_beta is the skew Schur function of the disjoint union
+    alpha * beta (I. G. Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. I, section 5): lam/nu with lam = (alpha_i + beta_1)_i
+    followed by beta and nu = (beta_1)^len(alpha).  The row cap is the
+    skew filler's letter cap, since gamma has one row per letter.
+    alpha and beta must be canonical partitions: every caller in the
+    package passes built ones, so nothing is re-checked.
     """
     if max_rows is not None and max_rows >= len(alpha) + len(beta):
         max_rows = None
     key = (alpha, beta, max_rows)
     hit = _LR_EXPAND_CACHE.get(key)
-    if hit is not None:
-        return hit
-    rowcap = max_rows if max_rows is not None else len(alpha) + len(beta)
-    out: dict[Partition, int] = {}
-
-    def add_letter(shape: tuple[int, ...], prev_cum: Optional[tuple[int, ...]],
-                   letter: int):
-        if letter > len(beta):
-            # horizontal strips keep shape weakly decreasing
-            gam = tuple(x for x in shape if x)
-            out[gam] = out.get(gam, 0) + 1
-            return
-        b = beta[letter - 1]
-        nrows = min(rowcap, len(shape) + 1)
-        srows = [0] * nrows
-
-        def place(r: int, placed: int):
-            if placed == b:
-                new = tuple((shape[i] if i < len(shape) else 0) + srows[i]
-                            for i in range(nrows))
-                cum, tot = [], 0
-                for i in range(nrows):
-                    tot += srows[i]
-                    cum.append(tot)
-                add_letter(new, tuple(cum), letter + 1)
-                return
-            if r > nrows:
-                return
-            old = shape[r - 1] if r - 1 < len(shape) else 0
-            hi = b - placed
-            if r >= 2:
-                above_old = shape[r - 2] if r - 2 < len(shape) else 0
-                hi = min(hi, above_old - old)
-            if prev_cum is not None:
-                allowed = (prev_cum[r - 2] if r >= 2 else 0) - placed
-                hi = min(hi, allowed)
-            for s in range(hi, -1, -1):
-                srows[r - 1] = s
-                place(r + 1, placed + s)
-            srows[r - 1] = 0
-
-        place(1, 0)
-
-    add_letter(alpha, None, 1)
-    out = {g: m for g, m in out.items() if max_rows is None or len(g) <= max_rows}
-    _LR_EXPAND_CACHE[key] = out
-    return out
-
-
-@dataclass(frozen=True)
-class HornRecord:
-    size: bool
-    weyl: bool
-    dominance1: bool
-    dominance2: bool
-
-    def all_hold(self) -> bool:
-        return self.size and self.weyl and self.dominance1 and self.dominance2
-
-
-def _prefix(seq, s: int) -> int:
-    return sum(seq[:s])
-
-
-def horn_predicates(alpha, beta, gamma) -> HornRecord:
-    """Necessary conditions for c^gamma_{alpha, beta} != 0.
-
-    size: |alpha| + |beta| = |gamma|; weyl: alpha_i + beta_j >= gamma_{i+j-1};
-    dominance1: partial sums of gamma bounded by those of alpha + beta;
-    dominance2: partial sums of alpha and beta bounded by double-width sums
-    of gamma.
-    """
-    a, b, g = partition(alpha), partition(beta), partition(gamma)
-    ok_size = sum(a) + sum(b) == sum(g)
-    ok_weyl = all(part(a, i) + part(b, j) >= g[i + j - 2]
-                  for i in range(1, len(g) + 1) for j in range(1, len(g) + 2 - i))
-    top = max(len(a), len(b), len(g)) + 1
-    ok_dom1 = all(_prefix(g, s) <= _prefix(a, s) + _prefix(b, s) for s in range(1, top))
-    ok_dom2 = all(_prefix(a, t) + _prefix(b, t) <= _prefix(g, 2 * t)
-                  for t in range(1, top))
-    return HornRecord(ok_size, ok_weyl, ok_dom1, ok_dom2)
+    if hit is None:
+        width = part(beta, 1)
+        lam = tuple(x + width for x in alpha) + beta
+        nu = (width,) * len(alpha) if width else ()
+        hit = _LR_EXPAND_CACHE[key] = _skew_expand(lam, nu, max_rows)
+    return hit
 
 
 def _within_double(lam: Partition, kappa: Partition) -> bool:
@@ -305,52 +234,12 @@ def koszul_pair_possible(theta: Partition, theta_dag: Partition,
 
 
 def lr(alpha: Partition, beta: Partition, gamma: Partition) -> int:
-    """The Littlewood-Richardson coefficient c^gamma_{alpha, beta}.
-
-    Fast zero paths (size, containment, Horn) then a direct count of
-    lattice-word fillings of gamma/alpha with content beta, memoized on
-    the swap-canonical key.
-    """
+    """The Littlewood-Richardson coefficient c^gamma_{alpha, beta}: the
+    multiplicity of s_beta in the skew expansion of gamma/alpha."""
     alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
-    if alpha > beta:
-        alpha, beta = beta, alpha
-    if size(alpha) + size(beta) != size(gamma):
+    if size(alpha) + size(beta) != size(gamma) or not contains(gamma, alpha):
         return 0
-    if not contains(gamma, alpha) or not contains(gamma, beta):
-        return 0
-    if not horn_predicates(alpha, beta, gamma).all_hold():
-        return 0
-    key = (alpha, beta, gamma)
-    hit = _LR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    cells = _skew_cells(gamma, alpha)
-    counts = [0] * (len(beta) + 2)
-    grid: dict[tuple[int, int], int] = {}
-    total = 0
-
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        n = 0
-        r, c = cells[idx]
-        above = grid.get((r - 1, c), 0)
-        right = grid.get((r, c + 1), len(beta) + 1) if c + 1 <= gamma[r - 1] else len(beta) + 1
-        for x in range(above + 1, min(r, len(beta), right) + 1):
-            if counts[x] >= beta[x - 1]:
-                continue
-            if x > 1 and counts[x] >= counts[x - 1]:
-                continue
-            counts[x] += 1
-            grid[(r, c)] = x
-            n += fill(idx + 1)
-            counts[x] -= 1
-        grid.pop((r, c), None)
-        return n
-
-    total = fill(0)
-    _LR_CACHE[key] = total
-    return total
+    return _skew_expand(gamma, alpha, len(beta)).get(beta, 0)
 
 
 def direct_sum_expand(gamma: Partition, max_rows: Optional[int] = None
@@ -383,8 +272,8 @@ def tensor_entries(left: Expansion, right: Expansion) -> Expansion:
     exact length (validated by the caller; nothing here re-checks).  Each
     pair of summands is twisted by determinant powers until both are
     partitions, LR-expanded with at most `length` rows (longer products
-    vanish for GL_length), and twisted back.  Left summands are the LR
-    base, right summands the added strips.
+    vanish for GL_length), and twisted back.  Left summands are
+    `lr_expand`'s alpha, right summands its beta.
     """
     rights = [(_untwist(rho), m1) for rho, m1 in right.items()]
     out: Expansion = {}
@@ -403,7 +292,7 @@ def product_entries(weights: Sequence[Entries], length: int) -> Expansion:
     """Product of validated exact-length weights (empty product = trivial).
 
     The fold starts from the first weight itself, so each partial product
-    is the LR base and the next weight supplies the strips.
+    is `lr_expand`'s alpha and the next weight its beta.
     """
     if not weights:
         return {(0,) * length: 1}

@@ -1,6 +1,9 @@
-"""Index and inequality checkers for lemmas of the paper that no pipeline
-path evaluates.  The tests confirm each statement on exhaustive or random
-instances against the live code."""
+"""Index and inequality checkers for lemmas of the paper, and the Horn
+predicates of LR coefficients, that no pipeline path evaluates.  The
+tests confirm each statement on exhaustive or random instances against
+the live code."""
+
+from dataclasses import dataclass
 
 from oracles import inversions
 from quotbwb.partitions import as_weight, conjugate, part, partition, split_signs
@@ -86,3 +89,37 @@ def lemma45_check(sigma, lam, chi, s):
     lhs = sum(part(sdag, j) for j in range(1, s + 1)) - sum(partition(lam))
     rhs = sum(sum(1 for x in chi if x >= j) for j in range(1, s + 1))
     return lhs <= rhs
+
+
+@dataclass(frozen=True)
+class HornRecord:
+    size: bool
+    weyl: bool
+    dominance1: bool
+    dominance2: bool
+
+    def all_hold(self) -> bool:
+        return self.size and self.weyl and self.dominance1 and self.dominance2
+
+
+def _prefix(seq, s: int) -> int:
+    return sum(seq[:s])
+
+
+def horn_predicates(alpha, beta, gamma) -> HornRecord:
+    """Necessary conditions for c^gamma_{alpha, beta} != 0.
+
+    size: |alpha| + |beta| = |gamma|; weyl: alpha_i + beta_j >= gamma_{i+j-1};
+    dominance1: partial sums of gamma bounded by those of alpha + beta;
+    dominance2: partial sums of alpha and beta bounded by double-width sums
+    of gamma.
+    """
+    a, b, g = partition(alpha), partition(beta), partition(gamma)
+    ok_size = sum(a) + sum(b) == sum(g)
+    ok_weyl = all(part(a, i) + part(b, j) >= g[i + j - 2]
+                  for i in range(1, len(g) + 1) for j in range(1, len(g) + 2 - i))
+    top = max(len(a), len(b), len(g)) + 1
+    ok_dom1 = all(_prefix(g, s) <= _prefix(a, s) + _prefix(b, s) for s in range(1, top))
+    ok_dom2 = all(_prefix(a, t) + _prefix(b, t) <= _prefix(g, 2 * t)
+                  for t in range(1, top))
+    return HornRecord(ok_size, ok_weyl, ok_dom1, ok_dom2)

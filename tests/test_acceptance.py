@@ -7,10 +7,12 @@ import random
 import time
 from math import comb
 
+from lemmas import horn_predicates
+from oracles import partitions_in_box
 from quotbwb.bwb import GrSpec, bwb_dual_weights, coh_bundle, index_nonvanish
 from quotbwb.cli import run as cli_run
 from quotbwb.complexes import hyper_cohomology, sx_cohomology
-from quotbwb.partitions import as_weight, conjugate, partition, partitions_in_box
+from quotbwb.partitions import as_weight, conjugate, partition
 from quotbwb.pipeline import (
     InsertionSpec,
     QuotSetup,
@@ -22,7 +24,7 @@ from quotbwb.pipeline import (
     stromme,
     verify_thm41,
 )
-from quotbwb.schur import horn_predicates, lr, lr_expand, schur_dim
+from quotbwb.schur import lr, lr_expand, schur_dim
 
 
 def report(num, text):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lemmas import index_degree_bound
-from oracles import inversions
+from oracles import inversions, partitions_in_box
 from quotbwb.bwb import (
     BwbOutcome,
     GrSpec,
@@ -20,7 +20,6 @@ from quotbwb.partitions import (
     as_weight,
     dual_entries,
     partition,
-    partitions_in_box,
 )
 from quotbwb.schur import schur_dim, tensor_expand_many, weight_dim
 

@@ -210,6 +210,25 @@ class TestValidationAndExitCodes:
         assert run(["stromme", "--n", "2", "--r", "1", "--d", "2",
                     "--m", "1"]) == 1
 
+    def test_negative_index_k(self, capsys):
+        # a negative k is bad input, not an internal contradiction (exit 3)
+        # nor a degree (exit 0)
+        for chi, k in (("1,1", "-5"), ("2,-1", "-1")):
+            assert run(["index", "--chi", chi, "--k", k]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --k {k} is negative\n"
+            assert captured.out == ""
+
+    def test_closed_form_setup_checked(self, capsys):
+        # the setup passes through QuotSetup, as for hyper
+        for setup in (["--n", "2", "--r", "5", "--d", "1"],
+                      ["--n", "2", "--r", "1", "--d", "1", "--b", "1,0,3"]):
+            for command in ("closed-form", "hyper"):
+                assert run([command, *setup, "--insert", "1:1"]) == 1, \
+                    (command, setup)
+                captured = capsys.readouterr()
+                assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_verify_pass_and_vacuous(self, capsys):
         status, payload = run_json(capsys, ["verify", "thm41", "--n", "2",
                                             "--r", "1", "--d", "1", "--m", "2",

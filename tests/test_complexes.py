@@ -10,6 +10,7 @@ import pytest
 
 import quotbwb
 
+from oracles import partitions_in_box
 from quotbwb.complexes import (
     HyperInsert,
     _intersect,
@@ -18,7 +19,7 @@ from quotbwb.complexes import (
     hyper_cohomology,
     sx_cohomology,
 )
-from quotbwb.partitions import conjugate, contains, partition, partitions_in_box, size
+from quotbwb.partitions import conjugate, contains, partition, size
 from quotbwb.pipeline import (
     InsertionSpec,
     QuotReport,
@@ -322,7 +323,7 @@ def test_unchecked_expansions_get_canonical_partitions(monkeypatch):
     # skew_expand calls in after its own check (skew_dim's route)
     assert callers == {"tensor_entries", "schur_of_sum_copies", "_two_term_schur",
                        "direct_sum_expand", "_terms_insert_theta",
-                       "skew_expand"}, callers
+                       "skew_expand", "lr_expand"}, callers
 
 
 def _bounds(euler, lower, upper, exact=False):

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from lemmas import abacus_check, durfee_rank, t_eta_indices
-from oracles import inversions
+from oracles import inversions, partitions_in_box
 from quotbwb.partitions import (
     as_weight,
     conjugate,
@@ -14,7 +14,6 @@ from quotbwb.partitions import (
     format_parts,
     parse_parts,
     partition,
-    partitions_in_box,
     split_signs,
     subpartitions,
     t_index,

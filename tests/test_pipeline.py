@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import partitions_in_box
 from quotbwb import pipeline, schur
 from quotbwb.bwb import GrSpec, coh_bundle
 from quotbwb.partitions import (
@@ -15,7 +16,6 @@ from quotbwb.partitions import (
     dual_entries,
     part,
     partition,
-    partitions_in_box,
     size,
     subpartitions,
     t_index,
@@ -187,6 +187,15 @@ class TestKoszul:
         p = stromme(QuotSetup(2, 1, 1, m=1))
         with pytest.raises(ValueError):
             koszul_terms(p, 1)
+
+    def test_box_generator_is_partitions_in_box(self):
+        # koszul_terms enumerates its boxes through the collision generator
+        # with nothing dead: every partition of t in the box, in order
+        for rows in range(7):
+            for cols in range(8):
+                for t in range(-1, rows * cols + 2):
+                    got = pipeline._collision_free(rows, cols, t, [frozenset()])
+                    assert got == partitions_in_box(rows, cols, t), (rows, cols, t)
 
     def test_pair_route_matches_expansion_route(self):
         # the oracle expands through subpartition/skew/LR chains; the pair

@@ -6,18 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lemmas import lemma45_check
+from lemmas import horn_predicates, lemma45_check
+from oracles import partitions_in_box, strip_lr_expand
 from quotbwb.partitions import (
     WeightLengthError,
     as_weight,
     conjugate,
     part,
     partition,
-    partitions_in_box,
+    subpartitions,
 )
 from quotbwb.schur import (
     direct_sum_expand,
-    horn_predicates,
     koszul_pair_mult,
     lr,
     lr_expand,
@@ -268,6 +268,7 @@ class TestLR:
         assert lr_expand((3, 1), ()) == {(3, 1): 1}
 
     def test_lr_expand_matches_lr(self):
+        # both routes of the skew engine against the strip-chain oracle
         rng = random.Random(19)
         for _ in range(60):
             alpha = partition(sorted((rng.randrange(0, 4) for _ in range(3)),
@@ -275,10 +276,25 @@ class TestLR:
             beta = partition(sorted((rng.randrange(0, 4) for _ in range(3)),
                                     reverse=True))
             exp = lr_expand(alpha, beta)
+            assert exp == strip_lr_expand(alpha, beta), (alpha, beta)
             for gamma, c in exp.items():
                 assert lr(alpha, beta, gamma) == c
             assert sum(c * schur_dim(g, 4) for g, c in exp.items()) == \
                 schur_dim(alpha, 4) * schur_dim(beta, 4)
+
+    def test_lr_expand_row_caps_exhaustive(self):
+        # every cap from 1 to len(alpha) + len(beta), caps below len(alpha)
+        # included: there no gamma fits, since gamma contains alpha
+        assert lr_expand((1, 1), (1,), max_rows=1) == {}
+        box = [lam for t in range(10) for lam in partitions_in_box(3, 3, t)]
+        cases = 0
+        for alpha in box:
+            for beta in box:
+                for cap in range(1, len(alpha) + len(beta) + 1):
+                    assert lr_expand(alpha, beta, cap) == \
+                        strip_lr_expand(alpha, beta, cap), (alpha, beta, cap)
+                    cases += 1
+        assert cases == 1800
 
     def test_tensor_dimension_conservation(self):
         rng = random.Random(23)
@@ -304,12 +320,14 @@ class TestSkewAndSums:
             skew_expand((2, 1), (1, 1, 1))
 
     def test_skew_is_lr(self):
+        # every beta of the right size, zeros included, against brute force
         for lam in small_partitions(6):
-            from quotbwb.partitions import subpartitions
             for nu in subpartitions(lam):
                 exp = skew_expand(lam, nu)
-                for beta, c in exp.items():
-                    assert c == lr(nu, beta, lam), (lam, nu, beta)
+                rest = sum(lam) - sum(nu)
+                for beta in partitions_in_box(rest, rest, rest):
+                    assert exp.get(beta, 0) == naive_lr(nu, beta, lam), \
+                        (lam, nu, beta)
 
     def test_direct_sum_examples(self):
         assert direct_sum_expand((1,)) == [((1,), (), 1), ((), (1,), 1)]
