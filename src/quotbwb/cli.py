@@ -67,10 +67,9 @@ def _split_arg(text: str, n: int) -> tuple[int, ...]:
 
 
 def _setup_from(args) -> QuotSetup:
-    # closed-form takes no --m: its setup gets the default twist b + d
     try:
         return QuotSetup(args.n, args.r, args.d, _split_arg(args.b, args.n),
-                         getattr(args, "m", None))
+                         args.m)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -433,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--b", default="")
     s.add_argument("--insert", action="append", metavar="E:PARTS")
+    s.set_defaults(m=None)
 
     s = add_parser("hyper", help="hypercohomology of Schur insertions")
     _add_setup_args(s)

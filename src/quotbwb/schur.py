@@ -237,7 +237,9 @@ def lr(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     """The Littlewood-Richardson coefficient c^gamma_{alpha, beta}: the
     multiplicity of s_beta in the skew expansion of gamma/alpha."""
     alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
-    if size(alpha) + size(beta) != size(gamma) or not contains(gamma, alpha):
+    if size(alpha) + size(beta) != size(gamma):
+        return 0
+    if not contains(gamma, alpha) or not contains(gamma, beta):
         return 0
     return _skew_expand(gamma, alpha, len(beta)).get(beta, 0)
 

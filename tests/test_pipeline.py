@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import partitions_in_box
+from oracles import partitions_in_box, strip_lr_expand
 from quotbwb import pipeline, schur
 from quotbwb.bwb import GrSpec, coh_bundle
 from quotbwb.partitions import (
@@ -40,8 +40,6 @@ from quotbwb.schur import (
     _pair_alphas,
     koszul_pair_mult,
     koszul_pair_possible,
-    lr,
-    lr_expand,
     schur_dim,
     skew_expand,
     weight_dim,
@@ -59,7 +57,7 @@ def koszul_sigma_expansion(mu, r2):
     out = {}
     for alpha in subpartitions(theta, r2):
         for beta, c1 in skew_expand(theta, alpha, r2).items():
-            for sigma, c2 in lr_expand(alpha, beta, r2).items():
+            for sigma, c2 in strip_lr_expand(alpha, beta, r2).items():
                 out[sigma] = out.get(sigma, 0) + c1 * c2
     return out
 
@@ -265,7 +263,7 @@ class TestPairPrefilter:
         theta, theta_dag = conjugate(mu), mu
         for alpha in subpartitions(theta, p.r2):
             for beta in skew_expand(theta, alpha, p.r2):
-                for sigma in lr_expand(alpha, beta, p.r2):
+                for sigma in strip_lr_expand(alpha, beta, p.r2):
                     assert _intervals_meet(theta, theta_dag, sigma,
                                            conjugate(sigma), alpha), \
                         (setup, mu, sigma, alpha)
@@ -335,13 +333,17 @@ class TestSkewMemoKey:
     @staticmethod
     def lr_pair_mult(theta, sigma, max_rows):
         # sum over alpha, beta (at most max_rows rows each) of
-        # c^theta_{alpha,beta} c^sigma_{alpha,beta}, by `lr`, which keeps no
-        # skew memo
+        # c^theta_{alpha,beta} c^sigma_{alpha,beta}, by the strip-chain
+        # oracle, which shares no memo with the skew filler
         meet = tuple(min(a, b) for a, b in zip(theta, sigma))
         subs = subpartitions(meet, max_rows)
-        return sum(lr(alpha, beta, theta) * lr(alpha, beta, sigma)
-                   for alpha in subs for beta in subs
-                   if size(alpha) + size(beta) == size(theta))
+        total = 0
+        for alpha in subs:
+            for beta in subs:
+                if size(alpha) + size(beta) == size(theta):
+                    exp = strip_lr_expand(alpha, beta)
+                    total += exp.get(theta, 0) * exp.get(sigma, 0)
+        return total
 
     def test_cold_and_warm_memo_agree(self):
         cold = []
