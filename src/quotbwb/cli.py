@@ -5,7 +5,9 @@ Exit status 0 on success, 1 on usage and validation errors, 2 when a
 the computation contradicts itself (an `ArithmeticError`, such as
 `InconsistencyError`, escapes the command).  All
 dimensions are serialized as decimal strings; payloads are deterministic
-(sorted keys, worker count excluded from the config echo).
+(sorted keys).  `--jobs N`, N >= 1, is accepted for existing command
+lines but selects nothing and is not echoed: `pipeline.e1_page` starts a
+process pool only when its own pair count pays for one.
 """
 
 import argparse
@@ -142,6 +144,8 @@ def cmd_lr(args):
 
 
 def cmd_dim(args):
+    if args.n < 0:
+        raise CliError(f"--n {args.n} is negative")
     return {"dim": _s(weight_dim(_weight_arg(args.weight), args.n))}, 0
 
 
@@ -204,14 +208,14 @@ def _insertion_spec(args) -> InsertionSpec:
 
 def cmd_scan(args):
     p = stromme(_setup_from(args))
-    page = e1_page(p, _insertion_spec(args), jobs=args.jobs)
+    page = e1_page(p, _insertion_spec(args))
     report = assemble(page)
     return {"e1": _page_json(page), "report": _report_json(report)}, 0
 
 
 def cmd_euler(args):
     p = stromme(_setup_from(args))
-    page = e1_page(p, _insertion_spec(args), jobs=args.jobs)
+    page = e1_page(p, _insertion_spec(args))
     return {"euler": _s(page.euler())}, 0
 
 
@@ -235,7 +239,7 @@ def cmd_closed_form(args):
 def cmd_hyper(args):
     setup = _setup_from(args)
     inserts = [_insert_arg(x) for x in args.insert or []]
-    report = hyper_cohomology(setup, inserts, jobs=args.jobs)
+    report = hyper_cohomology(setup, inserts)
     return {"report": _report_json(report)}, 0
 
 
@@ -278,12 +282,12 @@ def cmd_verify(args):
         return _sweep_verdicts(
             args, setup,
             lambda s: verify_thm41(s, _weight_arg(args.eta or ""),
-                                   _weight_arg(args.rho or ""), jobs=args.jobs))
+                                   _weight_arg(args.rho or "")))
     if args.statement == "prop47":
         return _sweep_verdicts(
             args, setup,
             lambda s: verify_prop47(s, _weight_arg(args.eta or ""),
-                                    _weight_arg(args.rho or ""), jobs=args.jobs))
+                                    _weight_arg(args.rho or "")))
     if args.statement == "ext":
         nu, lam = _partition_arg(args.nu or ""), _partition_arg(args.lam or "")
         res = ext_table(setup, nu, lam)
@@ -302,14 +306,14 @@ def cmd_verify(args):
     if args.statement == "cor14":
         cf = closed_form_multi(setup.n, setup.r, setup.d, setup.splitting,
                                [(i.e, i.lam) for i in inserts])
-        report = hyper_cohomology(setup, inserts, jobs=args.jobs)
+        report = hyper_cohomology(setup, inserts)
         ok = not cf.hypotheses_hold or (report.exact and report.table == cf.table)
         return {"closed_form": _table_json(cf.table),
                 "hypotheses_hold": cf.hypotheses_hold,
                 "report": _report_json(report)}, 0 if ok else 2
     if args.statement == "thm57":
         hyp = all(i.e >= setup.d + setup.b for i in inserts)
-        report = hyper_cohomology(setup, inserts, jobs=args.jobs)
+        report = hyper_cohomology(setup, inserts)
         top = report.max_degree()
         ok = not hyp or top is None or top <= 0
         return {"hypotheses_hold": hyp,
@@ -318,7 +322,7 @@ def cmd_verify(args):
         lam = _partition_arg(args.lam or "")
         bound = (setup.n * setup.d + setup.r * setup.b + setup.n)
         hyp = 0 != sum(lam) * (setup.n - setup.r) < bound
-        report = sx_cohomology(setup, lam, jobs=args.jobs)
+        report = sx_cohomology(setup, lam)
         ok = not hyp or report.is_zero()
         return {"hypotheses_hold": hyp,
                 "report": _report_json(report)}, 0 if ok else 2
@@ -340,7 +344,7 @@ def cmd_examples(args):
     if args.which == "sharp":
         setup = QuotSetup(2, 1, 2, m=5)
         ins = InsertionSpec(b1=((1, 1, 1, 1, 1, 1),))
-        page = e1_page(stromme(setup), ins, jobs=args.jobs)
+        page = e1_page(stromme(setup), ins)
         report = assemble(page)
         ok = (page.entries == SHARP_EXPECT["entries"]
               and report.exact and report.table == SHARP_EXPECT["table"])
@@ -349,7 +353,7 @@ def cmd_examples(args):
         return payload, 0 if ok else 2
     setup = QuotSetup(3, 1, 3, m=3)
     ins = InsertionSpec(b1=((0, 0, 0, 0, 0, -2),))
-    page = e1_page(stromme(setup), ins, jobs=args.jobs)
+    page = e1_page(stromme(setup), ins)
     report = assemble(page)
     ok = (page.entries == SYM2_EXPECT["entries"]
           and not report.exact
@@ -382,7 +386,8 @@ def _add_insertion_args(sub):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and reused by `run`."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--jobs", type=int, default=1,
+                        help="accepted for existing command lines; selects nothing")
     common.add_argument("--output", default=None, help="write the report here")
     common.add_argument("--format", choices=("json", "table"), default="json")
 
@@ -508,6 +513,8 @@ def run(argv) -> int:
         return 1
     started = time.monotonic()
     try:
+        if args.jobs < 1:
+            raise CliError(f"--jobs {args.jobs} is below 1")
         result, status = COMMANDS[args.command](args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

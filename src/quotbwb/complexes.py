@@ -258,24 +258,24 @@ class HyperInsert:
 _SCAN_CACHE: dict[tuple[QuotSetup, TermKey], QuotReport] = {}
 
 
-def _term_report(setup: QuotSetup, key: TermKey, jobs: int = 1) -> QuotReport:
+def _term_report(setup: QuotSetup, key: TermKey) -> QuotReport:
     ck = (setup, key)
     hit = _SCAN_CACHE.get(ck)
     if hit is None:
         ins = InsertionSpec(a1=key[0], b1=key[1], a2=key[2], b2=key[3])
-        hit = assemble(e1_page(stromme(setup), ins, jobs=jobs))
+        hit = assemble(e1_page(stromme(setup), ins))
         _SCAN_CACHE[ck] = hit
     return hit
 
 
-def _totalize(setup: QuotSetup, formal: FormalTerms, jobs: int = 1) -> QuotReport:
+def _totalize(setup: QuotSetup, formal: FormalTerms) -> QuotReport:
     """Outer spectral page over the total complex of scanned term tables."""
     cells: dict[tuple[int, int], int] = {}
     soft = False
     reports = []
     for d, terms in formal.items():
         for k, m in terms.items():
-            rep = _term_report(setup, k, jobs)
+            rep = _term_report(setup, k)
             reports.append((d, m, rep))
             if not rep.exact:
                 soft = True
@@ -340,7 +340,7 @@ def _insert_norm(inserts) -> list[HyperInsert]:
     return out
 
 
-def hyper_cohomology(setup: QuotSetup, inserts, jobs: int = 1) -> QuotReport:
+def hyper_cohomology(setup: QuotSetup, inserts) -> QuotReport:
     """Cohomology table of a tensor product of Schur insertions.
 
     Evaluated along the consecutive-twist route and, when available, the
@@ -369,15 +369,15 @@ def hyper_cohomology(setup: QuotSetup, inserts, jobs: int = 1) -> QuotReport:
         total_t = _tensor_terms(total_t, f)
     if total_t is not None:
         routes.append(total_t)
-    reports = [_totalize(setup, f, jobs) for f in routes]
+    reports = [_totalize(setup, f) for f in routes]
     return _intersect(reports)
 
 
-def sx_cohomology(setup: QuotSetup, lam: Partition, jobs: int = 1) -> QuotReport:
+def sx_cohomology(setup: QuotSetup, lam: Partition) -> QuotReport:
     """Cohomology of a Schur functor of the sub bundle restricted to a fiber,
     through the resolution by the two consecutive sub-side bundles."""
     ranks = _ranks(stromme(setup))
     formal = _two_term_schur(partition(lam), (("a1", 1),), (("a2", 1),),
                              (-1, 0), ranks)
-    return _totalize(setup, formal, jobs)
+    return _totalize(setup, formal)
 

@@ -8,7 +8,7 @@ provably zero or forced (nonnegativity pinning, Euler pinning), otherwise
 per-degree bounds are reported.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -161,19 +161,6 @@ class KoszulTerm:
     mult: int
 
 
-def _pair_mult(params: StrommeParams, mu: Partition, theta: Partition,
-               sigma: Partition, sigma_dag: Partition) -> int:
-    """Multiplicity of (mu, sigma) in the Koszul term, theta = mu^dag.
-
-    `koszul_pair_possible` (Dvir's Kronecker-support bounds, Y. Dvir,
-    J. Algebra 154, 1993, and meet dominance; necessary conditions proven
-    in its docstring) skips the LR-expensive `koszul_pair_mult`.
-    """
-    if not koszul_pair_possible(theta, mu, sigma, sigma_dag):
-        return 0
-    return koszul_pair_mult(theta, sigma, params.r2)
-
-
 def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
     """Summands (mu, sigma, mult) of the t-th exterior power of K^dual.
 
@@ -193,9 +180,10 @@ def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
     for mu in _collision_free(params.k1, 2 * params.r2, t, keep_all):
         theta = conjugate(mu)
         for sigma, sigma_dag in sigmas:
-            mult = _pair_mult(params, mu, theta, sigma, sigma_dag)
-            if mult:
-                terms.append(KoszulTerm(t, mu, sigma, mult))
+            if koszul_pair_possible(theta, mu, sigma, sigma_dag):
+                mult = koszul_pair_mult(theta, sigma, params.r2)
+                if mult:
+                    terms.append(KoszulTerm(t, mu, sigma, mult))
     return terms
 
 
@@ -229,8 +217,8 @@ def _collision_free(rows: int, cols: int, total: int,
     """Partitions lam of `total` in the rows x cols box, in descending lex
     order, for which some set in `dead` misses lam_i - i in every row
     i < rows, zero rows included; with dead = [frozenset()], every such
-    partition.  The order is fixed, so parallel scans chunk the same list
-    identically on every run.
+    partition.  The order is fixed, so a page lists its pairs, and
+    `contributions` their terms, in the same order on every run.
 
     Rows are chosen top down and a prefix is dropped as soon as each set
     holds one of its values, so no box partition outside the result is
@@ -329,30 +317,35 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
     return out
 
 
-def _scan_pairs(params: StrommeParams, ins: InsertionSpec, t_range) -> list:
-    """E1 contributions (t, q, value, mu, sigma, mult) for t in the range.
+def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
+    """Candidate pairs (t, mu, theta, f1, sigma, f2) of the page, ordered by
+    t, then mu, then sigma, with f1 and f2 the factor tables.
 
     Both Grassmannian factors are evaluated first, through the memoized
-    survivor lists (the sigma list only when some mu survives); the pair
-    multiplicity (`_pair_mult`) is computed only when neither factor
-    vanishes.
+    survivor lists (the sigma list only when some mu survives).  A pair of
+    survivors is a candidate when it passes `koszul_pair_possible` (Dvir's
+    Kronecker-support bounds, Y. Dvir, J. Algebra 154, 1993, and meet
+    dominance; necessary conditions proven in its docstring), which skips
+    the LR-expensive `koszul_pair_mult`.
     """
     a1, b1, a2, b2 = ins.key()
-    lo, hi = t_range
     out = []
-    for t in range(lo, hi + 1):
+    for t in range(params.rank_k + 1):
         firsts = _factor_survivors(params, 1, a1, b1, t)
         if not firsts:
             continue
         seconds = _factor_survivors(params, 2, a2, b2, t)
-        for mu, theta, f1 in firsts:
-            for sigma, sigma_dag, f2 in seconds:
-                mult = _pair_mult(params, mu, theta, sigma, sigma_dag)
-                if not mult:
-                    continue
-                for q, v in sorted(kunneth(f1, f2).items()):
-                    out.append((t, q, mult * v, mu, sigma, mult))
+        out.extend((t, mu, theta, f1, sigma, f2)
+                   for mu, theta, f1 in firsts
+                   for sigma, sigma_dag, f2 in seconds
+                   if koszul_pair_possible(theta, mu, sigma, sigma_dag))
     return out
+
+
+# A page starts a process pool only when each worker gets at least this
+# many candidate pairs: on two CPUs every bench page (at most 251 pairs)
+# is slower with two workers, the m=7 scan of (2, 1, 2) (1054) faster.
+_PAIRS_PER_WORKER = 500
 
 
 @dataclass
@@ -367,36 +360,38 @@ class E1Page:
         return sum(parity_sign(q - t) * v for (t, q), v in self.entries.items())
 
 
-def _worker(args):
-    params, ins_key, t_range = args
-    return _scan_pairs(params, InsertionSpec(*ins_key), t_range)
-
-
-def e1_page(params: StrommeParams, ins: InsertionSpec = EMPTY_INSERTION,
-            t_range: Optional[tuple[int, int]] = None, jobs: int = 1) -> E1Page:
+def e1_page(params: StrommeParams, ins: InsertionSpec = EMPTY_INSERTION) -> E1Page:
     """First page of the Koszul spectral sequence for the given insertions.
 
     E1[t, q] = H^q of (insertions) x (t-th Koszul term), contributing to
-    total degree q - t.  The t-range splits across a process pool when
-    jobs > 1; partial pages merge by addition, so the result is identical
-    for any worker count.
+    total degree q - t.  One serial pass lists the candidate pairs; their
+    multiplicities are computed in this process unless the list gives at
+    least two of the usable CPUs `_PAIRS_PER_WORKER` pairs each.  Then each
+    worker of a process pool computes one contiguous slice of the list,
+    all of one size but the last, in order: the page is the same either way.
     """
-    lo, hi = t_range if t_range is not None else (0, params.rank_k)
-    lo, hi = max(lo, 0), min(hi, params.rank_k)
-    if jobs > 1 and hi > lo:
-        cuts = [lo + (hi + 1 - lo) * i // jobs for i in range(jobs + 1)]
-        ranges = [(cuts[i], cuts[i + 1] - 1) for i in range(jobs)
-                  if cuts[i + 1] > cuts[i]]
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            chunks = list(pool.map(_worker, [(params, ins.key(), r) for r in ranges]))
-        rows = [row for chunk in chunks for row in chunk]
+    pairs = _candidate_pairs(params, ins)
+    args = ([p[2] for p in pairs], [p[4] for p in pairs], [params.r2] * len(pairs))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, len(pairs) // _PAIRS_PER_WORKER)
+    if workers < 2:
+        mults = list(map(koszul_pair_mult, *args))
     else:
-        rows = _scan_pairs(params, ins, (lo, hi))
+        # imported here: a process that starts no pool skips the import
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            mults = list(pool.map(koszul_pair_mult, *args,
+                                  chunksize=-(-len(pairs) // workers)))
     entries: dict[tuple[int, int], int] = {}
     contribs: dict[tuple[int, int], list] = {}
-    for t, q, val, mu, sigma, mult in rows:
-        entries[(t, q)] = entries.get((t, q), 0) + val
-        contribs.setdefault((t, q), []).append((mu, sigma, mult, val))
+    for (t, mu, _, f1, sigma, f2), mult in zip(pairs, mults):
+        if not mult:
+            continue
+        for q, v in sorted(kunneth(f1, f2).items()):
+            entries[(t, q)] = entries.get((t, q), 0) + mult * v
+            contribs.setdefault((t, q), []).append((mu, sigma, mult, mult * v))
     entries = {k: v for k, v in entries.items() if v}
     return E1Page(params, entries, {k: contribs[k] for k in entries})
 
@@ -567,8 +562,7 @@ class Verdict:
         return self.matches is None or self.matches
 
 
-def verify_thm41(setup: QuotSetup, eta: Sequence[int], rho: Sequence[int],
-                 jobs: int = 1) -> Verdict:
+def verify_thm41(setup: QuotSetup, eta: Sequence[int], rho: Sequence[int]) -> Verdict:
     """Two-insertion vanishing / global-sections statement.
 
     eta rides the first quotient bundle (length r1), rho the second
@@ -586,7 +580,7 @@ def verify_thm41(setup: QuotSetup, eta: Sequence[int], rho: Sequence[int],
         < n * d + r * b + n
     hyp_first = (nu[0] if nu else 0) + (delta[0] if delta else 0) < n - r
     hyp = hyp_size and hyp_first
-    report = assemble(e1_page(params, InsertionSpec(b1=(we,), b2=(wr,)), jobs=jobs))
+    report = assemble(e1_page(params, InsertionSpec(b1=(we,), b2=(wr,))))
     if delta or nu:
         statement = "mixed-sign insertions have no cohomology"
         expected: dict[int, int] = {}
@@ -601,15 +595,14 @@ def verify_thm41(setup: QuotSetup, eta: Sequence[int], rho: Sequence[int],
     return Verdict(statement, hyp, matches, expected, report, notes)
 
 
-def verify_prop47(setup: QuotSetup, eta: Sequence[int], rho: Sequence[int],
-                  jobs: int = 1) -> Verdict:
+def verify_prop47(setup: QuotSetup, eta: Sequence[int], rho: Sequence[int]) -> Verdict:
     """Degree-concentration bound: nothing above |delta| + |nu|."""
     params = stromme(setup)
     we, wr = as_weight(eta, params.r1), as_weight(rho, params.r2)
     _, delta = split_signs(we)
     _, nu = split_signs(wr)
     bound = size(delta) + size(nu)
-    report = assemble(e1_page(params, InsertionSpec(b1=(we,), b2=(wr,)), jobs=jobs))
+    report = assemble(e1_page(params, InsertionSpec(b1=(we,), b2=(wr,))))
     top = report.max_degree()
     matches = top is None or top <= bound
     return Verdict(f"no cohomology above degree {bound}", True, matches,

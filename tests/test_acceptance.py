@@ -45,7 +45,7 @@ SYM2_SETUP = QuotSetup(3, 1, 3, m=3)
 def test_criterion_1_sharpness_example():
     started = time.monotonic()
     params = stromme(SHARP_SETUP)
-    page = e1_page(params, InsertionSpec(b1=((1, 1, 1, 1, 1, 1),)), jobs=4)
+    page = e1_page(params, InsertionSpec(b1=((1, 1, 1, 1, 1, 1),)))
     assert page.entries == {(0, 0): 210, (24, 23): 28}
     rep = assemble(page)
     assert rep.exact and rep.table == {0: 182}
@@ -59,7 +59,7 @@ def test_criterion_1_sharpness_example():
 def test_criterion_2_sym2_example():
     started = time.monotonic()
     params = stromme(SYM2_SETUP)
-    page = e1_page(params, InsertionSpec(b1=((0, 0, 0, 0, 0, -2),)), jobs=4)
+    page = e1_page(params, InsertionSpec(b1=((0, 0, 0, 0, 0, -2),)))
     assert page.entries == {(12, 13): 63, (11, 13): 72}
     assert [(mu, sg, mult) for mu, sg, mult, _ in page.contributions[(12, 13)]] \
         == [((8, 2, 2), (6, 1, 1, 1, 1, 1, 1), 7)]

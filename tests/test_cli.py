@@ -219,6 +219,21 @@ class TestValidationAndExitCodes:
             assert captured.err == f"error: --k {k} is negative\n"
             assert captured.out == ""
 
+    def test_negative_counts_are_bad_input(self, capsys):
+        # --jobs selects nothing, but a count below 1 is still bad input
+        for argv, message in (
+                (["scan", "--n", "2", "--r", "1", "--d", "1", "--m", "3",
+                  "--jobs", "-2"], "--jobs -2 is below 1"),
+                (["lr", "--alpha", "1", "--beta", "1", "--gamma", "2",
+                  "--jobs", "0"], "--jobs 0 is below 1"),
+                (["dim", "--weight", "1", "--n", "-3"], "--n -3 is negative")):
+            assert run(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+        status, payload = run_json(capsys, ["dim", "--weight", "1", "--n", "0"])
+        assert status == 0 and payload["result"]["dim"] == "0"
+
     def test_closed_form_setup_checked(self, capsys):
         # the setup passes through QuotSetup, as for hyper
         for setup in (["--n", "2", "--r", "5", "--d", "1"],

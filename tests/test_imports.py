@@ -1,7 +1,7 @@
 """Static checks of the package sources: every module-level import is used
-(`__init__` re-exports), every module-level definition is read by the
-package itself, and no invariant hides in an `assert`, which `python -O`
-strips."""
+(`__init__` re-exports), no module loads the process-pool machinery at
+import, every module-level definition is read by the package itself, and
+no invariant hides in an `assert`, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -36,6 +36,39 @@ def test_checker_sees_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+POOL_PACKAGES = ("concurrent", "multiprocessing")
+
+
+def pool_imports(source: str) -> list[str]:
+    """Modules of POOL_PACKAGES imported at module level.  Such an import
+    costs every process that imports the package, pool or not."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out += [f"{name} (line {node.lineno})" for name in names
+                if name.split(".")[0] in POOL_PACKAGES]
+    return out
+
+
+def test_checker_sees_pool_imports():
+    source = ("import os, multiprocessing.pool\n"
+              "from concurrent.futures import ProcessPoolExecutor\n"
+              "from . import concurrent\n"
+              "def f():\n    import multiprocessing\n")
+    assert pool_imports(source) == ["multiprocessing.pool (line 1)",
+                                    "concurrent.futures (line 2)"]
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_no_module_level_pool_import(module):
+    assert pool_imports((PACKAGE / module).read_text()) == []
 
 
 def bare_asserts(source: str) -> list[int]:

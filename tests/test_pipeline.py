@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 from contextlib import contextmanager
 from math import comb
@@ -374,8 +376,8 @@ class TestSurvivorMemo:
         return InsertionSpec(b1=((1,) + (0,) * (p.r1 - 2) + (-1,),), a2=((1,),))
 
     @staticmethod
-    def _page(p, ins, jobs=1):
-        page = e1_page(p, ins, jobs=jobs)
+    def _page(p, ins):
+        page = e1_page(p, ins)
         return page.entries, page.contributions
 
     @pytest.mark.parametrize("setup", SETUPS)
@@ -404,12 +406,53 @@ class TestSurvivorMemo:
         assert self._page(p, as_lists) == cold[-1]
         assert len(pipeline._SURVIVOR_CACHE) == held
 
-    @pytest.mark.parametrize("setup", SETUPS)
-    def test_jobs_under_warm_memo(self, setup):
+
+class TestPool:
+    """`e1_page` starts a process pool from its own pair count alone, and
+    the pool gives the in-process page."""
+
+    SHARP = (QuotSetup(2, 1, 2, m=5), InsertionSpec(b1=((1,) * 6,)))
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+    def test_pool_path_matches_in_process(self, monkeypatch):
+        warm = stromme(TestSurvivorMemo.SETUPS[1])
+        pages = [(stromme(self.SHARP[0]), self.SHARP[1]),
+                 (warm, TestSurvivorMemo._target(warm))]
+        pipeline._SURVIVOR_CACHE.clear()
+        serial = [TestSurvivorMemo._page(*page) for page in pages]
+        started = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                started.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        monkeypatch.setattr(pipeline, "_PAIRS_PER_WORKER", 1)
+        self._cpus(monkeypatch, 2)
+        # the second page on the survivor lists its serial run left, then
+        # the sharp page on a cold memo
+        assert TestSurvivorMemo._page(*pages[1]) == serial[1]
+        pipeline._SURVIVOR_CACHE.clear()
+        assert TestSurvivorMemo._page(*pages[0]) == serial[0]
+        assert started == [2, 2]
+
+    def test_page_below_the_cut_starts_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a page below the cut started a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        self._cpus(monkeypatch, 64)
+        # the largest page the bench builds: the thm41 sweep at m = 5
+        setup = QuotSetup(2, 1, 1, m=5)
         p = stromme(setup)
-        target = self._target(p)
-        one = self._page(p, target)
-        assert self._page(p, target, jobs=2) == one
+        ins = InsertionSpec(b1=(as_weight((1,), p.r1),), b2=(as_weight((1,), p.r2),))
+        assert len(pipeline._candidate_pairs(p, ins)) == 251
+        assert verify_thm41(setup, (1,), (1,)).matches
 
 
 def oracle_factor_survivors(params, factor, a, b, t):
@@ -657,13 +700,6 @@ class TestScans:
             with pytest.raises(ValueError) as err:
                 check()
             assert not isinstance(err.value, WeightLengthError)
-
-    def test_jobs_determinism(self):
-        setup = QuotSetup(3, 1, 1, m=1)
-        ins = InsertionSpec(b1=((1,),))
-        p1 = e1_page(stromme(setup), ins, jobs=1)
-        p2 = e1_page(stromme(setup), ins, jobs=2)
-        assert p1.entries == p2.entries
 
     def test_diagnostics_present(self):
         setup = QuotSetup(3, 1, 3, m=3)
