@@ -366,6 +366,33 @@ class TestSkewMemoKey:
             assert koszul_pair_mult(*pair) == expected, pair
 
 
+def _set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """`force_pool(cpus)` makes `e1_page` split any page of two or more
+    candidate pairs over up to `cpus` spawned workers, one pair per worker
+    at the least; it returns the list of the worker counts of the pools
+    started since."""
+    started = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            started.append(workers)
+            super().__init__(workers, **kwargs)
+
+    def force(cpus=2):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        monkeypatch.setattr(pipeline, "_PAIRS_PER_WORKER", 1)
+        _set_cpus(monkeypatch, cpus)
+        return started
+
+    return force
+
+
 class TestSurvivorMemo:
     """Pages must not depend on what the factor-survivor memo already holds."""
 
@@ -406,6 +433,16 @@ class TestSurvivorMemo:
         assert self._page(p, as_lists) == cold[-1]
         assert len(pipeline._SURVIVOR_CACHE) == held
 
+    @pytest.mark.parametrize("setup", SETUPS)
+    def test_jobs_under_warm_memo(self, setup, force_pool):
+        p = stromme(setup)
+        target = self._target(p)
+        one = self._page(p, target)
+        # the workers start with empty memos; the parent's stays warm
+        started = force_pool()
+        assert self._page(p, target) == one
+        assert started == [2]
+
 
 class TestPool:
     """`e1_page` starts a process pool from its own pair count alone, and
@@ -413,40 +450,21 @@ class TestPool:
 
     SHARP = (QuotSetup(2, 1, 2, m=5), InsertionSpec(b1=((1,) * 6,)))
 
-    @staticmethod
-    def _cpus(monkeypatch, count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
-
-    def test_pool_path_matches_in_process(self, monkeypatch):
-        warm = stromme(TestSurvivorMemo.SETUPS[1])
-        pages = [(stromme(self.SHARP[0]), self.SHARP[1]),
-                 (warm, TestSurvivorMemo._target(warm))]
+    def test_pool_path_matches_in_process(self, force_pool):
+        p, ins = stromme(self.SHARP[0]), self.SHARP[1]
         pipeline._SURVIVOR_CACHE.clear()
-        serial = [TestSurvivorMemo._page(*page) for page in pages]
-        started = []
-
-        class Recorded(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, workers, **kwargs):
-                started.append(workers)
-                super().__init__(workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-        monkeypatch.setattr(pipeline, "_PAIRS_PER_WORKER", 1)
-        self._cpus(monkeypatch, 2)
-        # the second page on the survivor lists its serial run left, then
-        # the sharp page on a cold memo
-        assert TestSurvivorMemo._page(*pages[1]) == serial[1]
+        serial = TestSurvivorMemo._page(p, ins)
+        started = force_pool()
         pipeline._SURVIVOR_CACHE.clear()
-        assert TestSurvivorMemo._page(*pages[0]) == serial[0]
-        assert started == [2, 2]
+        assert TestSurvivorMemo._page(p, ins) == serial
+        assert started == [2]
 
     def test_page_below_the_cut_starts_no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a page below the cut started a pool")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        self._cpus(monkeypatch, 64)
+        _set_cpus(monkeypatch, 64)
         # the largest page the bench builds: the thm41 sweep at m = 5
         setup = QuotSetup(2, 1, 1, m=5)
         p = stromme(setup)
@@ -700,6 +718,20 @@ class TestScans:
             with pytest.raises(ValueError) as err:
                 check()
             assert not isinstance(err.value, WeightLengthError)
+
+    def test_jobs_determinism(self, force_pool):
+        # 34 candidate pairs: in-process, then over two and three workers
+        setup = QuotSetup(3, 1, 1, m=3)
+        ins = InsertionSpec(b1=((1,),))
+        pages = [e1_page(stromme(setup), ins)]
+        started = force_pool(2)
+        pages.append(e1_page(stromme(setup), ins))
+        force_pool(3)
+        pages.append(e1_page(stromme(setup), ins))
+        assert started == [2, 3]
+        for page in pages[1:]:
+            assert page.entries == pages[0].entries
+            assert page.contributions == pages[0].contributions
 
     def test_diagnostics_present(self):
         setup = QuotSetup(3, 1, 3, m=3)
