@@ -344,8 +344,9 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
 
 # A page starts a process pool only when each worker gets at least this
 # many candidate pairs: on two CPUs every bench page (at most 251 pairs)
-# is slower with two workers, the m=7 scan of (2, 1, 2) (1054) faster.
-_PAIRS_PER_WORKER = 500
+# and the m=7 scan of (2, 1, 2) (1054) are no faster with two workers,
+# its m=8 scan (9738) is.
+_PAIRS_PER_WORKER = 2000
 
 
 @dataclass

@@ -340,9 +340,10 @@ def schur_of_sum_copies(beta: Partition, copies: int, max_rows: Optional[int] = 
     return out
 
 
-def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int
-                 ) -> list[Partition]:
-    """The alpha of `koszul_pair_mult`'s sum that pass its size and Weyl cuts.
+def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int,
+                 least: int = 0, most: Optional[int] = None) -> list[Partition]:
+    """The alpha of `koszul_pair_mult`'s sum with least <= |alpha| <= most
+    (None: no upper bound) that pass its size and Weyl cuts.
 
     With kappa = theta ^ sigma and rows = min(max_rows, len(kappa)), lists
     (in descending-lex order) every partition alpha inside kappa with at
@@ -354,21 +355,24 @@ def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int
     """
     meet = tuple(min(a, b) for a, b in zip(theta, sigma))
     rows = min(max_rows, len(meet))
-    least = size(theta) - size(meet)
+    least = max(least, size(theta) - size(meet))
+    most = size(meet) if most is None else most
     width = part(meet, 1)
     low = [0] * max(len(theta), len(sigma))
     for lam in (theta, sigma):
         for j, x in enumerate(lam):
             low[j] = max(low[j], x - width, part(lam, j + 1 + rows))
-    if any(low[rows:]):
+    if any(low[rows:]) or least > most:
         return []
     high = meet[:rows]
+    rest = [sum(low[j:rows]) for j in range(rows + 1)]  # least rows j.. add
     alpha: list[int] = []
     out: list[Partition] = []
 
     def rec(j: int, bound: int, total: int):
         if j < rows:
-            for x in range(min(bound, high[j]), max(low[j], 1) - 1, -1):
+            top = min(bound, high[j], most - total - rest[j + 1])
+            for x in range(top, max(low[j], 1) - 1, -1):
                 # rows past j add at most min(x, high[i]) each; stop once
                 # least is out of reach (smaller x reach less)
                 if total + x + sum(min(x, h) for h in high[j + 1:]) < least:
@@ -446,24 +450,46 @@ def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
         rows(sigma/alpha) <= cols(theta/alpha)^dag.
     The memo goes first because the cut costs more than a lookup, and on
     pair-dense lists most terms are nonzero and memoized.
+
+    Levels.  Let n = |theta| and P_j the terms with |beta| = j; swapping
+    alpha and beta gives P_j = P_{n-j}.  Under a moot cap (at least
+    len(kappa) rows) P_j is the q^j coefficient of <s_theta[X + qX],
+    s_sigma(X)>, and s_lam[XY] = sum g(lam,mu,nu) s_mu(X) s_nu(Y)
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.7) at
+    Y = (1, q) makes that sum_nu g(theta,sigma,nu) s_nu(1,q), nu with at
+    most 2 rows.  Each s_nu(1,q) = q^nu_2 + ... + q^nu_1 holds
+    q^floor(n/2), and g >= 0: the sum is nonzero exactly when
+    P_floor(n/2), the level |alpha| = ceil(n/2), is, so that level goes
+    first.  The total is twice the levels |alpha| > n/2, plus the level
+    n/2 once for even n.  A binding cap sums every level: its middle
+    level is not proven to decide.
     """
     theta, sigma = partition(theta), partition(sigma)
-    if size(theta) != size(sigma):
+    n = size(theta)
+    if size(sigma) != n:
         return 0
     rows = min(max_rows, len(theta), len(sigma))
     theta_dag, sigma_dag = conjugate(theta), conjugate(sigma)
-    total = 0
-    for alpha in _pair_alphas(theta, sigma, max_rows):
-        k1, k2 = _skew_key(theta, alpha, rows), _skew_key(sigma, alpha, rows)
-        e1, e2 = _SKEW_CACHE.get(k1), _SKEW_CACHE.get(k2)
-        if e1 is None or e2 is None:
-            if not _intervals_meet(theta, theta_dag, sigma, sigma_dag, alpha):
-                continue
-            if e1 is None:
-                e1 = _skew_fill(k1)
-            if e2 is None:
-                e2 = _skew_fill(k2)
-        if len(e2) < len(e1):
-            e1, e2 = e2, e1
-        total += sum(m * e2.get(b, 0) for b, m in e1.items())
-    return total
+
+    def level(least: int, most: int) -> int:
+        total = 0
+        for alpha in _pair_alphas(theta, sigma, max_rows, least, most):
+            k1, k2 = _skew_key(theta, alpha, rows), _skew_key(sigma, alpha, rows)
+            e1, e2 = _SKEW_CACHE.get(k1), _SKEW_CACHE.get(k2)
+            if e1 is None or e2 is None:
+                if not _intervals_meet(theta, theta_dag, sigma, sigma_dag, alpha):
+                    continue
+                if e1 is None:
+                    e1 = _skew_fill(k1)
+                if e2 is None:
+                    e2 = _skew_fill(k2)
+            if len(e2) < len(e1):
+                e1, e2 = e2, e1
+            total += sum(m * e2.get(b, 0) for b, m in e1.items())
+        return total
+
+    if rows < min(len(theta), len(sigma)):
+        return level(0, n)
+    half = (n + 1) // 2
+    mid = level(half, half)
+    return mid and (1 + n % 2) * mid + 2 * level(half + 1, n)

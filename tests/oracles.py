@@ -1,7 +1,13 @@
 """Independent reference routines that the package no longer needs, kept
 as oracles for the tests."""
 
+from functools import lru_cache
+from math import factorial
 from typing import Optional, Sequence
+
+from quotbwb.partitions import conjugate, size
+from quotbwb.schur import (_SKEW_CACHE, _intervals_meet, _pair_alphas,
+                           _skew_fill, _skew_key)
 
 
 def inversions(seq: Sequence[int]) -> int:
@@ -114,3 +120,76 @@ def strip_lr_expand(alpha, beta, max_rows: Optional[int] = None) -> dict:
 
     add_letter(tuple(alpha), None, 1)
     return {g: m for g, m in out.items() if max_rows is None or len(g) <= max_rows}
+
+
+def graded_pair_mult(theta, sigma, max_rows: int) -> list:
+    """[P_0, ..., P_n]: the Koszul pair sum of `schur.koszul_pair_mult`
+    split by |beta| = j, n = |theta| = |sigma|.
+
+    The full pair loop, with no middle-level decision: the same generated
+    alpha, memo-first order and dominance cut, each term added to the
+    level of its beta.
+    """
+    n = size(theta)
+    rows = min(max_rows, len(theta), len(sigma))
+    theta_dag, sigma_dag = conjugate(theta), conjugate(sigma)
+    levels = [0] * (n + 1)
+    for alpha in _pair_alphas(theta, sigma, max_rows):
+        k1, k2 = _skew_key(theta, alpha, rows), _skew_key(sigma, alpha, rows)
+        e1, e2 = _SKEW_CACHE.get(k1), _SKEW_CACHE.get(k2)
+        if e1 is None or e2 is None:
+            if not _intervals_meet(theta, theta_dag, sigma, sigma_dag, alpha):
+                continue
+            if e1 is None:
+                e1 = _skew_fill(k1)
+            if e2 is None:
+                e2 = _skew_fill(k2)
+        levels[n - size(alpha)] += sum(m * e2.get(b, 0) for b, m in e1.items())
+    return levels
+
+
+@lru_cache(maxsize=None)
+def mn_character(lam: tuple, rho: tuple) -> int:
+    """chi^lam at the class of cycle type rho, by Murnaghan-Nakayama.
+
+    lam is held as its beta-set {lam_i + len(lam) - i}; a rim hook of
+    length k is a bead moved from b to a free b - k, with sign
+    (-1)^(beads strictly between).
+    """
+    if not rho:
+        return 1 if not lam else 0
+    k, rest = rho[0], rho[1:]
+    beads = [x + len(lam) - 1 - i for i, x in enumerate(lam)]
+    held = set(beads)
+    out = 0
+    for b in beads:
+        if b - k < 0 or b - k in held:
+            continue
+        moved = sorted((held - {b}) | {b - k}, reverse=True)
+        shape = tuple(x - (len(moved) - 1 - i) for i, x in enumerate(moved))
+        sign = -1 if sum(b - k < c < b for c in held) % 2 else 1
+        out += sign * mn_character(tuple(x for x in shape if x), rest)
+    return out
+
+
+def class_size(rho: tuple) -> int:
+    """n! / z_rho: the number of permutations of cycle type rho."""
+    z = 1
+    for k in set(rho):
+        z *= k ** rho.count(k) * factorial(rho.count(k))
+    return factorial(sum(rho)) // z
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> list:
+    return [(rho, class_size(rho)) for rho in partitions_in_box(n, n, n)]
+
+
+def kronecker(lam: tuple, mu: tuple, nu: tuple) -> int:
+    """g(lam, mu, nu) = sum_rho chi^lam chi^mu chi^nu / z_rho, exactly."""
+    n = sum(lam)
+    total = sum(count * mn_character(lam, rho) * mn_character(mu, rho)
+                * mn_character(nu, rho) for rho, count in _classes(n))
+    if total % factorial(n):
+        raise ArithmeticError(f"character sum not divisible by {n}!")
+    return total // factorial(n)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import partitions_in_box, strip_lr_expand
+from oracles import graded_pair_mult, partitions_in_box, strip_lr_expand
 from quotbwb import pipeline, schur
 from quotbwb.bwb import GrSpec, coh_bundle
 from quotbwb.partitions import (
@@ -314,14 +314,60 @@ class TestPairAlphas:
         if not expected and size(theta) == size(sigma):
             assert koszul_pair_mult(theta, sigma, max_rows) == 0
 
+    # size windows below, inside and past the floor |theta| - |kappa|, and
+    # empty ones, beside the default window
+    WINDOWS = [(0, 0), (2, 1), (2, 2), (1, 3), (4, 6), (-2, 1), (6, None),
+               (0, None), (9, 20)]
+
     def test_matches_filtered_subpartitions(self):
         shapes = [lam for n in range(7) for lam in partitions_in_box(5, 4, n)]
         for theta in shapes:
             for sigma in shapes:
+                floor = size(theta) - sum(map(min, theta, sigma))
+                windows = self.WINDOWS + [(floor - 2, floor - 1), (floor - 1, floor)]
                 for max_rows in (1, 2, 3, 5):
-                    assert _pair_alphas(theta, sigma, max_rows) == \
-                        oracle_pair_alphas(theta, sigma, max_rows), \
+                    every = oracle_pair_alphas(theta, sigma, max_rows)
+                    assert _pair_alphas(theta, sigma, max_rows) == every, \
                         (theta, sigma, max_rows)
+                    for least, most in windows:
+                        want = [a for a in every if size(a) >= least
+                                and (most is None or size(a) <= most)]
+                        assert _pair_alphas(theta, sigma, max_rows, least, most) \
+                            == want, (theta, sigma, max_rows, least, most)
+
+
+class TestPairLevels:
+    """The pair sum split by |beta| = j into levels P_j, on every pair of
+    partitions of n <= 8: `koszul_pair_mult` decides a pair on its middle
+    level and sums half the levels when the row cap is moot, and sums
+    every level when it binds."""
+
+    PAIRS = [(theta, sigma) for n in range(9)
+             for theta in partitions_in_box(n, n, n)
+             for sigma in partitions_in_box(n, n, n)]
+
+    def test_levels_symmetric_unimodal_and_decided_in_the_middle(self):
+        assert len(self.PAIRS) == 919
+        for theta, sigma in self.PAIRS:
+            n = size(theta)
+            levels = graded_pair_mult(theta, sigma, n)
+            assert levels == levels[::-1], (theta, sigma, levels)
+            assert all(levels[j] <= levels[j + 1] for j in range(n // 2)), \
+                (theta, sigma, levels)
+            assert bool(levels[n // 2]) == bool(sum(levels)), (theta, sigma, levels)
+            for cap in (n, min(len(theta), len(sigma))):
+                assert koszul_pair_mult(theta, sigma, cap) == sum(levels), \
+                    (theta, sigma, cap)
+
+    def test_binding_cap_sums_every_level(self):
+        binding = 0
+        for theta, sigma in self.PAIRS:
+            for cap in (1, 2, 3):
+                if cap < min(len(theta), len(sigma)):
+                    binding += 1
+                    assert koszul_pair_mult(theta, sigma, cap) == \
+                        oracle_koszul_pair_mult(theta, sigma, cap), (theta, sigma, cap)
+        assert binding > 1000
 
 
 class TestSkewMemoKey:
@@ -471,6 +517,10 @@ class TestPool:
         ins = InsertionSpec(b1=(as_weight((1,), p.r1),), b2=(as_weight((1,), p.r2),))
         assert len(pipeline._candidate_pairs(p, ins)) == 251
         assert verify_thm41(setup, (1,), (1,)).matches
+        # the m=7 scan of (2, 1, 2), which two workers do not speed up
+        p = stromme(QuotSetup(2, 1, 2, m=7))
+        assert len(pipeline._candidate_pairs(p, InsertionSpec())) == 1054
+        assert e1_page(p).entries
 
 
 def oracle_factor_survivors(params, factor, a, b, t):

@@ -1,13 +1,14 @@
 import random
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lemmas import horn_predicates, lemma45_check
-from oracles import partitions_in_box, strip_lr_expand
+from oracles import (class_size, kronecker, mn_character, partitions_in_box,
+                     strip_lr_expand)
 from quotbwb.partitions import (
     WeightLengthError,
     as_weight,
@@ -367,6 +368,38 @@ class TestSkewAndSums:
         mu_dag = conjugate((10, 10, 4))
         sigma = (6, 6, 2, 2, 2, 2, 2, 2)
         assert koszul_pair_mult(mu_dag, sigma, 8) == 28
+
+
+class TestKroneckerOracle:
+    """The pair multiplicity against Kronecker coefficients from
+    Murnaghan-Nakayama characters, which share nothing with the LR filler:
+    sum_{alpha,beta} c^theta_{alpha,beta} c^sigma_{alpha,beta} =
+    sum_nu g(theta, sigma, nu) dim S^nu(C^2) over nu with at most 2 rows."""
+
+    def test_characters_are_orthonormal(self):
+        for n in range(1, 8):
+            parts = partitions_in_box(n, n, n)
+            for lam in parts:
+                for mu in parts:
+                    inner = sum(class_size(rho) * mn_character(lam, rho)
+                                * mn_character(mu, rho) for rho in parts)
+                    assert inner == (factorial(n) if lam == mu else 0), (lam, mu)
+        assert mn_character((2, 1), (2, 1)) == 0
+        assert mn_character((2, 2), (2, 2)) == 2
+        assert kronecker((2, 1), (2, 1), (2, 1)) == 1
+        assert kronecker((2, 2), (2, 2), (1, 1, 1, 1)) == 1
+
+    def test_pair_mult_is_two_row_kronecker_sum(self):
+        # every pair of partitions of n <= 10, at the tightest moot row cap
+        for n in range(11):
+            parts = partitions_in_box(n, n, n)
+            two_rows = [nu for nu in parts if len(nu) <= 2]
+            for theta in parts:
+                for sigma in parts:
+                    want = sum(kronecker(theta, sigma, nu) * (part(nu, 1) - part(nu, 2) + 1)
+                               for nu in two_rows)
+                    cap = min(len(theta), len(sigma))
+                    assert koszul_pair_mult(theta, sigma, cap) == want, (theta, sigma)
 
 
 class TestWeightTensor:
