@@ -88,17 +88,20 @@ def _insert_arg(text: str) -> HyperInsert:
     return HyperInsert(e, lam, *pieces[2:])
 
 
-def _s(x: int) -> str:
-    return str(x)
+def _quotient_side(inserts: list[HyperInsert]) -> list[tuple]:
+    """(e, lam) of each insert: the closed form covers the quotient side only."""
+    if any(i.side != "quot" for i in inserts):
+        raise CliError("the closed form covers quotient-side inserts only, not ':sub'")
+    return [(i.e, i.lam) for i in inserts]
 
 
 def _table_json(table) -> dict:
-    return {str(d): _s(v) for d, v in sorted(table.items())}
+    return {str(d): str(v) for d, v in sorted(table.items())}
 
 
 def _report_json(report: QuotReport) -> dict:
     out = {
-        "euler": _s(report.euler),
+        "euler": str(report.euler),
         "exact": report.exact,
         "degenerate": report.degenerate,
         "notes": report.notes,
@@ -109,14 +112,14 @@ def _report_json(report: QuotReport) -> dict:
         out["lower"] = _table_json(report.lower)
         out["upper"] = _table_json(report.upper)
         out["relations"] = [
-            {"degrees": [hi, lo], "difference": _s(diff)}
+            {"degrees": [hi, lo], "difference": str(diff)}
             for hi, lo, diff in report.relations
         ]
     return out
 
 
 def _page_json(page) -> dict:
-    entries = [{"t": t, "q": q, "dim": _s(v)}
+    entries = [{"t": t, "q": q, "dim": str(v)}
                for (t, q), v in sorted(page.entries.items())]
     return {"entries": entries}
 
@@ -139,14 +142,13 @@ def _verdict_json(v) -> dict:
 
 def cmd_lr(args):
     a, b, g = (_partition_arg(x) for x in (args.alpha, args.beta, args.gamma))
-    c = lr(a, b, g)
-    return {"coefficient": _s(c)}, 0
+    return {"coefficient": str(lr(a, b, g))}, 0
 
 
 def cmd_dim(args):
     if args.n < 0:
         raise CliError(f"--n {args.n} is negative")
-    return {"dim": _s(weight_dim(_weight_arg(args.weight), args.n))}, 0
+    return {"dim": str(weight_dim(_weight_arg(args.weight), args.n))}, 0
 
 
 def cmd_index(args):
@@ -178,7 +180,7 @@ def cmd_bwb(args):
                 "degree": out.degree,
                 "gamma": format_parts(out.gamma),
                 "dual": format_parts(out.weight),
-                "dim": _s(dim),
+                "dim": str(dim),
             })
     return {"table": _table_json(table), "summands": summands}, 0
 
@@ -196,7 +198,7 @@ def cmd_koszul(args):
     return {"t": args.t,
             "terms": [{"mu": format_parts(term.mu),
                        "sigma": format_parts(term.sigma),
-                       "mult": _s(term.mult)} for term in terms]}, 0
+                       "mult": str(term.mult)} for term in terms]}, 0
 
 
 def _insertion_spec(args) -> InsertionSpec:
@@ -216,7 +218,7 @@ def cmd_scan(args):
 def cmd_euler(args):
     p = stromme(_setup_from(args))
     page = e1_page(p, _insertion_spec(args))
-    return {"euler": _s(page.euler())}, 0
+    return {"euler": str(page.euler())}, 0
 
 
 def cmd_ext(args):
@@ -229,7 +231,7 @@ def cmd_ext(args):
 
 def cmd_closed_form(args):
     setup = _setup_from(args)
-    inserts = [(i.e, i.lam) for i in map(_insert_arg, args.insert or [])]
+    inserts = _quotient_side([_insert_arg(x) for x in args.insert or []])
     cf = closed_form_multi(setup.n, setup.r, setup.d, setup.splitting, inserts)
     return {"table": _table_json(cf.table),
             "hypotheses_hold": cf.hypotheses_hold,
@@ -304,8 +306,8 @@ def cmd_verify(args):
         return payload, 0 if (not res.hypotheses_hold or concl) else 2
     inserts = [_insert_arg(x) for x in args.insert or []]
     if args.statement == "cor14":
-        cf = closed_form_multi(setup.n, setup.r, setup.d, setup.splitting,
-                               [(i.e, i.lam) for i in inserts])
+        inserts = _quotient_side(inserts)
+        cf = closed_form_multi(setup.n, setup.r, setup.d, setup.splitting, inserts)
         report = hyper_cohomology(setup, inserts)
         ok = not cf.hypotheses_hold or (report.exact and report.table == cf.table)
         return {"closed_form": _table_json(cf.table),

@@ -331,13 +331,7 @@ def _intersect(reports: list[QuotReport]) -> QuotReport:
 
 
 def _insert_norm(inserts) -> list[HyperInsert]:
-    out = []
-    for ins in inserts:
-        if isinstance(ins, HyperInsert):
-            out.append(ins)
-        else:
-            out.append(HyperInsert(*ins))
-    return out
+    return [i if isinstance(i, HyperInsert) else HyperInsert(*i) for i in inserts]
 
 
 def hyper_cohomology(setup: QuotSetup, inserts) -> QuotReport:

@@ -2,13 +2,12 @@
 
 Everything is arbitrary-precision integer arithmetic.  One engine counts
 LR coefficients: `_skew_fill` enumerates the column-strict fillings of a
-skew shape whose reverse reading word is a lattice word.  A product
-s_alpha s_beta is the skew shape of the disjoint union alpha * beta, and
-c^gamma_{alpha,beta} is a coefficient of gamma/alpha, so `lr_expand` and
-`lr` read the same memo.  Size, containment, Weyl and dominance
-predicates serve only to skip terms that are provably zero (positivity
-never comes from a filter).  Memo tables are keyed on canonical tuples
-and grow unboundedly.
+skew shape whose reverse reading word, read after a start content, is a
+lattice word.  `skew_expand` fills lam/nu, `lr_expand` fills beta after
+alpha and `lr` fills gamma/alpha with content at most beta.  Size,
+containment, Weyl and dominance predicates serve only to skip terms that
+are provably zero (positivity never comes from a filter).  Memo tables
+are keyed on canonical tuples and grow unboundedly.
 """
 
 from operator import sub
@@ -93,30 +92,36 @@ def _skew_key(lam: Partition, nu: Partition, max_rows: Optional[int]
     return lam, nu, max_rows
 
 
-def _skew_fill(key: tuple[Partition, Partition, Optional[int]]) -> dict[Partition, int]:
-    """Expand and memoize the skew shape of a `_skew_key` key.
-
-    The shape is taken as given: canonical partitions with nu inside lam.
+def _skew_fill(lam: Partition, nu: Partition, max_rows: Optional[int], *,
+               start: Partition = (), bound: Optional[Partition] = None
+               ) -> dict[Partition, int]:
+    """{gamma: count} over the column-strict fillings of lam/nu whose reverse
+    reading word is a lattice word when read after one of content `start`:
+    gamma = start + content, so a letter in row r is at most len(start) + r.
+    At most `max_rows` letters, and letter x at most bound[x-1] times.
+    lam/nu is taken as given (canonical, nu inside lam); writes no memo.
     """
-    lam, nu, max_rows = key
     cells = _skew_cells(lam, nu)
-    ncells = len(cells)
-    cap = ncells if max_rows is None else max_rows
-    counts = [0] * (cap + 2)
+    ncells, first = len(cells), len(start)
+    cap = first + ncells if max_rows is None else max_rows
+    if cap < first:
+        return {}  # gamma contains start
+    counts = [0, *start] + [0] * (cap - first)
+    limit = [c + (ncells if bound is None else part(bound, x)) for x, c in enumerate(counts)]
     grid: dict[tuple[int, int], int] = {}
     out: dict[Partition, int] = {}
 
     def fill(idx: int):
         if idx == ncells:
             # the lattice condition keeps counts weakly decreasing
-            beta = tuple(x for x in counts[1:1 + cap] if x)
-            out[beta] = out.get(beta, 0) + 1
+            gamma = tuple(x for x in counts[1:] if x)
+            out[gamma] = out.get(gamma, 0) + 1
             return
         r, c = cells[idx]
         above = grid.get((r - 1, c), 0)
-        right = grid.get((r, c + 1), cap + 1) if c + 1 <= lam[r - 1] else cap + 1
-        for x in range(above + 1, min(r, cap, right) + 1):
-            if x > 1 and counts[x] >= counts[x - 1]:
+        right = grid.get((r, c + 1), cap)
+        for x in range(above + 1, min(first + r, right) + 1):
+            if counts[x] == limit[x] or x > 1 and counts[x] >= counts[x - 1]:
                 continue
             counts[x] += 1
             grid[(r, c)] = x
@@ -125,7 +130,6 @@ def _skew_fill(key: tuple[Partition, Partition, Optional[int]]) -> dict[Partitio
         grid.pop((r, c), None)
 
     fill(0)
-    _SKEW_CACHE[key] = out
     return out
 
 
@@ -149,7 +153,9 @@ def _skew_expand(lam: Partition, nu: Partition, max_rows: Optional[int] = None
     with nu inside lam: nothing is re-checked."""
     key = _skew_key(lam, nu, max_rows)
     hit = _SKEW_CACHE.get(key)
-    return hit if hit is not None else _skew_fill(key)
+    if hit is None:
+        hit = _SKEW_CACHE[key] = _skew_fill(*key)
+    return hit
 
 
 def skew_dim(lam: Partition, nu: Partition, n: int) -> int:
@@ -162,23 +168,18 @@ def lr_expand(alpha: Partition, beta: Partition, max_rows: Optional[int] = None
     """Tensor-product expansion {gamma: c^gamma_{alpha, beta}}, gamma with
     at most `max_rows` rows.
 
-    s_alpha s_beta is the skew Schur function of the disjoint union
-    alpha * beta (I. G. Macdonald, Symmetric Functions and Hall
-    Polynomials, ch. I, section 5): lam/nu with lam = (alpha_i + beta_1)_i
-    followed by beta and nu = (beta_1)^len(alpha).  The row cap is the
-    skew filler's letter cap, since gamma has one row per letter.
-    alpha and beta must be canonical partitions: every caller in the
-    package passes built ones, so nothing is re-checked.
+    Each gamma is alpha plus the content of an LR filling of beta read
+    after alpha (J. Remmel and R. Whitney, Multiplying Schur functions,
+    J. Algorithms 5, 1984).  alpha and beta must be canonical partitions:
+    every caller in the package passes built ones, so nothing is
+    re-checked.
     """
     if max_rows is not None and max_rows >= len(alpha) + len(beta):
         max_rows = None
     key = (alpha, beta, max_rows)
     hit = _LR_EXPAND_CACHE.get(key)
     if hit is None:
-        width = part(beta, 1)
-        lam = tuple(x + width for x in alpha) + beta
-        nu = (width,) * len(alpha) if width else ()
-        hit = _LR_EXPAND_CACHE[key] = _skew_expand(lam, nu, max_rows)
+        hit = _LR_EXPAND_CACHE[key] = _skew_fill(beta, (), max_rows, start=alpha)
     return hit
 
 
@@ -234,14 +235,15 @@ def koszul_pair_possible(theta: Partition, theta_dag: Partition,
 
 
 def lr(alpha: Partition, beta: Partition, gamma: Partition) -> int:
-    """The Littlewood-Richardson coefficient c^gamma_{alpha, beta}: the
-    multiplicity of s_beta in the skew expansion of gamma/alpha."""
+    """The Littlewood-Richardson coefficient c^gamma_{alpha, beta}: the LR
+    fillings of gamma/alpha with content beta (Macdonald I.9).  Memoizes
+    nothing."""
     alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
     if size(alpha) + size(beta) != size(gamma):
         return 0
     if not contains(gamma, alpha) or not contains(gamma, beta):
         return 0
-    return _skew_expand(gamma, alpha, len(beta)).get(beta, 0)
+    return _skew_fill(gamma, alpha, len(beta), bound=beta).get(beta, 0)
 
 
 def direct_sum_expand(gamma: Partition, max_rows: Optional[int] = None
@@ -480,9 +482,9 @@ def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
                 if not _intervals_meet(theta, theta_dag, sigma, sigma_dag, alpha):
                     continue
                 if e1 is None:
-                    e1 = _skew_fill(k1)
+                    e1 = _SKEW_CACHE[k1] = _skew_fill(*k1)
                 if e2 is None:
-                    e2 = _skew_fill(k2)
+                    e2 = _SKEW_CACHE[k2] = _skew_fill(*k2)
             if len(e2) < len(e1):
                 e1, e2 = e2, e1
             total += sum(m * e2.get(b, 0) for b, m in e1.items())

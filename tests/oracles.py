@@ -76,8 +76,8 @@ def strip_lr_expand(alpha, beta, max_rows: Optional[int] = None) -> dict:
 
     Builds chains alpha = g0 < g1 < ... by adding horizontal strips of sizes
     beta_i subject to the lattice condition (the count of letter i in rows
-    <= r never exceeds the count of letter i-1 in rows <= r-1).  The cap
-    filters the finished expansion.
+    <= r never exceeds the count of letter i-1 in rows <= r-1).  No strip
+    opens a row past the cap, and the cap filters the finished expansion.
     """
     out = {}
 
@@ -88,7 +88,8 @@ def strip_lr_expand(alpha, beta, max_rows: Optional[int] = None) -> dict:
             out[gam] = out.get(gam, 0) + 1
             return
         b = beta[letter - 1]
-        nrows = len(shape) + 1
+        # shapes only grow: a new row past the cap would be filtered out
+        nrows = len(shape) + (max_rows is None or len(shape) < max_rows)
         srows = [0] * nrows
 
         def place(r: int, placed: int):
@@ -141,9 +142,9 @@ def graded_pair_mult(theta, sigma, max_rows: int) -> list:
             if not _intervals_meet(theta, theta_dag, sigma, sigma_dag, alpha):
                 continue
             if e1 is None:
-                e1 = _skew_fill(k1)
+                e1 = _SKEW_CACHE[k1] = _skew_fill(*k1)
             if e2 is None:
-                e2 = _skew_fill(k2)
+                e2 = _SKEW_CACHE[k2] = _skew_fill(*k2)
         levels[n - size(alpha)] += sum(m * e2.get(b, 0) for b, m in e1.items())
     return levels
 

@@ -154,7 +154,50 @@ class TestBasicCommands:
                               "result:", "  coefficient: 2", "notes:"]
 
 
+SETUP = {"--n": "2", "--r": "1", "--d": "1", "--m": "2"}
+SETUP_COMMANDS = {"stromme": [], "koszul": ["--t", "1"], "scan": [], "euler": [],
+                  "ext": ["--nu", "1", "--lam", "1"], "hyper": ["--insert", "1:1"],
+                  "verify": ["thm41", "--eta", "1", "--rho", "1"]}
+
+
+def negative_option_argvs():
+    """Each integer option of each subcommand set to -1, one per argv."""
+    def setup(option, keys=tuple(SETUP)):
+        return [x for k in keys for x in (k, "-1" if k == option else SETUP[k])]
+
+    for command, extra in SETUP_COMMANDS.items():
+        for option in SETUP:
+            yield [command, *setup(option), *extra]
+    for option in ("--n", "--r", "--d"):
+        yield ["closed-form", *setup(option, ("--n", "--r", "--d")), "--insert", "1:1"]
+    yield ["dim", "--weight", "1", "--n", "-1"]
+    yield ["index", "--chi", "1,1", "--k", "-1"]
+    yield ["bwb", "--k", "-1", "--N", "3"]
+    yield ["bwb", "--k", "1", "--N", "-1"]
+    yield ["koszul", *setup(None), "--t", "-1"]
+    yield ["verify", "thm41", *setup(None), "--m-max", "-1", "--eta", "1", "--rho", "1"]
+    yield ["scan", *setup(None), "--jobs", "-1"]
+
+
 class TestValidationAndExitCodes:
+    @pytest.mark.parametrize("argv", negative_option_argvs(), ids=" ".join)
+    def test_negative_integer_option(self, capsys, argv):
+        # a negative count, size, twist or index is bad input (exit 1)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_sub_insert_has_no_closed_form(self, capsys):
+        # the closed form covers quotient-side inserts only: a ':sub' insert
+        # is bad input, not a contradicted statement (exit 2)
+        for command in (["verify", "cor14"], ["closed-form"]):
+            assert run([*command, "--n", "2", "--r", "1", "--d", "1",
+                        "--insert=1:1:sub"]) == 1, command
+            captured = capsys.readouterr()
+            assert captured.err == ("error: the closed form covers quotient-side "
+                                    "inserts only, not ':sub'\n")
+            assert captured.out == ""
+
     def test_bad_partition(self, capsys):
         assert run(["lr", "--alpha", "1,2", "--beta", "1", "--gamma", "2,1"]) == 1
         assert "error" in capsys.readouterr().err

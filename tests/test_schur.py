@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lemmas import horn_predicates, lemma45_check
 from oracles import (class_size, kronecker, mn_character, partitions_in_box,
                      strip_lr_expand)
+from quotbwb import schur
 from quotbwb.partitions import (
     WeightLengthError,
     as_weight,
@@ -178,6 +179,15 @@ def small_partitions(max_size):
     return out
 
 
+def pieri_cases():
+    """(alpha, beta, cap): alpha with up to 4 rows and 12-16 cells times a
+    Pieri or near-Pieri beta, every cap from len(alpha) to len(gamma)."""
+    for alpha in (a for t in range(12, 17) for a in partitions_in_box(4, 16, t)):
+        for beta in ((1,), (2,), (1, 1), (2, 1)):
+            for cap in range(len(alpha), len(alpha) + len(beta) + 1):
+                yield alpha, beta, cap
+
+
 # ------------------------------------------------------------- dimensions
 
 
@@ -282,6 +292,28 @@ class TestLR:
                 assert lr(alpha, beta, gamma) == c
             assert sum(c * schur_dim(g, 4) for g, c in exp.items()) == \
                 schur_dim(alpha, 4) * schur_dim(beta, 4)
+        # large-alpha Pieri products, most of the products of a twist sweep
+        for alpha, beta, cap in pieri_cases():
+            if cap == len(alpha) + len(beta):
+                exp = strip_lr_expand(alpha, beta)
+                assert lr_expand(alpha, beta) == exp, (alpha, beta)
+                for gamma, c in exp.items():
+                    assert lr(alpha, beta, gamma) == c, (alpha, beta, gamma)
+
+    def test_lr_writes_no_memo(self, monkeypatch):
+        # lr counts one coefficient: it leaves both expansion memos alone
+        for memo in ("_SKEW_CACHE", "_LR_EXPAND_CACHE"):
+            monkeypatch.setattr(schur, memo, {})
+        assert lr((2, 1), (2, 1), (3, 2, 1)) == 2
+        assert lr((24, 18, 12, 6), (6, 6, 6, 6, 6), (30, 24, 18, 12, 6)) == 1
+        assert schur._SKEW_CACHE == {} and schur._LR_EXPAND_CACHE == {}
+
+    @pytest.mark.parametrize("beta", [(6, 6, 6, 6, 6), (7, 6, 6, 6, 5)])
+    def test_lr_large_skew_shape(self, beta):
+        # gamma/alpha has many LR fillings, nearly all of other contents
+        alpha, gamma = (24, 18, 12, 6), (30, 24, 18, 12, 6)
+        expected = strip_lr_expand(alpha, beta, len(gamma)).get(gamma, 0)
+        assert expected and lr(alpha, beta, gamma) == expected
 
     def test_lr_expand_row_caps_exhaustive(self):
         # every cap from 1 to len(alpha) + len(beta), caps below len(alpha)
@@ -296,6 +328,9 @@ class TestLR:
                         strip_lr_expand(alpha, beta, cap), (alpha, beta, cap)
                     cases += 1
         assert cases == 1800
+        for alpha, beta, cap in pieri_cases():
+            assert lr_expand(alpha, beta, cap) == \
+                strip_lr_expand(alpha, beta, cap), (alpha, beta, cap)
 
     def test_tensor_dimension_conservation(self):
         rng = random.Random(23)
