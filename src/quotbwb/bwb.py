@@ -4,12 +4,15 @@ The core routine `_bwb` takes the weights on the duals of the universal
 sub- and quotient bundles as two plain entry tuples, shifts each by its
 part of rho, and merges the two strictly decreasing blocks: a tie means
 vanishing, and the inversions counted during the merge (the length of
-the sorting permutation) give the unique nonvanishing degree.
-`bwb_dual_weights` validates its weights and calls it; `coh_bundle` is
-the bundle-side wrapper: weights on A and B themselves, validated once,
-tensor-expanded on entry tuples and converted to the dual convention
-before the merge.  `coh_duals` is its second half, for callers that hold
-the dual-convention summands already.
+the sorting permutation) give the unique nonvanishing degree.  It
+computes no dimension, so a caller that only asks whether something
+survives pays for the merge alone; `_dim` is the dimension of the
+answer, for the callers that need it.  `bwb_dual_weights` validates its
+weights and calls both; `coh_bundle` is the bundle-side wrapper: weights
+on A and B themselves, validated once, tensor-expanded on entry tuples
+and converted to the dual convention before the merge.  `coh_duals` is
+its second half, for callers that hold the dual-convention summands
+already.
 """
 
 from dataclasses import dataclass
@@ -57,8 +60,8 @@ class BwbOutcome:
     dim: int = 0
 
 
-def _bwb(n: int, rho: Entries, chi: Entries) -> Optional[tuple[int, Entries, int]]:
-    """BWB on plain entry tuples: None, or (degree, gamma, dim).
+def _bwb(n: int, rho: Entries, chi: Entries) -> Optional[tuple[int, Entries]]:
+    """BWB on plain entry tuples: None, or (degree, gamma).
 
     rho (length k) and chi (length n - k) are weakly decreasing, so the
     blocks of omega = (rho, chi) + (n-1, ..., 0) are each strictly
@@ -66,8 +69,8 @@ def _bwb(n: int, rho: Entries, chi: Entries) -> Optional[tuple[int, Entries, int
     kills everything; otherwise the degree is the number of inversions of
     omega, counted as each chi entry passes the rho entries still pending,
     and the sorted-and-unshifted weight gamma gives the answer
-    S^gamma(C^n)^dual, of dimension dim.  gamma is weakly decreasing by
-    construction, so it is never re-validated.
+    S^gamma(C^n)^dual, of dimension `_dim(n, gamma)`.  gamma is weakly
+    decreasing by construction, so it is never re-validated.
     """
     k = len(rho)
     top = [x + n - 1 - i for i, x in enumerate(rho)]
@@ -83,10 +86,14 @@ def _bwb(n: int, rho: Entries, chi: Entries) -> Optional[tuple[int, Entries, int
         omega.append(y)
         degree += k - i
     omega += top[i:]
-    gamma = tuple(x - (n - 1 - p) for p, x in enumerate(omega))
+    return degree, tuple(x - (n - 1 - p) for p, x in enumerate(omega))
+
+
+def _dim(n: int, gamma: Entries) -> int:
+    """dim S^gamma(C^n) for a weakly decreasing gamma of length n."""
     # a determinant twist keeps the dimension and makes gamma a partition
     low = gamma[-1] if gamma else 0
-    return degree, gamma, schur_dim(tuple(x - low for x in gamma), n)
+    return schur_dim(tuple(x - low for x in gamma), n)
 
 
 def bwb_dual_weights(gr: GrSpec, rho: Sequence[int], chi: Sequence[int]) -> BwbOutcome:
@@ -97,8 +104,8 @@ def bwb_dual_weights(gr: GrSpec, rho: Sequence[int], chi: Sequence[int]) -> BwbO
     hit = _bwb(gr.n, as_weight(rho, gr.k), as_weight(chi, gr.quotient_rank))
     if hit is None:
         return BwbOutcome(vanishes=True)
-    degree, gamma, dim = hit
-    return BwbOutcome(False, degree, gamma, dual_entries(gamma), dim)
+    degree, gamma = hit
+    return BwbOutcome(False, degree, gamma, dual_entries(gamma), _dim(gr.n, gamma))
 
 
 def expand_side(weights: Sequence[Sequence[int]], length: int) -> Expansion:
@@ -135,9 +142,17 @@ def coh_duals(n: int, rhos: list[tuple[Entries, int]],
         for chi, mb in chis:
             hit = _bwb(n, rho, chi)
             if hit is not None:
-                degree, _, dim = hit
-                table[degree] = table.get(degree, 0) + ma * mb * dim
+                degree, gamma = hit
+                table[degree] = table.get(degree, 0) + ma * mb * _dim(n, gamma)
     return table
+
+
+def coh_duals_nonempty(n: int, rhos: list[tuple[Entries, int]],
+                       chis: list[tuple[Entries, int]]) -> bool:
+    """Whether `coh_duals(n, rhos, chis)` is nonempty: every term is
+    positive, so exactly when some pair of blocks does not collide.  No
+    dimension is computed."""
+    return any(_bwb(n, rho, chi) is not None for rho, _ in rhos for chi, _ in chis)
 
 
 def coh_bundle(gr: GrSpec, a_weights: Sequence[Sequence[int]] = (),

@@ -12,8 +12,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .bwb import (CohomTable, GrSpec, coh_bundle, coh_duals, dual_side, expand_side,
-                  kunneth)
+from .bwb import (CohomTable, GrSpec, coh_bundle, coh_duals, coh_duals_nonempty,
+                  dual_side, expand_side, kunneth)
 from .partitions import (
     InconsistencyError,
     Partition,
@@ -187,9 +187,30 @@ def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
     return terms
 
 
-# Per-t factor survivors [(lam, lam', table)], keyed on (params, factor,
-# normalized insertions on that factor, t); filled by _factor_survivors.
-_SURVIVOR_CACHE: dict[tuple, list[tuple[Partition, Partition, CohomTable]]] = {}
+class _Survivor:
+    """A Koszul partition whose Grassmannian factor survives, with its
+    conjugate.  Its cohomology table is built by `table()` on first call
+    and then kept here.  Besides the partition a survivor holds only its
+    list's memo key, whose insertions `table()` expands again; no
+    expansion outlives the list's construction."""
+
+    __slots__ = ("lam", "dag", "key", "built")
+
+    def __init__(self, lam: Partition, key: tuple):
+        self.lam, self.dag, self.key, self.built = lam, conjugate(lam), key, None
+
+    def table(self) -> CohomTable:
+        if self.built is None:
+            params, factor, a, b, _ = self.key
+            gr, fixed, product = _factor_inputs(params, factor, a, b)
+            self.built = coh_duals(gr.n, *_factor_terms(factor, gr, fixed, product,
+                                                         self.lam))
+        return self.built
+
+
+# Per-t factor survivors, keyed on (params, factor, normalized insertions
+# on that factor, t); filled by _factor_survivors.
+_SURVIVOR_CACHE: dict[tuple, list[_Survivor]] = {}
 
 
 def _times(entries: Entries, product: Optional[Expansion]) -> Expansion:
@@ -248,24 +269,54 @@ def _collision_free(rows: int, cols: int, total: int,
     return out
 
 
+def _factor_inputs(params: StrommeParams, factor: int, a: tuple, b: tuple
+                   ) -> tuple[GrSpec, list[tuple[Entries, int]], Optional[Expansion]]:
+    """(gr, fixed, P) of one Grassmannian factor: the Grassmannian, the
+    dual-convention summands of the side without the Koszul partition, and
+    the product of the insertions beside it (None for none, {} when one is
+    a partition too long for its bundle)."""
+    if factor == 1:
+        gr = params.gr1
+        return (gr, dual_side(expand_side(b, gr.quotient_rank)),
+                expand_side(a, gr.k) if a else None)
+    gr = params.gr2
+    return gr, dual_side(expand_side(a, gr.k)), expand_side(b, gr.quotient_rank) if b else None
+
+
+def _factor_terms(factor: int, gr: GrSpec, fixed: list, product: Optional[Expansion],
+                  lam: Partition) -> tuple[list, list]:
+    """(rhos, chis) of a factor's table for the Koszul partition lam: lam
+    (factor 1) or sigma^dual (factor 2) tensored with P, beside the fixed
+    side."""
+    if factor == 1:
+        return dual_side(_times(lam + (0,) * (gr.k - len(lam)), product)), fixed
+    dual = (0,) * (gr.quotient_rank - len(lam)) + dual_entries(lam)
+    return fixed, dual_side(_times(dual, product))
+
+
 def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
-                      t: int) -> list[tuple[Partition, Partition, CohomTable]]:
+                      t: int) -> list[_Survivor]:
     """Koszul partitions of the t-th term whose Grassmannian factor survives.
 
     factor 1: mu in the k1 x 2r2 box with |mu| = t, table
     H(Gr1, S^mu(A1) x a x b); factor 2: sigma in the r2 x min(2k1, t) box,
-    table H(Gr2, a x S^sigma(B2^dual) x b).  Each survivor comes with its
-    conjugate.  `a` and `b` are tuples of entry tuples
+    table H(Gr2, a x S^sigma(B2^dual) x b).  Each survivor is a
+    `_Survivor`, in the order of `_collision_free`.  `a` and `b` are
+    tuples of entry tuples
     (`InsertionSpec.key()`), so insertions given as lists or tuples with
     the same entries share one memo entry.  The side without the Koszul
     partition is validated, expanded and dualized once per list, and the
     insertions beside the partition are multiplied out once (P; an empty
-    product, from a partition too long for its bundle, empties the list).
+    product, from a partition too long for its bundle, empties the list);
+    `_factor_inputs` does both, and runs again for each table built.
 
     Only partitions that pass the BWB collision criterion are built
-    (`_collision_free`); each is then one tensor with P and one
-    `coh_duals` table, kept when nonempty.  The criterion, with 0-indexed
-    rows counting zero rows:
+    (`_collision_free`); each is then one tensor with P, kept when some
+    term escapes a tie (`coh_duals_nonempty`: every term is positive, so
+    that is when its table is nonempty).  No dimension is computed here:
+    a survivor builds its table only when asked, and `e1_page` asks only
+    for the pairs with a nonzero multiplicity.  The criterion, with
+    0-indexed rows counting zero rows:
       - factor 1 (Gr(k1, n1), q = r1): a constituent gamma of mu x P
         against a chi-side summand chi ties in `_bwb` exactly when
         gamma_i - i lies in F_chi = {1 + j - chi_j} for some row i;
@@ -286,40 +337,28 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
     hit = _SURVIVOR_CACHE.get(key)
     if hit is not None:
         return hit
-    out = []
-    if factor == 1:
-        gr = params.gr1
-        chis = dual_side(expand_side(b, gr.quotient_rank))
-        product = expand_side(a, gr.k) if a else None
-        if chis and product != {}:
-            lo, hi = _window(product)
+    gr, fixed, product = _factor_inputs(params, factor, a, b)
+    candidates: list[Partition] = []
+    if fixed and product != {}:
+        lo, hi = _window(product)
+        if factor == 1:
             dead = list({_dead_values({1 + j - x for j, x in enumerate(chi)}, lo, hi)
-                         for chi, _ in chis})
-            for mu in _collision_free(params.k1, 2 * params.r2, t, dead):
-                rhos = dual_side(_times(mu + (0,) * (gr.k - len(mu)), product))
-                table = coh_duals(gr.n, rhos, chis)
-                if table:
-                    out.append((mu, conjugate(mu), table))
-    else:
-        gr = params.gr2
-        rhos = dual_side(expand_side(a, gr.k))
-        product = expand_side(b, gr.quotient_rank) if b else None
-        if rhos and product != {}:
-            lo, hi = _window(product)
+                         for chi, _ in fixed})
+            candidates = _collision_free(params.k1, 2 * params.r2, t, dead)
+        else:
             dead = list({_dead_values({x + gr.k - i for i, x in enumerate(rho)}, -hi, -lo)
-                         for rho, _ in rhos})
-            for sigma in _collision_free(params.r2, min(2 * params.k1, t), t, dead):
-                dual = (0,) * (gr.quotient_rank - len(sigma)) + dual_entries(sigma)
-                table = coh_duals(gr.n, rhos, dual_side(_times(dual, product)))
-                if table:
-                    out.append((sigma, conjugate(sigma), table))
+                         for rho, _ in fixed})
+            candidates = _collision_free(params.r2, min(2 * params.k1, t), t, dead)
+    out = [_Survivor(lam, key) for lam in candidates
+           if coh_duals_nonempty(gr.n, *_factor_terms(factor, gr, fixed, product, lam))]
     _SURVIVOR_CACHE[key] = out
     return out
 
 
 def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
-    """Candidate pairs (t, mu, theta, f1, sigma, f2) of the page, ordered by
-    t, then mu, then sigma, with f1 and f2 the factor tables.
+    """Candidate pairs (t, f1, f2) of the page: f1 the survivor of mu on
+    the first factor, f2 that of sigma on the second, ordered by t, then
+    mu, then sigma.
 
     Both Grassmannian factors are evaluated first, through the memoized
     survivor lists (the sigma list only when some mu survives).  A pair of
@@ -335,17 +374,18 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
         if not firsts:
             continue
         seconds = _factor_survivors(params, 2, a2, b2, t)
-        out.extend((t, mu, theta, f1, sigma, f2)
-                   for mu, theta, f1 in firsts
-                   for sigma, sigma_dag, f2 in seconds
-                   if koszul_pair_possible(theta, mu, sigma, sigma_dag))
+        out.extend((t, f1, f2) for f1 in firsts for f2 in seconds
+                   if koszul_pair_possible(f1.dag, f1.lam, f2.lam, f2.dag))
     return out
 
 
 # A page starts a process pool only when each worker gets at least this
 # many candidate pairs: on two CPUs every bench page (at most 251 pairs)
-# and the m=7 scan of (2, 1, 2) (1054) are no faster with two workers,
-# its m=8 scan (9738) is.
+# and the m=7 scan of (2, 1, 2) (1054) are no faster with two workers.
+# Since the pair sum cuts alphas inside its generator, neither is the m=8
+# scan (9738 pairs), the only page above the cut: 1.8-2.7 s in one
+# process against 1.9-3.0 s with two workers, timed from a parent, five
+# alternating runs each.  Whether the pool stays is still open.
 _PAIRS_PER_WORKER = 2000
 
 
@@ -370,9 +410,12 @@ def e1_page(params: StrommeParams, ins: InsertionSpec = EMPTY_INSERTION) -> E1Pa
     least two of the usable CPUs `_PAIRS_PER_WORKER` pairs each.  Then each
     worker of a process pool computes one contiguous slice of the list,
     all of one size but the last, in order: the page is the same either way.
+    The factor tables are built (and kept with their survivors) only for
+    the pairs with a nonzero multiplicity.
     """
     pairs = _candidate_pairs(params, ins)
-    args = ([p[2] for p in pairs], [p[4] for p in pairs], [params.r2] * len(pairs))
+    args = ([f1.dag for _, f1, _ in pairs], [f2.lam for _, _, f2 in pairs],
+            [params.r2] * len(pairs))
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(cpus, len(pairs) // _PAIRS_PER_WORKER)
@@ -387,12 +430,12 @@ def e1_page(params: StrommeParams, ins: InsertionSpec = EMPTY_INSERTION) -> E1Pa
                                   chunksize=-(-len(pairs) // workers)))
     entries: dict[tuple[int, int], int] = {}
     contribs: dict[tuple[int, int], list] = {}
-    for (t, mu, _, f1, sigma, f2), mult in zip(pairs, mults):
+    for (t, f1, f2), mult in zip(pairs, mults):
         if not mult:
             continue
-        for q, v in sorted(kunneth(f1, f2).items()):
+        for q, v in sorted(kunneth(f1.table(), f2.table()).items()):
             entries[(t, q)] = entries.get((t, q), 0) + mult * v
-            contribs.setdefault((t, q), []).append((mu, sigma, mult, mult * v))
+            contribs.setdefault((t, q), []).append((f1.lam, f2.lam, mult, mult * v))
     entries = {k: v for k, v in entries.items() if v}
     return E1Page(params, entries, {k: contribs[k] for k in entries})
 
@@ -676,12 +719,12 @@ def closed_form_multi(n: int, r: int, d: int, splitting: Sequence[int],
     D = sum of |lam_j| over the H^1 factors.
     """
     splitting = tuple(splitting) if splitting else (0,) * n
-    total = sum(size(partition(lam)) for _, lam in inserts)
+    inserts = [(e, partition(lam)) for e, lam in inserts]
+    total = sum(size(lam) for _, lam in inserts)
     b = sum(splitting)
     hyp = total * (n - r) < n * d + r * b + n
     table: CohomTable = {0: 1}
     for e, lam in inserts:
-        lam = partition(lam)
         h0, h1 = bundle_coh(splitting, e)
         factor: CohomTable = {}
         for nu in subpartitions(lam):

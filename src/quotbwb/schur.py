@@ -10,6 +10,7 @@ are provably zero (positivity never comes from a filter).  Memo tables
 are keyed on canonical tuples and grow unboundedly.
 """
 
+from itertools import zip_longest
 from operator import sub
 from typing import Optional, Sequence
 
@@ -345,7 +346,7 @@ def schur_of_sum_copies(beta: Partition, copies: int, max_rows: Optional[int] = 
 def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int,
                  least: int = 0, most: Optional[int] = None) -> list[Partition]:
     """The alpha of `koszul_pair_mult`'s sum with least <= |alpha| <= most
-    (None: no upper bound) that pass its size and Weyl cuts.
+    (None: no upper bound) that pass its size, Weyl and first-column cuts.
 
     With kappa = theta ^ sigma and rows = min(max_rows, len(kappa)), lists
     (in descending-lex order) every partition alpha inside kappa with at
@@ -354,6 +355,29 @@ def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int,
     alpha_j >= lam_{j+rows}.  Those are per-row lower bounds, weakly
     decreasing in j as a maximum of weakly decreasing sequences.  A
     positive bound past row `rows` leaves the list empty.
+
+    First-column cut, the k = 1 case of McNamara's interval (see
+    `koszul_pair_mult`).  Rows are 0-indexed here, lam_i = 0 past the end
+    of lam.  Let R(A) be the longest row of a skew shape A and C(A) its
+    number of nonempty columns.  Every constituent nu of s_A has
+    R(A) <= nu_1 <= C(A), so theta/alpha and sigma/alpha share one only if
+    R(sigma/alpha) <= C(theta/alpha) and R(theta/alpha) <= C(sigma/alpha);
+    an alpha that fails either has a zero term and is not listed.  Rows
+    are chosen top down, and after rows 0..j:
+      - R(lam/alpha) >= max_{i <= j} (lam_i - alpha_i), which only grows
+        with j;
+      - a column of theta is covered by alpha exactly when its bottom
+        cell is.  The columns whose bottom cell lies in row i are those
+        c (counted from 1) with theta_{i+1} < c <= theta_i, and
+        alpha_i <= theta_i covers
+        max(0, alpha_i - theta_{i+1}) of them.  So
+        C(theta/alpha) <= theta_0 - sum_{i <= j} max(0, alpha_i - theta_{i+1}),
+        which only shrinks with j; likewise for sigma.
+    A prefix that breaks either inequality between the bounds thus has no
+    listed completion, and its subtree is dropped.  A completed alpha is 0
+    from some row j on, where lam/alpha has rows lam_j >= lam_{j+1} >= ...
+    and covers nothing: with lam_j added to the first bound, both bounds
+    are exact, and the cut is tested once more.
     """
     meet = tuple(min(a, b) for a, b in zip(theta, sigma))
     rows = min(max_rows, len(meet))
@@ -362,33 +386,47 @@ def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int,
     width = part(meet, 1)
     low = [0] * max(len(theta), len(sigma))
     for lam in (theta, sigma):
-        for j, x in enumerate(lam):
-            low[j] = max(low[j], x - width, part(lam, j + 1 + rows))
+        for j, (x, y) in enumerate(zip_longest(lam, lam[rows:], fillvalue=0)):
+            low[j] = max(low[j], x - width, y)
     if any(low[rows:]) or least > most:
         return []
     high = meet[:rows]
     rest = [sum(low[j:rows]) for j in range(rows + 1)]  # least rows j.. add
+    tail = [sum(high[j:]) for j in range(rows + 1)]  # most rows j.. add
+    th, sg = theta + (0,), sigma + (0,)
     alpha: list[int] = []
     out: list[Partition] = []
 
-    def rec(j: int, bound: int, total: int):
+    def rec(j: int, bound: int, total: int, row_t: int, row_s: int,
+            cols_t: int, cols_s: int):
+        # row_t, row_s: lower bounds on R(theta/alpha), R(sigma/alpha);
+        # cols_t, cols_s: upper bounds on C(theta/alpha), C(sigma/alpha)
         if j < rows:
             top = min(bound, high[j], most - total - rest[j + 1])
+            k = j + 1  # rows j+1..k-1 can take all of x
             for x in range(top, max(low[j], 1) - 1, -1):
+                while k < rows and high[k] >= x:
+                    k += 1
                 # rows past j add at most min(x, high[i]) each; stop once
                 # least is out of reach (smaller x reach less)
-                if total + x + sum(min(x, h) for h in high[j + 1:]) < least:
+                if total + x * (k - j) + tail[k] < least:
                     return
+                rt, rs = max(row_t, th[j] - x), max(row_s, sg[j] - x)
+                ct = cols_t - max(0, x - th[j + 1])
+                cs = cols_s - max(0, x - sg[j + 1])
+                if rs > ct or rt > cs:
+                    continue
                 alpha.append(x)
-                rec(j + 1, x, total + x)
+                rec(j + 1, x, total + x, rt, rs, ct, cs)
                 alpha.pop()
             if low[j]:
                 return
         # the rest of alpha is 0, which low allows once low[j] is 0
-        if total >= least:
+        if (total >= least and max(row_s, sg[j]) <= cols_t
+                and max(row_t, th[j]) <= cols_s):
             out.append(tuple(alpha))
 
-    rec(0, width, 0)
+    rec(0, width, 0, 0, 0, th[0], sg[0])
     return out
 
 
@@ -442,16 +480,19 @@ def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
         at j = 1 and j = len(kappa) + 1, with beta_1 <= kappa_1 and no
         row of beta past len(kappa), read as lower bounds on each row of
         alpha;
+      - every constituent beta of a skew Schur function s_A lies in
+        [rows(A), cols(A)^dag] in dominance order (P. McNamara, Necessary
+        conditions for Schur-positivity, J. Algebraic Combin. 28, 2008),
+        so a common constituent needs rows(theta/alpha) <=
+        cols(sigma/alpha)^dag and rows(sigma/alpha) <= cols(theta/alpha)^dag.
+        The first partial sums of both are cut inside the generator, row
+        by row, so a prefix that fails them builds no alpha (the proof is
+        in `_pair_alphas`); in the scans of (n, r, d) = (2, 1, 2) at
+        m = 6, 7 and 8 no zero pair keeps an alpha;
       - a term whose two skew expansions are both memoized is summed at
-        once; otherwise alpha is skipped unless the dominance intervals
-        of theta/alpha and sigma/alpha meet.  Every constituent beta of a
-        skew Schur function s_A lies in [rows(A), cols(A)^dag] in
-        dominance order (P. McNamara, Necessary conditions for
-        Schur-positivity, J. Algebraic Combin. 28, 2008), so a common
-        constituent needs rows(theta/alpha) <= cols(sigma/alpha)^dag and
-        rows(sigma/alpha) <= cols(theta/alpha)^dag.
-    The memo goes first because the cut costs more than a lookup, and on
-    pair-dense lists most terms are nonzero and memoized.
+        once; otherwise alpha is skipped unless the whole intervals meet.
+    The memo goes first because the interval test costs more than a
+    lookup, and on pair-dense lists most terms are nonzero and memoized.
 
     Levels.  Let n = |theta| and P_j the terms with |beta| = j; swapping
     alpha and beta gives P_j = P_{n-j}.  Under a moot cap (at least

@@ -194,3 +194,22 @@ def kronecker(lam: tuple, mu: tuple, nu: tuple) -> int:
     if total % factorial(n):
         raise ArithmeticError(f"character sum not divisible by {n}!")
     return total // factorial(n)
+
+
+def pair_mult_by_characters(theta: tuple, sigma: tuple) -> int:
+    """The Koszul pair sum of `schur.koszul_pair_mult` under a moot row
+    cap, from characters alone: no LR coefficient and no sum over nu.
+
+    The sum is <s_theta * s_sigma, h_n[2X]> (* the Kronecker product),
+    and the character of h_n[2X] at the class rho is p_rho(1, 1) =
+    2^len(rho) (Macdonald I.7), so it is
+    (1/n!) sum_rho |C_rho| chi^theta(rho) chi^sigma(rho) 2^len(rho).
+    """
+    n = sum(theta)
+    if sum(sigma) != n:
+        return 0
+    total = sum(count * mn_character(theta, rho) * mn_character(sigma, rho)
+                * 2 ** len(rho) for rho, count in _classes(n))
+    if total % factorial(n):
+        raise ArithmeticError(f"character sum not divisible by {n}!")
+    return total // factorial(n)

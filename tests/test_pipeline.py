@@ -1,6 +1,7 @@
 import concurrent.futures
 import os
 import random
+import sys
 from contextlib import contextmanager
 from math import comb
 
@@ -85,6 +86,27 @@ def oracle_pair_alphas(theta, sigma, max_rows):
     return [alpha for alpha in subpartitions(meet, max_rows)
             if size(alpha) >= least and weyl_fits(theta, alpha, width, rows)
             and weyl_fits(sigma, alpha, width, rows)]
+
+
+def first_parts(lam, alpha):
+    """(longest row, number of nonempty columns) of the skew shape lam/alpha."""
+    lam_dag, alpha_dag = conjugate(lam), conjugate(alpha)
+    longest = max((x - part(alpha, i) for i, x in enumerate(lam, 1)), default=0)
+    return longest, sum(part(alpha_dag, c) < h for c, h in enumerate(lam_dag, 1))
+
+
+def oracle_cut_pair_alphas(theta, sigma, max_rows):
+    """`oracle_pair_alphas` less the alpha that fail the first-column cut,
+    read off the skew shapes: the longest row of sigma/alpha against the
+    nonempty columns of theta/alpha, and the same with theta and sigma
+    swapped."""
+    out = []
+    for alpha in oracle_pair_alphas(theta, sigma, max_rows):
+        row_t, cols_t = first_parts(theta, alpha)
+        row_s, cols_s = first_parts(sigma, alpha)
+        if row_s <= cols_t and row_t <= cols_s:
+            out.append(alpha)
+    return out
 
 
 def oracle_koszul_pair_mult(theta, sigma, max_rows):
@@ -298,7 +320,8 @@ class TestPairPrefilter:
 
 
 class TestPairAlphas:
-    """The generated alpha of the pair sum against the filtered enumeration."""
+    """The generated alpha of the pair sum against the filtered enumeration,
+    with and without the first-column cut."""
 
     @pytest.mark.parametrize("theta, sigma, max_rows, expected", [
         ((), (), 3, [()]),                            # empty meet
@@ -326,7 +349,7 @@ class TestPairAlphas:
                 floor = size(theta) - sum(map(min, theta, sigma))
                 windows = self.WINDOWS + [(floor - 2, floor - 1), (floor - 1, floor)]
                 for max_rows in (1, 2, 3, 5):
-                    every = oracle_pair_alphas(theta, sigma, max_rows)
+                    every = oracle_cut_pair_alphas(theta, sigma, max_rows)
                     assert _pair_alphas(theta, sigma, max_rows) == every, \
                         (theta, sigma, max_rows)
                     for least, most in windows:
@@ -334,6 +357,59 @@ class TestPairAlphas:
                                 and (most is None or size(a) <= most)]
                         assert _pair_alphas(theta, sigma, max_rows, least, most) \
                             == want, (theta, sigma, max_rows, least, most)
+
+    def test_first_column_cut(self):
+        # theta/(1,1) has a row of 2, sigma/(1,1) one nonempty column
+        assert oracle_pair_alphas((3, 1), (2, 2), 2) == [(2, 1), (2,), (1, 1), (1,)]
+        assert _pair_alphas((3, 1), (2, 2), 2) == [(2, 1), (2,), (1,)]
+        assert first_parts((3, 1), (1, 1)) == (2, 2)
+        assert first_parts((2, 2), (1, 1)) == (1, 1)
+
+    def test_cut_drops_only_zero_terms(self):
+        # on every pair of partitions of n <= 10, under binding caps and a
+        # moot one: the generator drops exactly the alpha whose skew shapes
+        # fail the cut, and each of them has a zero term
+        dropped = 0
+        for n in range(11):
+            shapes = partitions_in_box(n, n, n)
+            for theta in shapes:
+                for sigma in shapes:
+                    for cap in (1, 2, 3, n):
+                        kept = _pair_alphas(theta, sigma, cap)
+                        assert kept == oracle_cut_pair_alphas(theta, sigma, cap), \
+                            (theta, sigma, cap)
+                        rows = min(cap, len(theta), len(sigma))
+                        for alpha in set(oracle_pair_alphas(theta, sigma, cap)) - set(kept):
+                            dropped += 1
+                            e1 = skew_expand(theta, alpha, rows)
+                            e2 = skew_expand(sigma, alpha, rows)
+                            assert not any(e2.get(b) for b in e1), \
+                                (theta, sigma, cap, alpha)
+        assert dropped == 6072
+
+    def test_failing_prefixes_are_not_extended(self):
+        # the middle levels of the m=6 scan of (2, 1, 2): the generator's
+        # recursion stops within three rows on every pair; with the cut
+        # tested only on complete alphas it makes 3599 calls
+        p = stromme(QuotSetup(2, 1, 2, m=6))
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is rec_code:
+                calls[-1] += 1
+
+        rec_code = next(c for c in _pair_alphas.__code__.co_consts
+                        if getattr(c, "co_name", None) == "rec")
+        for _, f1, f2 in pipeline._candidate_pairs(p, InsertionSpec()):
+            half = (size(f2.lam) + 1) // 2
+            calls.append(0)
+            sys.setprofile(count)
+            try:
+                kept = _pair_alphas(f1.dag, f2.lam, p.r2, half, half)
+            finally:
+                sys.setprofile(None)
+            assert kept == ([()] if not f2.lam else []), (f1.lam, f2.lam)
+        assert len(calls) == 134 and max(calls) <= 3 and sum(calls) <= 350, calls
 
 
 class TestPairLevels:
@@ -541,19 +617,41 @@ def oracle_factor_survivors(params, factor, a, b, t):
     return out
 
 
+def materialized(survivors):
+    """A survivor list with each deferred table built: [(lam, lam', table)]."""
+    return [(s.lam, s.dag, s.table()) for s in survivors]
+
+
 @contextmanager
-def recorded_tables():
-    """Collects every table `pipeline._factor_survivors` asks `coh_duals`
-    for, one per candidate partition."""
-    real, tables = pipeline.coh_duals, []
+def recorded_candidates():
+    """Collects the candidate partitions `pipeline._factor_survivors` gets
+    from `_collision_free`, the ones it then tests for a surviving term."""
+    real, candidates = pipeline._collision_free, []
 
     def recorded(*args):
-        tables.append(real(*args))
-        return tables[-1]
+        out = real(*args)
+        candidates.extend(out)
+        return out
 
-    pipeline.coh_duals = recorded
+    pipeline._collision_free = recorded
     try:
-        yield tables
+        yield candidates
+    finally:
+        pipeline._collision_free = real
+
+
+@contextmanager
+def counted_tables():
+    """Collects the arguments of every `coh_duals` call the pipeline makes."""
+    real, calls = pipeline.coh_duals, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    pipeline.coh_duals = counted
+    try:
+        yield calls
     finally:
         pipeline.coh_duals = real
 
@@ -631,8 +729,8 @@ class TestFactorSurvivors:
                 for factor, a, b, raw in ((1, a1, b1, (ins.a1, ins.b1)),
                                           (2, a2, b2, (ins.a2, ins.b2))):
                     got = pipeline._factor_survivors(p, factor, a, b, t)
-                    assert got == oracle_factor_survivors(p, factor, *raw, t), \
-                        (ins, factor, t)
+                    assert materialized(got) == oracle_factor_survivors(
+                        p, factor, *raw, t), (ins, factor, t)
                     survived += len(got)
         assert survived
 
@@ -642,18 +740,19 @@ class TestFactorSurvivors:
         p, ins = case
         pipeline._SURVIVOR_CACHE.clear()
         a1, b1, a2, b2 = ins.key()
-        with recorded_tables() as tables:
+        with recorded_candidates() as candidates:
             for t in range(p.rank_k + 1):
                 for factor, a, b, raw in ((1, a1, b1, (ins.a1, ins.b1)),
                                           (2, a2, b2, (ins.a2, ins.b2))):
-                    tables.clear()
+                    candidates.clear()
                     got = pipeline._factor_survivors(p, factor, a, b, t)
-                    assert got == oracle_factor_survivors(p, factor, *raw, t), \
-                        (ins, factor, t)
+                    assert materialized(got) == oracle_factor_survivors(
+                        p, factor, *raw, t), (ins, factor, t)
                     # nothing beside the Koszul partition: the criterion is
-                    # exact, so every candidate gets a nonempty table
+                    # exact, so every candidate survives
                     beside = a if factor == 1 else b
-                    assert beside or all(tables), (ins, factor, t)
+                    assert beside or [s.lam for s in got] == candidates, \
+                        (ins, factor, t)
 
     @pytest.mark.parametrize("setup", [QuotSetup(2, 1, 1, m=3),
                                        QuotSetup(2, 1, 2, m=4),
@@ -661,23 +760,42 @@ class TestFactorSurvivors:
                                        QuotSetup(3, 2, 1, m=1)])
     def test_no_insertion_is_the_index_criterion(self, setup):
         # with nothing beside the Koszul partition the collision criterion
-        # is exact: every candidate gets a table, and the survivors are the
+        # is exact: every candidate survives, and the survivors are the
         # box partitions with a t-index, each with its single degree
         # (`bwb.index_nonvanish`)
         p = stromme(setup)
         pipeline._SURVIVOR_CACHE.clear()
-        with recorded_tables() as tables:
+        with recorded_candidates() as candidates:
             for t in range(p.rank_k + 1):
                 for factor, rows, cols, q in ((1, p.k1, 2 * p.r2, p.r1),
                                               (2, p.r2, min(2 * p.k1, t), p.k2)):
-                    tables.clear()
+                    candidates.clear()
                     got = pipeline._factor_survivors(p, factor, (), (), t)
-                    assert all(tables), (factor, t)
                     want = [lam for lam in partitions_in_box(rows, cols, t)
                             if t_index(lam, q) is not None]
-                    assert [lam for lam, _, _ in got] == want, (factor, t)
-                    for lam, _, table in got:
-                        assert list(table) == [q * t_index(lam, q)], (factor, lam)
+                    assert candidates == want, (factor, t)
+                    assert [s.lam for s in got] == want, (factor, t)
+                    for s in got:
+                        assert list(s.table()) == [q * t_index(s.lam, q)], (factor, s.lam)
+
+    def test_tables_only_for_nonzero_pairs(self):
+        # the m=6 scan of (2, 1, 2) joins its survivors into 134 candidate
+        # pairs, one of them nonzero: only that pair's two factor tables
+        # are built, and a second page reuses them
+        p = stromme(QuotSetup(2, 1, 2, m=6))
+        pipeline._SURVIVOR_CACHE.clear()
+        with counted_tables() as calls:
+            pairs = pipeline._candidate_pairs(p, InsertionSpec())
+            assert calls == []
+            page = e1_page(p)
+            assert e1_page(p) == page
+        assert len(pairs) == 134
+        assert sum(map(len, pipeline._SURVIVOR_CACHE.values())) == 1215
+        assert page.contributions == {(0, 0): [((), (), 1, 1)]}
+        assert len(calls) == 2
+        assert [(s.lam, s.built) for factor in (1, 2)
+                for s in pipeline._factor_survivors(p, factor, (), (), 0)] \
+            == [((), {0: 1}), ((), {0: 1})]
 
     def test_misordered_weight_raises(self):
         p = stromme(QuotSetup(2, 1, 1, m=3))
@@ -768,6 +886,14 @@ class TestScans:
             with pytest.raises(ValueError) as err:
                 check()
             assert not isinstance(err.value, WeightLengthError)
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_scan_pages_pinned(self, m):
+        # the bench scan of (2, 1, 2) and the next twist: only t = 0
+        # survives, from the trivial pair
+        page = e1_page(stromme(QuotSetup(2, 1, 2, m=m)))
+        assert page.entries == {(0, 0): 1}
+        assert page.contributions == {(0, 0): [((), (), 1, 1)]}
 
     def test_jobs_determinism(self, force_pool):
         # 34 candidate pairs: in-process, then over two and three workers

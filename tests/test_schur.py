@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lemmas import horn_predicates, lemma45_check
-from oracles import (class_size, kronecker, mn_character, partitions_in_box,
-                     strip_lr_expand)
+from oracles import (class_size, kronecker, mn_character, pair_mult_by_characters,
+                     partitions_in_box, strip_lr_expand)
 from quotbwb import schur
 from quotbwb.partitions import (
     WeightLengthError,
@@ -435,6 +435,20 @@ class TestKroneckerOracle:
                                for nu in two_rows)
                     cap = min(len(theta), len(sigma))
                     assert koszul_pair_mult(theta, sigma, cap) == want, (theta, sigma)
+
+    def test_pair_mult_is_character_sum(self):
+        # every pair of partitions of n <= 8 under a moot cap, the level
+        # doubling included, against characters with no sum over nu
+        pairs = [(theta, sigma) for n in range(9)
+                 for theta in partitions_in_box(n, n, n)
+                 for sigma in partitions_in_box(n, n, n)]
+        assert len(pairs) == 919
+        for theta, sigma in pairs:
+            assert koszul_pair_mult(theta, sigma, sum(theta)) == \
+                pair_mult_by_characters(theta, sigma), (theta, sigma)
+        assert pair_mult_by_characters((1, 1), (2,)) == 1
+        assert pair_mult_by_characters((2, 1), (3,)) == 2
+        assert pair_mult_by_characters((1, 1, 1), (3,)) == 0
 
 
 class TestWeightTensor:
