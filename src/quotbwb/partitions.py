@@ -9,6 +9,7 @@ up to trailing zeros.
 """
 
 from functools import cache
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 Partition = tuple[int, ...]
@@ -21,10 +22,10 @@ def parity_sign(k: int) -> int:
 
 def partition(parts: Iterable[int]) -> Partition:
     """Canonicalize an iterable into a partition (validating monotonicity)."""
-    p = tuple(int(x) for x in parts)
+    p = tuple(map(int, parts))
     while p and p[-1] == 0:
         p = p[:-1]
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if any(map(lt, p, p[1:])):
         raise ValueError(f"not weakly decreasing: {p}")
     if p and p[-1] < 0:
         raise ValueError(f"negative part in partition: {p}")

@@ -380,13 +380,13 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
 
 
 # A page starts a process pool only when each worker gets at least this
-# many candidate pairs: on two CPUs every bench page (at most 251 pairs)
-# and the m=7 scan of (2, 1, 2) (1054) are no faster with two workers.
-# Since the pair sum cuts alphas inside its generator, neither is the m=8
-# scan (9738 pairs), the only page above the cut: 1.8-2.7 s in one
-# process against 1.9-3.0 s with two workers, timed from a parent, five
-# alternating runs each.  Whether the pool stays is still open.
-_PAIRS_PER_WORKER = 2000
+# many candidate pairs.  Timed from a parent on two CPUs, alternating runs:
+# every bench page (at most 251 pairs) and the m=7 and m=8 scans of
+# (2, 1, 2) (1054 and 9738 pairs) are no faster with two workers, and
+# the m=8 scan takes 3 MB more peak RSS with them; the m=9 scan (94903
+# pairs) takes 14-18% longer in one process, the difference being in its
+# pair sums.
+_PAIRS_PER_WORKER = 10000
 
 
 @dataclass

@@ -512,15 +512,17 @@ def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
     if size(sigma) != n:
         return 0
     rows = min(max_rows, len(theta), len(sigma))
-    theta_dag, sigma_dag = conjugate(theta), conjugate(sigma)
+    dags = ()  # the conjugates, built for the first interval test
 
     def level(least: int, most: int) -> int:
+        nonlocal dags
         total = 0
         for alpha in _pair_alphas(theta, sigma, max_rows, least, most):
             k1, k2 = _skew_key(theta, alpha, rows), _skew_key(sigma, alpha, rows)
             e1, e2 = _SKEW_CACHE.get(k1), _SKEW_CACHE.get(k2)
             if e1 is None or e2 is None:
-                if not _intervals_meet(theta, theta_dag, sigma, sigma_dag, alpha):
+                dags = dags or (conjugate(theta), conjugate(sigma))
+                if not _intervals_meet(theta, dags[0], sigma, dags[1], alpha):
                     continue
                 if e1 is None:
                     e1 = _SKEW_CACHE[k1] = _skew_fill(*k1)

@@ -593,10 +593,9 @@ class TestPool:
         ins = InsertionSpec(b1=(as_weight((1,), p.r1),), b2=(as_weight((1,), p.r2),))
         assert len(pipeline._candidate_pairs(p, ins)) == 251
         assert verify_thm41(setup, (1,), (1,)).matches
-        # the m=7 scan of (2, 1, 2), which two workers do not speed up
-        p = stromme(QuotSetup(2, 1, 2, m=7))
-        assert len(pipeline._candidate_pairs(p, InsertionSpec())) == 1054
-        assert e1_page(p).entries
+        # the m=8 scan of (2, 1, 2), which two workers do not speed up; its
+        # 9738 candidate pairs are pinned in TestScans
+        assert e1_page(stromme(QuotSetup(2, 1, 2, m=8))).entries
 
 
 def oracle_factor_survivors(params, factor, a, b, t):
@@ -887,11 +886,14 @@ class TestScans:
                 check()
             assert not isinstance(err.value, WeightLengthError)
 
-    @pytest.mark.parametrize("m", [6, 7])
+    @pytest.mark.parametrize("m", [6, 7, 8])
     def test_scan_pages_pinned(self, m):
-        # the bench scan of (2, 1, 2) and the next twist: only t = 0
+        # the bench scan of (2, 1, 2) and the next two twists: only t = 0
         # survives, from the trivial pair
-        page = e1_page(stromme(QuotSetup(2, 1, 2, m=m)))
+        p = stromme(QuotSetup(2, 1, 2, m=m))
+        candidates = {6: 134, 7: 1054, 8: 9738}[m]
+        assert len(pipeline._candidate_pairs(p, InsertionSpec())) == candidates
+        page = e1_page(p)
         assert page.entries == {(0, 0): 1}
         assert page.contributions == {(0, 0): [((), (), 1, 1)]}
 
