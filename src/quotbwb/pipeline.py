@@ -164,9 +164,10 @@ class KoszulTerm:
 def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
     """Summands (mu, sigma, mult) of the t-th exterior power of K^dual.
 
-    mu runs over the k1 x 2r2 box with |mu| = t; sigma over the
-    r2 x min(2k1, t) box with |sigma| = t (sigma_1 <= 2 mu^dag_1 <= 2k1).
-    The multiplicity of S^mu(A1) x S^sigma(B2^dual) is the pair
+    mu runs over the k1 x 2r2 box with |mu| = t; sigma over the r2 x 2k1
+    box with |sigma| = t (sigma_1 <= 2 mu^dag_1 <= 2k1), each the bucket t
+    of one `_collision_free_by_size` walk with nothing dead and a size cap
+    of t.  The multiplicity of S^mu(A1) x S^sigma(B2^dual) is the pair
     multiplicity of S^{mu^dag}(B2^dual + B2^dual).  Zero multiplicities
     are omitted; ordering is the fixed descending-lex order on mu then
     sigma.
@@ -174,10 +175,10 @@ def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
     if not 0 <= t <= params.rank_k:
         raise ValueError(f"t = {t} outside [0, {params.rank_k}]")
     keep_all = [frozenset()]
-    sigmas = [(sigma, conjugate(sigma))
-              for sigma in _collision_free(params.r2, min(2 * params.k1, t), t, keep_all)]
+    sigmas = [(sigma, conjugate(sigma)) for sigma in
+              _collision_free_by_size(params.r2, 2 * params.k1, keep_all, t).get(t, [])]
     terms = []
-    for mu in _collision_free(params.k1, 2 * params.r2, t, keep_all):
+    for mu in _collision_free_by_size(params.k1, 2 * params.r2, keep_all, t).get(t, []):
         theta = conjugate(mu)
         for sigma, sigma_dag in sigmas:
             if koszul_pair_possible(theta, mu, sigma, sigma_dag):
@@ -191,8 +192,8 @@ class _Survivor:
     """A Koszul partition whose Grassmannian factor survives, with its
     conjugate.  Its cohomology table is built by `table()` on first call
     and then kept here.  Besides the partition a survivor holds only its
-    list's memo key, whose insertions `table()` expands again; no
-    expansion outlives the list's construction."""
+    factor's memo key (params, factor, a, b), whose insertions `table()`
+    expands again; no expansion outlives the lists' construction."""
 
     __slots__ = ("lam", "dag", "key", "built")
 
@@ -201,16 +202,17 @@ class _Survivor:
 
     def table(self) -> CohomTable:
         if self.built is None:
-            params, factor, a, b, _ = self.key
+            params, factor, a, b = self.key
             gr, fixed, product = _factor_inputs(params, factor, a, b)
             self.built = coh_duals(gr.n, *_factor_terms(factor, gr, fixed, product,
                                                          self.lam))
         return self.built
 
 
-# Per-t factor survivors, keyed on (params, factor, normalized insertions
-# on that factor, t); filled by _factor_survivors.
-_SURVIVOR_CACHE: dict[tuple, list[_Survivor]] = {}
+# Factor survivors, keyed on (params, factor, normalized insertions on
+# that factor), each mapping t to its nonempty list; filled by
+# _factor_survivors.
+_SURVIVOR_CACHE: dict[tuple, dict[int, list[_Survivor]]] = {}
 
 
 def _times(entries: Entries, product: Optional[Expansion]) -> Expansion:
@@ -233,39 +235,45 @@ def _dead_values(forbidden: set[int], lo: int, hi: int) -> frozenset[int]:
                      if all(f + e in forbidden for e in range(1, hi - lo + 1)))
 
 
-def _collision_free(rows: int, cols: int, total: int,
-                    dead: list[frozenset[int]]) -> list[Partition]:
-    """Partitions lam of `total` in the rows x cols box, in descending lex
-    order, for which some set in `dead` misses lam_i - i in every row
-    i < rows, zero rows included; with dead = [frozenset()], every such
-    partition.  The order is fixed, so a page lists its pairs, and
-    `contributions` their terms, in the same order on every run.
+def _collision_free_by_size(rows: int, cols: int, dead: list[frozenset[int]],
+                            cap: Optional[int] = None) -> dict[int, list[Partition]]:
+    """Partitions lam in the rows x cols box with |lam| <= cap (None: no
+    cap) for which some set in `dead` misses lam_i - i in every row
+    i < rows, zero rows included, by size: {size: partitions in
+    descending-lex order}, nonempty sizes only.  With dead =
+    [frozenset()], every such box partition.
 
-    Rows are chosen top down and a prefix is dropped as soon as each set
-    holds one of its values, so no box partition outside the result is
-    built.
+    One depth-first walk: rows are chosen top down, x descending, and a
+    prefix is dropped as soon as each set holds one of its values, so no
+    box partition outside the result is built.  Each prefix is a box
+    partition (its later rows zero), put in its size's list before its
+    children are visited when some set still alive misses -j in every
+    zero row j.  Pre-order keeps each list in descending-lex order: two
+    partitions of one size are never prefixes of each other (parts are
+    positive), so they first differ in some row below a common prefix,
+    and the walk visits the whole subtree of that row's larger value
+    before the smaller one.  The order is fixed, so a page lists its
+    pairs, and `contributions` their terms, in the same order on every run.
     """
-    out: list[Partition] = []
+    out: dict[int, list[Partition]] = {}
     lam: list[int] = []
+    cap = rows * cols if cap is None else cap
 
-    def rec(i: int, bound: int, remaining: int, alive: list[frozenset[int]]):
-        if not remaining:
-            # the rows from i on are zero
-            if any(all(-j not in d for j in range(i, rows)) for d in alive):
-                out.append(tuple(lam))
-            return
-        slots = rows - i
-        for x in range(min(bound, remaining), 0, -1):
-            if x * slots < remaining:
-                break
-            keep = [d for d in alive if x - i not in d]
-            if keep:
-                lam.append(x)
-                rec(i + 1, x, remaining - x, keep)
-                lam.pop()
+    def rec(i: int, bound: int, total: int, alive: list[tuple[int, frozenset[int]]]):
+        # (z, d) in alive: the rows from z on may be zero for d
+        if any(z <= i for z, _ in alive):
+            out.setdefault(total, []).append(tuple(lam))
+        if i < rows:
+            for x in range(min(bound, cap - total), 0, -1):
+                keep = [zd for zd in alive if x - i not in zd[1]]
+                if keep:
+                    lam.append(x)
+                    rec(i + 1, x, total + x, keep)
+                    lam.pop()
 
-    if 0 <= total <= rows * cols:
-        rec(0, cols, total, dead)
+    if cap >= 0:
+        rec(0, cols, 0, [(next((j + 1 for j in reversed(range(rows)) if -j in d), 0), d)
+                         for d in dead])
     return out
 
 
@@ -299,23 +307,25 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
     """Koszul partitions of the t-th term whose Grassmannian factor survives.
 
     factor 1: mu in the k1 x 2r2 box with |mu| = t, table
-    H(Gr1, S^mu(A1) x a x b); factor 2: sigma in the r2 x min(2k1, t) box,
-    table H(Gr2, a x S^sigma(B2^dual) x b).  Each survivor is a
-    `_Survivor`, in the order of `_collision_free`.  `a` and `b` are
-    tuples of entry tuples
-    (`InsertionSpec.key()`), so insertions given as lists or tuples with
-    the same entries share one memo entry.  The side without the Koszul
-    partition is validated, expanded and dualized once per list, and the
-    insertions beside the partition are multiplied out once (P; an empty
-    product, from a partition too long for its bundle, empties the list);
-    `_factor_inputs` does both, and runs again for each table built.
+    H(Gr1, S^mu(A1) x a x b); factor 2: sigma in the r2 x 2k1 box with
+    |sigma| = t, table H(Gr2, a x S^sigma(B2^dual) x b).  Each survivor is
+    a `_Survivor`, in the order of `_collision_free_by_size`.  `a` and `b`
+    are tuples of entry tuples (`InsertionSpec.key()`), so insertions
+    given as lists or tuples with the same entries share one memo entry.
+    The first call for a factor builds its lists for every t at once: the
+    side without the Koszul partition is validated, expanded and dualized,
+    and the insertions beside the partition are multiplied out (P; an
+    empty product, from a partition too long for its bundle, empties every
+    list), by one `_factor_inputs` call, which runs again for each table
+    built; one walk of the box then yields every size's candidates.
 
-    Only partitions that pass the BWB collision criterion are built
-    (`_collision_free`); each is then one tensor with P, kept when some
-    term escapes a tie (`coh_duals_nonempty`: every term is positive, so
-    that is when its table is nonempty).  No dimension is computed here:
-    a survivor builds its table only when asked, and `e1_page` asks only
-    for the pairs with a nonzero multiplicity.  The criterion, with
+    Only partitions that pass the BWB collision criterion are built; each
+    is then one tensor with P, kept when some term escapes a tie
+    (`coh_duals_nonempty`: every term is positive, so that is when its
+    table is nonempty), a test skipped when nothing sits beside the
+    partition, where the criterion is exact.  No dimension is computed
+    here: a survivor builds its table only when asked, and `e1_page` asks
+    only for the pairs with a nonzero multiplicity.  The criterion, with
     0-indexed rows counting zero rows:
       - factor 1 (Gr(k1, n1), q = r1): a constituent gamma of mu x P
         against a chi-side summand chi ties in `_bwb` exactly when
@@ -329,30 +339,33 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
       - so if, for every chi, some row has all of mu_i - i + [lo, hi] in
         F_chi, every term collides and the table is empty; mu is a
         candidate only otherwise, and with no insertion beside mu
-        ([lo, hi] = [0, 0]) the criterion is exact;
+        ([lo, hi] = [0, 0], gamma = mu) the criterion is exact;
       - factor 2 (Gr(k2, n2)) is the same with F_rho = {rho_i + k2 - i}
         and the window sigma_j - j + [-hi, -lo], P the product of b.
     """
-    key = (params, factor, a, b, t)
-    hit = _SURVIVOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    gr, fixed, product = _factor_inputs(params, factor, a, b)
-    candidates: list[Partition] = []
-    if fixed and product != {}:
-        lo, hi = _window(product)
-        if factor == 1:
-            dead = list({_dead_values({1 + j - x for j, x in enumerate(chi)}, lo, hi)
-                         for chi, _ in fixed})
-            candidates = _collision_free(params.k1, 2 * params.r2, t, dead)
-        else:
-            dead = list({_dead_values({x + gr.k - i for i, x in enumerate(rho)}, -hi, -lo)
-                         for rho, _ in fixed})
-            candidates = _collision_free(params.r2, min(2 * params.k1, t), t, dead)
-    out = [_Survivor(lam, key) for lam in candidates
-           if coh_duals_nonempty(gr.n, *_factor_terms(factor, gr, fixed, product, lam))]
-    _SURVIVOR_CACHE[key] = out
-    return out
+    key = (params, factor, a, b)
+    lists = _SURVIVOR_CACHE.get(key)
+    if lists is None:
+        lists = {}
+        gr, fixed, product = _factor_inputs(params, factor, a, b)
+        if fixed and product != {}:
+            lo, hi = _window(product)
+            if factor == 1:
+                rows, cols = params.k1, 2 * params.r2
+                dead = {_dead_values({1 + j - x for j, x in enumerate(chi)}, lo, hi)
+                        for chi, _ in fixed}
+            else:
+                rows, cols = params.r2, 2 * params.k1
+                dead = {_dead_values({x + gr.k - i for i, x in enumerate(rho)}, -hi, -lo)
+                        for rho, _ in fixed}
+            for total, lams in _collision_free_by_size(rows, cols, list(dead)).items():
+                kept = [_Survivor(lam, key) for lam in lams if product is None
+                        or coh_duals_nonempty(gr.n, *_factor_terms(factor, gr, fixed,
+                                                                  product, lam))]
+                if kept:
+                    lists[total] = kept
+        _SURVIVOR_CACHE[key] = lists
+    return lists.get(t, [])
 
 
 def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
@@ -361,7 +374,8 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
     mu, then sigma.
 
     Both Grassmannian factors are evaluated first, through the memoized
-    survivor lists (the sigma list only when some mu survives).  A pair of
+    survivor lists (one walk per factor covers every t; the sigma lists
+    are read only at the t where some mu survives).  A pair of
     survivors is a candidate when it passes `koszul_pair_possible` (Dvir's
     Kronecker-support bounds, Y. Dvir, J. Algebra 154, 1993, and meet
     dominance; necessary conditions proven in its docstring), which skips

@@ -10,7 +10,7 @@ are provably zero (positivity never comes from a filter).  Memo tables
 are keyed on canonical tuples and grow unboundedly.
 """
 
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from operator import sub
 from typing import Optional, Sequence
 
@@ -391,8 +391,8 @@ def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int,
     if any(low[rows:]) or least > most:
         return []
     high = meet[:rows]
-    rest = [sum(low[j:rows]) for j in range(rows + 1)]  # least rows j.. add
-    tail = [sum(high[j:]) for j in range(rows + 1)]  # most rows j.. add
+    rest = [*accumulate(reversed(low[:rows]), initial=0)][::-1]  # least rows j.. add
+    tail = [*accumulate(reversed(high), initial=0)][::-1]  # most rows j.. add
     th, sg = theta + (0,), sigma + (0,)
     alpha: list[int] = []
     out: list[Partition] = []

@@ -70,6 +70,37 @@ def partitions_in_box(rows: int, cols: int, total: Optional[int] = None) -> list
     return out
 
 
+def collision_free(rows: int, cols: int, total: int, dead: list) -> list:
+    """Partitions lam of `total` in the rows x cols box, in descending lex
+    order, for which some set in `dead` misses lam_i - i in every row
+    i < rows, zero rows included; with dead = [frozenset()], every such
+    partition.  One walk per size, rows chosen top down, a prefix dropped
+    as soon as each set holds one of its values: the oracle of the
+    one-walk-for-every-size `pipeline._collision_free_by_size`."""
+    out: list = []
+    lam: list = []
+
+    def rec(i: int, bound: int, remaining: int, alive: list):
+        if not remaining:
+            # the rows from i on are zero
+            if any(all(-j not in d for j in range(i, rows)) for d in alive):
+                out.append(tuple(lam))
+            return
+        slots = rows - i
+        for x in range(min(bound, remaining), 0, -1):
+            if x * slots < remaining:
+                break
+            keep = [d for d in alive if x - i not in d]
+            if keep:
+                lam.append(x)
+                rec(i + 1, x, remaining - x, keep)
+                lam.pop()
+
+    if 0 <= total <= rows * cols:
+        rec(0, cols, total, dead)
+    return out
+
+
 def strip_lr_expand(alpha, beta, max_rows: Optional[int] = None) -> dict:
     """{gamma: c^gamma_{alpha, beta}} with at most `max_rows` rows, by
     horizontal-strip chains.

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import graded_pair_mult, partitions_in_box, strip_lr_expand
+from oracles import collision_free, graded_pair_mult, partitions_in_box, strip_lr_expand
 from quotbwb import pipeline, schur
-from quotbwb.bwb import GrSpec, coh_bundle
+from quotbwb.bwb import GrSpec, coh_bundle, coh_duals_nonempty
 from quotbwb.partitions import (
     WeightLengthError,
     as_weight,
@@ -211,13 +211,17 @@ class TestKoszul:
             koszul_terms(p, 1)
 
     def test_box_generator_is_partitions_in_box(self):
-        # koszul_terms enumerates its boxes through the collision generator
-        # with nothing dead: every partition of t in the box, in order
+        # koszul_terms enumerates its boxes through the collision walk with
+        # nothing dead and a size cap of t: every partition of t in the
+        # box, in order
         for rows in range(7):
             for cols in range(8):
                 for t in range(-1, rows * cols + 2):
-                    got = pipeline._collision_free(rows, cols, t, [frozenset()])
+                    walk = pipeline._collision_free_by_size(rows, cols, [frozenset()], t)
+                    got = walk.get(t, [])
                     assert got == partitions_in_box(rows, cols, t), (rows, cols, t)
+                    assert all(size(lam) == s <= t for s, lams in walk.items()
+                               for lam in lams), (rows, cols, t)
 
     def test_pair_route_matches_expansion_route(self):
         # the oracle expands through subpartition/skew/LR chains; the pair
@@ -616,6 +620,30 @@ def oracle_factor_survivors(params, factor, a, b, t):
     return out
 
 
+def oracle_candidate_pairs(params):
+    """(t, mu, sigma) of the page without insertions, built one t at a
+    time: each factor's candidates of size t from the per-size oracle walk
+    `collision_free`, kept when `coh_duals_nonempty`, joined by
+    `koszul_pair_possible` in the order mu, then sigma."""
+    lists = {}
+    for factor in (1, 2):
+        gr, fixed, product = pipeline._factor_inputs(params, factor, (), ())
+        if factor == 1:
+            rows, cols = params.k1, 2 * params.r2
+            dead = [frozenset(1 + j - x for j, x in enumerate(chi)) for chi, _ in fixed]
+        else:
+            rows, cols = params.r2, 2 * params.k1
+            dead = [frozenset(x + gr.k - i for i, x in enumerate(rho)) for rho, _ in fixed]
+        lists[factor] = [
+            [(lam, conjugate(lam)) for lam in collision_free(rows, min(cols, t), t, dead)
+             if coh_duals_nonempty(gr.n, *pipeline._factor_terms(factor, gr, fixed,
+                                                                 product, lam))]
+            for t in range(params.rank_k + 1)]
+    return [(t, mu, sigma) for t in range(params.rank_k + 1)
+            for mu, theta in lists[1][t] for sigma, sigma_dag in lists[2][t]
+            if koszul_pair_possible(theta, mu, sigma, sigma_dag)]
+
+
 def materialized(survivors):
     """A survivor list with each deferred table built: [(lam, lam', table)]."""
     return [(s.lam, s.dag, s.table()) for s in survivors]
@@ -624,19 +652,20 @@ def materialized(survivors):
 @contextmanager
 def recorded_candidates():
     """Collects the candidate partitions `pipeline._factor_survivors` gets
-    from `_collision_free`, the ones it then tests for a surviving term."""
-    real, candidates = pipeline._collision_free, []
+    from its walks of a box, the ones it then tests for a surviving term:
+    one {size: candidates} per walk."""
+    real, walks = pipeline._collision_free_by_size, []
 
     def recorded(*args):
         out = real(*args)
-        candidates.extend(out)
+        walks.append(out)
         return out
 
-    pipeline._collision_free = recorded
+    pipeline._collision_free_by_size = recorded
     try:
-        yield candidates
+        yield walks
     finally:
-        pipeline._collision_free = real
+        pipeline._collision_free_by_size = real
 
 
 @contextmanager
@@ -689,6 +718,50 @@ def survivor_cases(draw):
     return p, InsertionSpec(slot(p.k1), slot(p.r1), slot(p.k2), slot(p.r2))
 
 
+# dead lists for the walk: none alive, nothing dead, and small sets that
+# hold zero-row values (0, -1, ...) and nonzero-row values
+WALK_DEAD = [[], [frozenset()], [frozenset({0})], [frozenset({-1})],
+             [frozenset({1})], [frozenset({2, -2})], [frozenset({0}), frozenset({-3})],
+             [frozenset({1, -1}), frozenset({3, 0}), frozenset({-4, 2})],
+             [frozenset({4, 1, -2, -5}), frozenset({-1, 5})]]
+
+
+def walk_criterion(lam, rows, dead):
+    """Some set in `dead` misses lam_i - i in every row i < rows."""
+    return any(all(part(lam, i + 1) - i not in d for i in range(rows)) for d in dead)
+
+
+class TestCollisionWalk:
+    """One walk of a box against the per-size oracle walk and against
+    full enumeration."""
+
+    @pytest.mark.parametrize("dead", WALK_DEAD)
+    def test_every_box_matches_per_size_oracle(self, dead):
+        hits = 0
+        for rows in range(7):
+            for cols in range(7):
+                walk = pipeline._collision_free_by_size(rows, cols, dead)
+                for total in range(-1, rows * cols + 2):
+                    want = collision_free(rows, cols, total, dead)
+                    assert walk.get(total, []) == want, (rows, cols, total)
+                    assert total in walk or not want, (rows, cols, total)
+                filtered = {}
+                for lam in partitions_in_box(rows, cols):
+                    if walk_criterion(lam, rows, dead):
+                        filtered.setdefault(size(lam), []).append(lam)
+                assert walk == filtered, (rows, cols)
+                hits += sum(map(len, walk.values()))
+        assert hits or dead == []
+
+    @pytest.mark.parametrize("dead", WALK_DEAD)
+    def test_cap_keeps_the_smaller_sizes(self, dead):
+        rows, cols = 4, 5
+        whole = pipeline._collision_free_by_size(rows, cols, dead)
+        for cap in range(-1, rows * cols + 1):
+            assert pipeline._collision_free_by_size(rows, cols, dead, cap) == \
+                {s: lams for s, lams in whole.items() if s <= cap}, cap
+
+
 class TestFactorSurvivors:
     """Prebuilt side expansions against one coh_bundle per partition."""
 
@@ -739,19 +812,21 @@ class TestFactorSurvivors:
         p, ins = case
         pipeline._SURVIVOR_CACHE.clear()
         a1, b1, a2, b2 = ins.key()
-        with recorded_candidates() as candidates:
-            for t in range(p.rank_k + 1):
-                for factor, a, b, raw in ((1, a1, b1, (ins.a1, ins.b1)),
-                                          (2, a2, b2, (ins.a2, ins.b2))):
-                    candidates.clear()
+        for factor, a, b, raw in ((1, a1, b1, (ins.a1, ins.b1)),
+                                  (2, a2, b2, (ins.a2, ins.b2))):
+            with recorded_candidates() as walks:
+                for t in range(p.rank_k + 1):
                     got = pipeline._factor_survivors(p, factor, a, b, t)
                     assert materialized(got) == oracle_factor_survivors(
                         p, factor, *raw, t), (ins, factor, t)
                     # nothing beside the Koszul partition: the criterion is
                     # exact, so every candidate survives
+                    candidates = walks[0].get(t, []) if walks else []
                     beside = a if factor == 1 else b
                     assert beside or [s.lam for s in got] == candidates, \
                         (ins, factor, t)
+            # one walk serves every t of a factor
+            assert len(walks) <= 1, (ins, factor)
 
     @pytest.mark.parametrize("setup", [QuotSetup(2, 1, 1, m=3),
                                        QuotSetup(2, 1, 2, m=4),
@@ -764,18 +839,36 @@ class TestFactorSurvivors:
         # (`bwb.index_nonvanish`)
         p = stromme(setup)
         pipeline._SURVIVOR_CACHE.clear()
-        with recorded_candidates() as candidates:
-            for t in range(p.rank_k + 1):
-                for factor, rows, cols, q in ((1, p.k1, 2 * p.r2, p.r1),
-                                              (2, p.r2, min(2 * p.k1, t), p.k2)):
-                    candidates.clear()
+        for factor, rows, cols, q in ((1, p.k1, 2 * p.r2, p.r1),
+                                      (2, p.r2, 2 * p.k1, p.k2)):
+            with recorded_candidates() as walks:
+                for t in range(p.rank_k + 1):
                     got = pipeline._factor_survivors(p, factor, (), (), t)
                     want = [lam for lam in partitions_in_box(rows, cols, t)
                             if t_index(lam, q) is not None]
-                    assert candidates == want, (factor, t)
+                    assert walks[0].get(t, []) == want, (factor, t)
                     assert [s.lam for s in got] == want, (factor, t)
                     for s in got:
                         assert list(s.table()) == [q * t_index(s.lam, q)], (factor, s.lam)
+            assert len(walks) == 1, factor
+
+    def test_no_insertion_skips_the_nonempty_test(self, monkeypatch):
+        # with nothing beside the Koszul partition on either factor, no
+        # candidate is tested for a surviving term; an a1 insertion sits
+        # beside mu, so the first factor's candidates are tested
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return coh_duals_nonempty(*args)
+
+        monkeypatch.setattr(pipeline, "coh_duals_nonempty", counted)
+        p = stromme(QuotSetup(2, 1, 2, m=6))
+        pipeline._SURVIVOR_CACHE.clear()
+        assert e1_page(p).entries == {(0, 0): 1}
+        assert calls == []
+        e1_page(p, InsertionSpec(a1=((1,),)))
+        assert len(calls) > 0
 
     def test_tables_only_for_nonzero_pairs(self):
         # the m=6 scan of (2, 1, 2) joins its survivors into 134 candidate
@@ -789,12 +882,28 @@ class TestFactorSurvivors:
             page = e1_page(p)
             assert e1_page(p) == page
         assert len(pairs) == 134
-        assert sum(map(len, pipeline._SURVIVOR_CACHE.values())) == 1215
+        # 1215 survivors at the t the page reads (the sigma lists only where
+        # some mu survives); the two walks keep 1221 over every t
+        read = sum(len(firsts) + len(pipeline._factor_survivors(p, 2, (), (), t))
+                   for t in range(p.rank_k + 1)
+                   for firsts in [pipeline._factor_survivors(p, 1, (), (), t)] if firsts)
+        assert read == 1215
+        assert sum(len(lst) for lists in pipeline._SURVIVOR_CACHE.values()
+                   for lst in lists.values()) == 1221
         assert page.contributions == {(0, 0): [((), (), 1, 1)]}
         assert len(calls) == 2
         assert [(s.lam, s.built) for factor in (1, 2)
                 for s in pipeline._factor_survivors(p, factor, (), (), 0)] \
             == [((), {0: 1}), ((), {0: 1})]
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_candidate_order_matches_per_t_oracle(self, m):
+        p = stromme(QuotSetup(2, 1, 2, m=m))
+        pipeline._SURVIVOR_CACHE.clear()
+        got = [(t, f1.lam, f2.lam)
+               for t, f1, f2 in pipeline._candidate_pairs(p, InsertionSpec())]
+        assert got == oracle_candidate_pairs(p)
+        assert len(got) == {6: 134, 7: 1054}[m]
 
     def test_misordered_weight_raises(self):
         p = stromme(QuotSetup(2, 1, 1, m=3))
