@@ -744,7 +744,6 @@ class TestCollisionWalk:
                 for total in range(-1, rows * cols + 2):
                     want = collision_free(rows, cols, total, dead)
                     assert walk.get(total, []) == want, (rows, cols, total)
-                    assert total in walk or not want, (rows, cols, total)
                 filtered = {}
                 for lam in partitions_in_box(rows, cols):
                     if walk_criterion(lam, rows, dead):
@@ -884,9 +883,11 @@ class TestFactorSurvivors:
         assert len(pairs) == 134
         # 1215 survivors at the t the page reads (the sigma lists only where
         # some mu survives); the two walks keep 1221 over every t
-        read = sum(len(firsts) + len(pipeline._factor_survivors(p, 2, (), (), t))
-                   for t in range(p.rank_k + 1)
-                   for firsts in [pipeline._factor_survivors(p, 1, (), (), t)] if firsts)
+        read = 0
+        for t in range(p.rank_k + 1):
+            firsts = pipeline._factor_survivors(p, 1, (), (), t)
+            if firsts:
+                read += len(firsts) + len(pipeline._factor_survivors(p, 2, (), (), t))
         assert read == 1215
         assert sum(len(lst) for lists in pipeline._SURVIVOR_CACHE.values()
                    for lst in lists.values()) == 1221
