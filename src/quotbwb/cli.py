@@ -6,8 +6,7 @@ the computation contradicts itself (an `ArithmeticError`, such as
 `InconsistencyError`, escapes the command).  All
 dimensions are serialized as decimal strings; payloads are deterministic
 (sorted keys).  `--jobs N`, N >= 1, is accepted for existing command
-lines but selects nothing and is not echoed: `pipeline.e1_page` starts a
-process pool only when its own pair count pays for one.
+lines but ignored and not echoed: every page is computed in one process.
 """
 
 import argparse

@@ -8,7 +8,6 @@ provably zero or forced (nonnegativity pinning, Euler pinning), otherwise
 per-degree bounds are reported.
 """
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -393,16 +392,6 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
     return out
 
 
-# A page starts a process pool only when each worker gets at least this
-# many candidate pairs.  Timed from a parent on two CPUs, alternating runs:
-# every bench page (at most 251 pairs) and the m=7 and m=8 scans of
-# (2, 1, 2) (1054 and 9738 pairs) are no faster with two workers, and
-# the m=8 scan takes 3 MB more peak RSS with them; the m=9 scan (94903
-# pairs) takes 14-18% longer in one process, the difference being in its
-# pair sums.
-_PAIRS_PER_WORKER = 10000
-
-
 @dataclass
 class E1Page:
     """Sparse (t, q) -> dimension table with contributing-term diagnostics."""
@@ -419,32 +408,15 @@ def e1_page(params: StrommeParams, ins: InsertionSpec = EMPTY_INSERTION) -> E1Pa
     """First page of the Koszul spectral sequence for the given insertions.
 
     E1[t, q] = H^q of (insertions) x (t-th Koszul term), contributing to
-    total degree q - t.  One serial pass lists the candidate pairs; their
-    multiplicities are computed in this process unless the list gives at
-    least two of the usable CPUs `_PAIRS_PER_WORKER` pairs each.  Then each
-    worker of a process pool computes one contiguous slice of the list,
-    all of one size but the last, in order: the page is the same either way.
-    The factor tables are built (and kept with their survivors) only for
-    the pairs with a nonzero multiplicity.
+    total degree q - t.  One pass lists the candidate pairs and computes
+    their multiplicities in this process, in order.  The factor tables are
+    built (and kept with their survivors) only for the pairs with a
+    nonzero multiplicity.
     """
-    pairs = _candidate_pairs(params, ins)
-    args = ([f1.dag for _, f1, _ in pairs], [f2.lam for _, _, f2 in pairs],
-            [params.r2] * len(pairs))
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(cpus, len(pairs) // _PAIRS_PER_WORKER)
-    if workers < 2:
-        mults = list(map(koszul_pair_mult, *args))
-    else:
-        # imported here: a process that starts no pool skips the import
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-            mults = list(pool.map(koszul_pair_mult, *args,
-                                  chunksize=-(-len(pairs) // workers)))
     entries: dict[tuple[int, int], int] = {}
     contribs: dict[tuple[int, int], list] = {}
-    for (t, f1, f2), mult in zip(pairs, mults):
+    for t, f1, f2 in _candidate_pairs(params, ins):
+        mult = koszul_pair_mult(f1.dag, f2.lam, params.r2)
         if not mult:
             continue
         for q, v in sorted(kunneth(f1.table(), f2.table()).items()):

@@ -184,14 +184,15 @@ def lr_expand(alpha: Partition, beta: Partition, max_rows: Optional[int] = None
     return hit
 
 
-def _within_double(lam: Partition, kappa: Partition) -> bool:
-    """Every partial sum of lam is at most twice that of kappa."""
-    a = b = 0
-    for i, x in enumerate(lam):
-        a += x
-        if i < len(kappa):
-            b += 2 * kappa[i]
-        if a > b:
+def _within_double_meet(a: Partition, b: Partition) -> bool:
+    """Every partial sum of a and of b is at most twice that of the meet
+    a ^ b, in one walk: past the shorter partition the meet adds 0."""
+    sa = sb = sm = 0
+    for x, y in zip_longest(a, b, fillvalue=0):
+        sa += x
+        sb += y
+        sm += 2 * min(x, y)
+        if sa > sm or sb > sm:
             return False
     return True
 
@@ -228,11 +229,8 @@ def koszul_pair_possible(theta: Partition, theta_dag: Partition,
         return False
     if part(sigma, 1) > part(theta, 1) + part(theta, 2):
         return False
-    meet = tuple(min(a, b) for a, b in zip(theta, sigma))
-    meet_dag = tuple(min(a, b) for a, b in zip(theta_dag, sigma_dag))
-    return (_within_double(theta, meet) and _within_double(sigma, meet)
-            and _within_double(theta_dag, meet_dag)
-            and _within_double(sigma_dag, meet_dag))
+    return (_within_double_meet(theta, sigma)
+            and _within_double_meet(theta_dag, sigma_dag))
 
 
 def lr(alpha: Partition, beta: Partition, gamma: Partition) -> int:
@@ -506,8 +504,11 @@ def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
     first.  The total is twice the levels |alpha| > n/2, plus the level
     n/2 once for even n.  A binding cap sums every level: its middle
     level is not proven to decide.
+
+    theta and sigma must be canonical partitions: every caller in the
+    package passes built ones (survivors and `koszul_terms`), so nothing
+    is re-checked.
     """
-    theta, sigma = partition(theta), partition(sigma)
     n = size(theta)
     if size(sigma) != n:
         return 0

@@ -244,3 +244,28 @@ def pair_mult_by_characters(theta: tuple, sigma: tuple) -> int:
     if total % factorial(n):
         raise ArithmeticError(f"character sum not divisible by {n}!")
     return total // factorial(n)
+
+
+def _within_double(lam: tuple, kappa: tuple) -> bool:
+    """Every partial sum of lam is at most twice that of kappa."""
+    a = b = 0
+    for i, x in enumerate(lam):
+        a += x
+        if i < len(kappa):
+            b += 2 * kappa[i]
+        if a > b:
+            return False
+    return True
+
+
+def meet_dominance(theta: tuple, theta_dag: tuple, sigma: tuple, sigma_dag: tuple
+                   ) -> bool:
+    """The meet-dominance half of `schur.koszul_pair_possible`, from the
+    meets themselves: kappa = theta ^ sigma bounds theta and sigma, and
+    kappa^dag = theta^dag ^ sigma^dag bounds their conjugates, each
+    partial sum by twice the meet's, one scan per partition."""
+    meet = tuple(min(a, b) for a, b in zip(theta, sigma))
+    meet_dag = tuple(min(a, b) for a, b in zip(theta_dag, sigma_dag))
+    return (_within_double(theta, meet) and _within_double(sigma, meet)
+            and _within_double(theta_dag, meet_dag)
+            and _within_double(sigma_dag, meet_dag))

@@ -1,5 +1,4 @@
 import concurrent.futures
-import os
 import random
 import sys
 from contextlib import contextmanager
@@ -9,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import collision_free, graded_pair_mult, partitions_in_box, strip_lr_expand
+from oracles import (collision_free, graded_pair_mult, meet_dominance, partitions_in_box,
+                     strip_lr_expand)
 from quotbwb import pipeline, schur
 from quotbwb.bwb import GrSpec, coh_bundle, coh_duals_nonempty
 from quotbwb.partitions import (
@@ -264,6 +264,26 @@ _PRUNE_SETUPS = [s for s in (QuotSetup(n, r, d, b, m=sum(b) + d + e)
 
 
 class TestPairPrefilter:
+    def test_one_walk_matches_meet_oracle(self):
+        # every ordered pair of partitions of at most 9, sizes unequal
+        # included: Dvir's four bounds and the meet tuples of the oracle
+        parts = [lam for n in range(10) for lam in partitions_in_box(n, n, n)]
+        assert len(parts) == 97
+        kept = 0
+        for theta in parts:
+            theta_dag = conjugate(theta)
+            for sigma in parts:
+                sigma_dag = conjugate(sigma)
+                dvir = (len(theta) <= part(sigma_dag, 1) + part(sigma_dag, 2)
+                        and len(sigma) <= part(theta_dag, 1) + part(theta_dag, 2)
+                        and part(theta, 1) <= part(sigma, 1) + part(sigma, 2)
+                        and part(sigma, 1) <= part(theta, 1) + part(theta, 2))
+                want = dvir and meet_dominance(theta, theta_dag, sigma, sigma_dag)
+                assert koszul_pair_possible(theta, theta_dag, sigma, sigma_dag) == want, \
+                    (theta, sigma)
+                kept += want
+        assert 0 < kept < len(parts) ** 2
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.data())
     def test_prefilter_keeps_every_nonzero_pair(self, data):
@@ -492,33 +512,6 @@ class TestSkewMemoKey:
             assert koszul_pair_mult(*pair) == expected, pair
 
 
-def _set_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-
-
-@pytest.fixture
-def force_pool(monkeypatch):
-    """`force_pool(cpus)` makes `e1_page` split any page of two or more
-    candidate pairs over up to `cpus` spawned workers, one pair per worker
-    at the least; it returns the list of the worker counts of the pools
-    started since."""
-    started = []
-
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, workers, **kwargs):
-            started.append(workers)
-            super().__init__(workers, **kwargs)
-
-    def force(cpus=2):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-        monkeypatch.setattr(pipeline, "_PAIRS_PER_WORKER", 1)
-        _set_cpus(monkeypatch, cpus)
-        return started
-
-    return force
-
-
 class TestSurvivorMemo:
     """Pages must not depend on what the factor-survivor memo already holds."""
 
@@ -559,46 +552,23 @@ class TestSurvivorMemo:
         assert self._page(p, as_lists) == cold[-1]
         assert len(pipeline._SURVIVOR_CACHE) == held
 
-    @pytest.mark.parametrize("setup", SETUPS)
-    def test_jobs_under_warm_memo(self, setup, force_pool):
-        p = stromme(setup)
-        target = self._target(p)
-        one = self._page(p, target)
-        # the workers start with empty memos; the parent's stays warm
-        started = force_pool()
-        assert self._page(p, target) == one
-        assert started == [2]
-
 
 class TestPool:
-    """`e1_page` starts a process pool from its own pair count alone, and
-    the pool gives the in-process page."""
+    """`e1_page` computes every page in this process."""
 
-    SHARP = (QuotSetup(2, 1, 2, m=5), InsertionSpec(b1=((1,) * 6,)))
-
-    def test_pool_path_matches_in_process(self, force_pool):
-        p, ins = stromme(self.SHARP[0]), self.SHARP[1]
-        pipeline._SURVIVOR_CACHE.clear()
-        serial = TestSurvivorMemo._page(p, ins)
-        started = force_pool()
-        pipeline._SURVIVOR_CACHE.clear()
-        assert TestSurvivorMemo._page(p, ins) == serial
-        assert started == [2]
-
-    def test_page_below_the_cut_starts_no_pool(self, monkeypatch):
+    def test_no_page_starts_a_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a page below the cut started a pool")
+            raise AssertionError("a page started a process pool")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        _set_cpus(monkeypatch, 64)
         # the largest page the bench builds: the thm41 sweep at m = 5
         setup = QuotSetup(2, 1, 1, m=5)
         p = stromme(setup)
         ins = InsertionSpec(b1=(as_weight((1,), p.r1),), b2=(as_weight((1,), p.r2),))
         assert len(pipeline._candidate_pairs(p, ins)) == 251
         assert verify_thm41(setup, (1,), (1,)).matches
-        # the m=8 scan of (2, 1, 2), which two workers do not speed up; its
-        # 9738 candidate pairs are pinned in TestScans
+        # the m=8 scan of (2, 1, 2); its 9738 candidate pairs are pinned in
+        # TestScans
         assert e1_page(stromme(QuotSetup(2, 1, 2, m=8))).entries
 
 
@@ -1006,20 +976,6 @@ class TestScans:
         page = e1_page(p)
         assert page.entries == {(0, 0): 1}
         assert page.contributions == {(0, 0): [((), (), 1, 1)]}
-
-    def test_jobs_determinism(self, force_pool):
-        # 34 candidate pairs: in-process, then over two and three workers
-        setup = QuotSetup(3, 1, 1, m=3)
-        ins = InsertionSpec(b1=((1,),))
-        pages = [e1_page(stromme(setup), ins)]
-        started = force_pool(2)
-        pages.append(e1_page(stromme(setup), ins))
-        force_pool(3)
-        pages.append(e1_page(stromme(setup), ins))
-        assert started == [2, 3]
-        for page in pages[1:]:
-            assert page.entries == pages[0].entries
-            assert page.contributions == pages[0].contributions
 
     def test_diagnostics_present(self):
         setup = QuotSetup(3, 1, 3, m=3)
