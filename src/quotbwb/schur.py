@@ -11,7 +11,6 @@ are keyed on canonical tuples and grow unboundedly.
 """
 
 from itertools import accumulate, zip_longest
-from operator import sub
 from typing import Optional, Sequence
 
 from .partitions import (
@@ -85,14 +84,6 @@ def _skew_cells(lam: Partition, nu: Partition) -> list[tuple[int, int]]:
             for c in range(lam[r - 1], part(nu, r), -1)]
 
 
-def _skew_key(lam: Partition, nu: Partition, max_rows: Optional[int]
-              ) -> tuple[Partition, Partition, Optional[int]]:
-    """The skew memo key: a row cap of at least |lam| - |nu| caps nothing."""
-    if max_rows is not None and max_rows >= size(lam) - size(nu):
-        max_rows = None
-    return lam, nu, max_rows
-
-
 def _skew_fill(lam: Partition, nu: Partition, max_rows: Optional[int], *,
                start: Partition = (), bound: Optional[Partition] = None
                ) -> dict[Partition, int]:
@@ -151,8 +142,11 @@ def skew_expand(lam: Partition, nu: Partition, max_rows: Optional[int] = None
 def _skew_expand(lam: Partition, nu: Partition, max_rows: Optional[int] = None
                  ) -> dict[Partition, int]:
     """`skew_expand` for internal callers, which pass canonical partitions
-    with nu inside lam: nothing is re-checked."""
-    key = _skew_key(lam, nu, max_rows)
+    with nu inside lam: nothing is re-checked.  A row cap of at least
+    |lam| - |nu| caps nothing, so the memo key drops it."""
+    if max_rows is not None and max_rows >= size(lam) - size(nu):
+        max_rows = None
+    key = (lam, nu, max_rows)
     hit = _SKEW_CACHE.get(key)
     if hit is None:
         hit = _SKEW_CACHE[key] = _skew_fill(*key)
@@ -428,41 +422,6 @@ def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int,
     return out
 
 
-def _dominated(rows: list[int], cols: list[int]) -> bool:
-    """Whether rows <= cols^dag in dominance order, for two weakly
-    decreasing lists of the same total.
-
-    The k-th part of cols^dag counts the entries of cols that are >= k.
-    """
-    n = len(cols)
-    acc = bound = 0
-    for k, x in enumerate(rows, 1):
-        while n and cols[n - 1] < k:
-            n -= 1
-        if not n:
-            return True  # the conjugate's partial sums have reached the total
-        acc += x
-        bound += n
-        if acc > bound:
-            return False
-    return True
-
-
-def _intervals_meet(theta: Partition, theta_dag: Partition, sigma: Partition,
-                    sigma_dag: Partition, alpha: Partition) -> bool:
-    """rows(theta/alpha) <= cols(sigma/alpha)^dag and rows(sigma/alpha) <=
-    cols(theta/alpha)^dag in dominance order; alpha lies in theta ^ sigma."""
-    alpha_dag = conjugate(alpha)
-    return (_dominated(_skew_rows(theta, alpha), _skew_rows(sigma_dag, alpha_dag))
-            and _dominated(_skew_rows(sigma, alpha), _skew_rows(theta_dag, alpha_dag)))
-
-
-def _skew_rows(lam: Partition, nu: Partition) -> list[int]:
-    """Row lengths of lam/nu, sorted decreasing (zeros kept); for lam^dag/nu^dag
-    these are the column lengths of lam/nu."""
-    return sorted(map(sub, lam, nu + (0,) * (len(lam) - len(nu))), reverse=True)
-
-
 def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
     """Sum over alpha, beta of c^theta_{alpha,beta} * c^sigma_{alpha,beta}.
 
@@ -483,14 +442,11 @@ def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
         conditions for Schur-positivity, J. Algebraic Combin. 28, 2008),
         so a common constituent needs rows(theta/alpha) <=
         cols(sigma/alpha)^dag and rows(sigma/alpha) <= cols(theta/alpha)^dag.
-        The first partial sums of both are cut inside the generator, row
-        by row, so a prefix that fails them builds no alpha (the proof is
-        in `_pair_alphas`); in the scans of (n, r, d) = (2, 1, 2) at
-        m = 6, 7 and 8 no zero pair keeps an alpha;
-      - a term whose two skew expansions are both memoized is summed at
-        once; otherwise alpha is skipped unless the whole intervals meet.
-    The memo goes first because the interval test costs more than a
-    lookup, and on pair-dense lists most terms are nonzero and memoized.
+        The interval is applied once, inside the generator: the first
+        partial sums of both are cut row by row, so a prefix that fails
+        them builds no alpha (the proof is in `_pair_alphas`); in the
+        scans of (n, r, d) = (2, 1, 2) at m = 6, 7 and 8 no zero pair
+        keeps an alpha.
 
     Levels.  Let n = |theta| and P_j the terms with |beta| = j; swapping
     alpha and beta gives P_j = P_{n-j}.  Under a moot cap (at least
@@ -513,22 +469,12 @@ def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
     if size(sigma) != n:
         return 0
     rows = min(max_rows, len(theta), len(sigma))
-    dags = ()  # the conjugates, built for the first interval test
 
     def level(least: int, most: int) -> int:
-        nonlocal dags
         total = 0
         for alpha in _pair_alphas(theta, sigma, max_rows, least, most):
-            k1, k2 = _skew_key(theta, alpha, rows), _skew_key(sigma, alpha, rows)
-            e1, e2 = _SKEW_CACHE.get(k1), _SKEW_CACHE.get(k2)
-            if e1 is None or e2 is None:
-                dags = dags or (conjugate(theta), conjugate(sigma))
-                if not _intervals_meet(theta, dags[0], sigma, dags[1], alpha):
-                    continue
-                if e1 is None:
-                    e1 = _SKEW_CACHE[k1] = _skew_fill(*k1)
-                if e2 is None:
-                    e2 = _SKEW_CACHE[k2] = _skew_fill(*k2)
+            e1 = _skew_expand(theta, alpha, rows)
+            e2 = _skew_expand(sigma, alpha, rows)
             if len(e2) < len(e1):
                 e1, e2 = e2, e1
             total += sum(m * e2.get(b, 0) for b, m in e1.items())

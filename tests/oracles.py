@@ -5,9 +5,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
-from quotbwb.partitions import conjugate, size
-from quotbwb.schur import (_SKEW_CACHE, _intervals_meet, _pair_alphas,
-                           _skew_fill, _skew_key)
+from quotbwb.partitions import size
+from quotbwb.schur import _pair_alphas, _skew_expand
 
 
 def inversions(seq: Sequence[int]) -> int:
@@ -159,23 +158,15 @@ def graded_pair_mult(theta, sigma, max_rows: int) -> list:
     split by |beta| = j, n = |theta| = |sigma|.
 
     The full pair loop, with no middle-level decision: the same generated
-    alpha, memo-first order and dominance cut, each term added to the
-    level of its beta.
+    alpha and memoized skew expansions, each term added to the level of
+    its beta.
     """
     n = size(theta)
     rows = min(max_rows, len(theta), len(sigma))
-    theta_dag, sigma_dag = conjugate(theta), conjugate(sigma)
     levels = [0] * (n + 1)
     for alpha in _pair_alphas(theta, sigma, max_rows):
-        k1, k2 = _skew_key(theta, alpha, rows), _skew_key(sigma, alpha, rows)
-        e1, e2 = _SKEW_CACHE.get(k1), _SKEW_CACHE.get(k2)
-        if e1 is None or e2 is None:
-            if not _intervals_meet(theta, theta_dag, sigma, sigma_dag, alpha):
-                continue
-            if e1 is None:
-                e1 = _SKEW_CACHE[k1] = _skew_fill(*k1)
-            if e2 is None:
-                e2 = _SKEW_CACHE[k2] = _skew_fill(*k2)
+        e1 = _skew_expand(theta, alpha, rows)
+        e2 = _skew_expand(sigma, alpha, rows)
         levels[n - size(alpha)] += sum(m * e2.get(b, 0) for b, m in e1.items())
     return levels
 

@@ -320,11 +320,12 @@ def test_unchecked_expansions_get_canonical_partitions(monkeypatch):
         sx_cohomology(setup, [2, 1, 0])
     e1_page(stromme(QuotSetup(2, 1, 1, m=3)),
             InsertionSpec(a1=((1,), (0, -1)), b1=((2, 1),), a2=((1,),), b2=((1,),)))
-    # skew_expand calls in after its own check (skew_dim's route); lr_expand
-    # fills beta after alpha itself and no longer goes through the skew memo
+    # skew_expand calls in after its own check (skew_dim's route), level is
+    # koszul_pair_mult's pair loop; lr_expand fills beta after alpha itself
+    # and no longer goes through the skew memo
     assert callers == {
         "_skew_expand": {"schur_of_sum_copies", "_two_term_schur", "direct_sum_expand",
-                         "_terms_insert_theta", "skew_expand"},
+                         "_terms_insert_theta", "skew_expand", "level"},
         "lr_expand": {"tensor_entries", "schur_of_sum_copies"}}, callers
 
 

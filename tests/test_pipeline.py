@@ -39,7 +39,6 @@ from quotbwb.pipeline import (
     verify_thm41,
 )
 from quotbwb.schur import (
-    _intervals_meet,
     _pair_alphas,
     koszul_pair_mult,
     koszul_pair_possible,
@@ -299,26 +298,9 @@ class TestPairPrefilter:
                 assert koszul_pair_possible(theta, mu, sigma, conjugate(sigma)), \
                     (setup, mu, sigma)
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(st.data())
-    def test_dominance_cut_keeps_every_nonzero_term(self, data):
-        # every alpha with c^theta_{alpha,beta} c^sigma_{alpha,beta} != 0 in
-        # the full expansion must pass both directions of the pair loop's cut
-        setup = data.draw(st.sampled_from(_PRUNE_SETUPS))
-        p = stromme(setup)
-        t = data.draw(st.integers(0, p.rank_k))
-        mu = data.draw(st.sampled_from(partitions_in_box(p.k1, 2 * p.r2, t)))
-        theta, theta_dag = conjugate(mu), mu
-        for alpha in subpartitions(theta, p.r2):
-            for beta in skew_expand(theta, alpha, p.r2):
-                for sigma in strip_lr_expand(alpha, beta, p.r2):
-                    assert _intervals_meet(theta, theta_dag, sigma,
-                                           conjugate(sigma), alpha), \
-                        (setup, mu, sigma, alpha)
-
     def test_pair_mult_matches_filter_loop(self):
-        # generated alpha, memo-first order and dominance cut against the
-        # plain filter loop on every prefiltered pair, zeros included
+        # generated alpha and memoized skew expansions against the plain
+        # filter loop on every prefiltered pair, zeros included
         setups = [QuotSetup(2, 1, 2, m=3), QuotSetup(2, 1, 2, m=4),
                   QuotSetup(3, 1, 1, m=1), QuotSetup(3, 1, 1, m=2),
                   QuotSetup(3, 1, 2, m=2), QuotSetup(3, 2, 1, m=2),
@@ -328,13 +310,6 @@ class TestPairPrefilter:
         for theta, sigma, r2 in pairs:
             assert koszul_pair_mult(theta, sigma, r2) == \
                 oracle_koszul_pair_mult(theta, sigma, r2), (theta, sigma, r2)
-
-    def test_dominance_cut_needs_both_directions(self):
-        # s_{(1,1)} and s_{(2)} share no constituent: rows((1,1)) = (1,1) <=
-        # cols((2))^dag = (2), but rows((2)) = (2) is not <= cols((1,1))^dag
-        assert not _intervals_meet((1, 1), (2,), (2,), (1, 1), ())
-        assert not _intervals_meet((2,), (1, 1), (1, 1), (2,), ())
-        assert _intervals_meet((2, 1), (2, 1), (2, 1), (2, 1), ())
 
     def test_prefilter_prunes(self):
         # g((1,1,1,1), (4), nu) is nonzero only for nu = (1,1,1,1)
@@ -510,6 +485,27 @@ class TestSkewMemoKey:
                 if other != pair:
                     koszul_pair_mult(*other)
             assert koszul_pair_mult(*pair) == expected, pair
+
+    def test_only_the_memo_owners_fill(self, monkeypatch):
+        # the pair loop reads skew expansions through `_skew_expand`, so
+        # no second copy of the skew memo's key and fill logic exists
+        callers = set()
+        fill = schur._skew_fill
+
+        def watched(*args, **kwargs):
+            callers.add(sys._getframe(1).f_code.co_name)
+            return fill(*args, **kwargs)
+
+        monkeypatch.setattr(schur, "_skew_fill", watched)
+        for memo in ("_SKEW_CACHE", "_LR_EXPAND_CACHE", "_SUM_CACHE"):
+            monkeypatch.setattr(schur, memo, {})
+        monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
+        for pair in self.PAIRS:
+            koszul_pair_mult(*pair)
+        e1_page(stromme(QuotSetup(2, 1, 1, m=3)),
+                InsertionSpec(a1=((1,), (0, -1)), b1=((2, 1),), a2=((1,),), b2=((1,),)))
+        assert callers <= {"_skew_expand", "lr_expand", "lr"}, callers
+        assert "_skew_expand" in callers
 
 
 class TestSurvivorMemo:
