@@ -6,20 +6,20 @@ part of rho, and merges the two strictly decreasing blocks: a tie means
 vanishing, and the inversions counted during the merge (the length of
 the sorting permutation) give the unique nonvanishing degree.  It
 computes no dimension, so a caller that only asks whether something
-survives pays for the merge alone; `_dim` is the dimension of the
-answer, for the callers that need it.  `bwb_dual_weights` validates its
-weights and calls both; `coh_bundle` is the bundle-side wrapper: weights
-on A and B themselves, validated once, tensor-expanded on entry tuples
-and converted to the dual convention before the merge.  `coh_duals` is
-its second half, for callers that hold the dual-convention summands
-already.
+survives pays for the merge alone; `schur.entries_dim` is the dimension
+of the answer, for the callers that need it.  `bwb_dual_weights`
+validates its weights and calls both; `coh_bundle` is the bundle-side
+wrapper: weights on A and B themselves, validated once, tensor-expanded
+on entry tuples and converted to the dual convention before the merge.
+`coh_duals` is its second half, for callers that hold the
+dual-convention summands already.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .partitions import WeightLengthError, as_weight, dual_entries, t_index
-from .schur import Entries, Expansion, schur_dim, tensor_expand_many
+from .partitions import WeightLengthError, as_weight, dual_entries
+from .schur import Entries, Expansion, entries_dim, tensor_expand_many
 
 CohomTable = dict[int, int]
 
@@ -69,7 +69,7 @@ def _bwb(n: int, rho: Entries, chi: Entries) -> Optional[tuple[int, Entries]]:
     kills everything; otherwise the degree is the number of inversions of
     omega, counted as each chi entry passes the rho entries still pending,
     and the sorted-and-unshifted weight gamma gives the answer
-    S^gamma(C^n)^dual, of dimension `_dim(n, gamma)`.  gamma is weakly
+    S^gamma(C^n)^dual, of dimension `entries_dim(gamma, n)`.  gamma is weakly
     decreasing by construction, so it is never re-validated.
     """
     k = len(rho)
@@ -89,13 +89,6 @@ def _bwb(n: int, rho: Entries, chi: Entries) -> Optional[tuple[int, Entries]]:
     return degree, tuple(x - (n - 1 - p) for p, x in enumerate(omega))
 
 
-def _dim(n: int, gamma: Entries) -> int:
-    """dim S^gamma(C^n) for a weakly decreasing gamma of length n."""
-    # a determinant twist keeps the dimension and makes gamma a partition
-    low = gamma[-1] if gamma else 0
-    return schur_dim(tuple(x - low for x in gamma), n)
-
-
 def bwb_dual_weights(gr: GrSpec, rho: Sequence[int], chi: Sequence[int]) -> BwbOutcome:
     """Cohomology of S^rho(A^dual) x S^chi(B^dual) on Gr(k, n).
 
@@ -105,7 +98,7 @@ def bwb_dual_weights(gr: GrSpec, rho: Sequence[int], chi: Sequence[int]) -> BwbO
     if hit is None:
         return BwbOutcome(vanishes=True)
     degree, gamma = hit
-    return BwbOutcome(False, degree, gamma, dual_entries(gamma), _dim(gr.n, gamma))
+    return BwbOutcome(False, degree, gamma, dual_entries(gamma), entries_dim(gamma, gr.n))
 
 
 def expand_side(weights: Sequence[Sequence[int]], length: int) -> Expansion:
@@ -143,7 +136,7 @@ def coh_duals(n: int, rhos: list[tuple[Entries, int]],
             hit = _bwb(n, rho, chi)
             if hit is not None:
                 degree, gamma = hit
-                table[degree] = table.get(degree, 0) + ma * mb * _dim(n, gamma)
+                table[degree] = table.get(degree, 0) + ma * mb * entries_dim(gamma, n)
     return table
 
 
@@ -168,15 +161,6 @@ def coh_bundle(gr: GrSpec, a_weights: Sequence[Sequence[int]] = (),
     """
     chis = dual_side(expand_side(b_weights, gr.quotient_rank))
     return coh_duals(gr.n, dual_side(expand_side(a_weights, gr.k)), chis)
-
-
-def index_nonvanish(chi: Entries, k: int) -> Optional[tuple[int, int]]:
-    """Fast criterion for S^chi(B^dual) on Gr(k, n): (k-index j, degree kj).
-
-    None exactly when the core algorithm vanishes at rho = 0.
-    """
-    j = t_index(chi, k)
-    return None if j is None else (j, k * j)
 
 
 def kunneth(t1: CohomTable, t2: CohomTable) -> CohomTable:

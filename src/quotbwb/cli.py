@@ -16,13 +16,13 @@ import sys
 import time
 
 from . import __version__
-from .bwb import GrSpec, bwb_dual_weights, expand_side, index_nonvanish
+from .bwb import GrSpec, bwb_dual_weights, expand_side
 from .complexes import (
     HyperInsert,
     hyper_cohomology,
     sx_cohomology,
 )
-from .partitions import as_weight, dual_entries, format_parts, parse_parts, partition
+from .partitions import as_weight, dual_entries, format_parts, parse_parts, partition, t_index
 from .pipeline import (
     InsertionSpec,
     QuotReport,
@@ -153,11 +153,10 @@ def cmd_dim(args):
 def cmd_index(args):
     if args.k < 0:
         raise CliError(f"--k {args.k} is negative")
-    chi = _weight_arg(args.chi)
-    res = index_nonvanish(chi, args.k)
-    if res is None:
+    j = t_index(_weight_arg(args.chi), args.k)
+    if j is None:
         return {"index": None, "degree": None, "vanishes": True}, 0
-    return {"index": res[0], "degree": res[1], "vanishes": False}, 0
+    return {"index": j, "degree": args.k * j, "vanishes": False}, 0
 
 
 def cmd_bwb(args):

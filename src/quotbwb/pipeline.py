@@ -9,7 +9,7 @@ per-degree bounds are reported.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .bwb import (CohomTable, GrSpec, coh_bundle, coh_duals, coh_duals_nonempty,
                   dual_side, expand_side, kunneth)
@@ -43,9 +43,8 @@ class QuotSetup:
 
     The twist m fixes the Grassmannian embedding; m >= b + d is required.
     Irreducibility of the parameter space holds unconditionally for the
-    trivial splitting; for nontrivial splittings it is an assumption
-    (recorded by `irreducibility_assumed`), since no effective threshold
-    for d is available.
+    trivial splitting; for nontrivial splittings it is an assumption,
+    since no effective threshold for d is available.
     """
 
     n: int
@@ -71,10 +70,6 @@ class QuotSetup:
     @property
     def b(self) -> int:
         return sum(self.splitting)
-
-    @property
-    def irreducibility_assumed(self) -> bool:
-        return any(self.splitting)
 
     @property
     def quot_dim(self) -> int:
@@ -166,25 +161,31 @@ def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
     mu runs over the k1 x 2r2 box with |mu| = t; sigma over the r2 x 2k1
     box with |sigma| = t (sigma_1 <= 2 mu^dag_1 <= 2k1), each the bucket t
     of one `_collision_free_by_size` walk with nothing dead and a size cap
-    of t.  The multiplicity of S^mu(A1) x S^sigma(B2^dual) is the pair
-    multiplicity of S^{mu^dag}(B2^dual + B2^dual).  Zero multiplicities
-    are omitted; ordering is the fixed descending-lex order on mu then
-    sigma.
+    of t, joined by `_possible_pairs`.  The multiplicity of S^mu(A1) x
+    S^sigma(B2^dual) is the pair multiplicity of S^{mu^dag}(B2^dual +
+    B2^dual).  Zero multiplicities are omitted; ordering is the fixed
+    descending-lex order on mu then sigma.
     """
     if not 0 <= t <= params.rank_k:
         raise ValueError(f"t = {t} outside [0, {params.rank_k}]")
-    keep_all = [frozenset()]
-    sigmas = [(sigma, conjugate(sigma)) for sigma in
-              _collision_free_by_size(params.r2, 2 * params.k1, keep_all, t).get(t, [])]
+    mus, sigmas = ([_Survivor(lam, None) for lam in
+                    _collision_free_by_size(rows, 2 * other, [frozenset()], t).get(t, [])]
+                   for rows, other in ((params.k1, params.r2), (params.r2, params.k1)))
     terms = []
-    for mu in _collision_free_by_size(params.k1, 2 * params.r2, keep_all, t).get(t, []):
-        theta = conjugate(mu)
-        for sigma, sigma_dag in sigmas:
-            if koszul_pair_possible(theta, mu, sigma, sigma_dag):
-                mult = koszul_pair_mult(theta, sigma, params.r2)
-                if mult:
-                    terms.append(KoszulTerm(t, mu, sigma, mult))
+    for f1, f2 in _possible_pairs(mus, sigmas):
+        mult = koszul_pair_mult(f1.dag, f2.lam)
+        if mult:
+            terms.append(KoszulTerm(t, f1.lam, f2.lam, mult))
     return terms
+
+
+def _possible_pairs(firsts: list, seconds: list) -> Iterator[tuple]:
+    """The pairs (f1, f2), f1 over `firsts` then f2 over `seconds`, that
+    pass `koszul_pair_possible` with theta = f1.dag and sigma = f2.lam.
+    Each item holds a partition `lam` and its conjugate `dag`: f1.lam is
+    mu, f2.lam is sigma."""
+    return ((f1, f2) for f1 in firsts for f2 in seconds
+            if koszul_pair_possible(f1.dag, f1.lam, f2.lam, f2.dag))
 
 
 class _Survivor:
@@ -192,7 +193,9 @@ class _Survivor:
     conjugate.  Its cohomology table is built by `table()` on first call
     and then kept here.  Besides the partition a survivor holds only its
     factor's memo key (params, factor, a, b), whose insertions `table()`
-    expands again; no expansion outlives the lists' construction."""
+    expands again; no expansion outlives the lists' construction.
+    `koszul_terms` wraps its box partitions with no key and builds no
+    table."""
 
     __slots__ = ("lam", "dag", "key", "built")
 
@@ -375,10 +378,10 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
     Both Grassmannian factors are evaluated first, through the memoized
     survivor lists (one walk per factor covers every t; the sigma lists
     are read only at the t where some mu survives).  A pair of
-    survivors is a candidate when it passes `koszul_pair_possible` (Dvir's
-    Kronecker-support bounds, Y. Dvir, J. Algebra 154, 1993, and meet
-    dominance; necessary conditions proven in its docstring), which skips
-    the LR-expensive `koszul_pair_mult`.
+    survivors is a candidate when `_possible_pairs` keeps it: it passes
+    `koszul_pair_possible` (Dvir's Kronecker-support bounds, Y. Dvir,
+    J. Algebra 154, 1993, and meet dominance; necessary conditions proven
+    in its docstring), which skips the LR-expensive `koszul_pair_mult`.
     """
     a1, b1, a2, b2 = ins.key()
     out = []
@@ -387,8 +390,7 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
         if not firsts:
             continue
         seconds = _factor_survivors(params, 2, a2, b2, t)
-        out.extend((t, f1, f2) for f1 in firsts for f2 in seconds
-                   if koszul_pair_possible(f1.dag, f1.lam, f2.lam, f2.dag))
+        out.extend((t, f1, f2) for f1, f2 in _possible_pairs(firsts, seconds))
     return out
 
 
@@ -416,7 +418,7 @@ def e1_page(params: StrommeParams, ins: InsertionSpec = EMPTY_INSERTION) -> E1Pa
     entries: dict[tuple[int, int], int] = {}
     contribs: dict[tuple[int, int], list] = {}
     for t, f1, f2 in _candidate_pairs(params, ins):
-        mult = koszul_pair_mult(f1.dag, f2.lam, params.r2)
+        mult = koszul_pair_mult(f1.dag, f2.lam)
         if not mult:
             continue
         for q, v in sorted(kunneth(f1.table(), f2.table()).items()):

@@ -66,15 +66,22 @@ def schur_dim(lam: Partition, n: int) -> int:
 def weight_dim(w: Sequence[int], n: int) -> int:
     """Dimension of the irreducible GL_n representation with highest weight w.
 
-    Embeds w into length n, twists by a power of the determinant until all
-    entries are nonnegative (`_untwist`), and evaluates hook-content on the
-    resulting partition.  Weights that do not fit in length n give zero; a
-    sequence that is not weakly decreasing raises ValueError.
+    Embeds w into length n and evaluates `entries_dim`.  Weights that do
+    not fit in length n give zero; a sequence that is not weakly
+    decreasing raises ValueError.
     """
     try:
         entries = as_weight(w, n)
     except WeightLengthError:
         return 0
+    return entries_dim(entries, n)
+
+
+def entries_dim(entries: Entries, n: int) -> int:
+    """`weight_dim` of a weakly decreasing entry tuple of length n, not
+    re-validated: twists by a power of the determinant until all entries
+    are nonnegative (`_untwist`) and evaluates hook-content on the
+    resulting partition."""
     return schur_dim(_untwist(entries)[0], n)
 
 
@@ -193,13 +200,13 @@ def _within_double_meet(a: Partition, b: Partition) -> bool:
 
 def koszul_pair_possible(theta: Partition, theta_dag: Partition,
                          sigma: Partition, sigma_dag: Partition) -> bool:
-    """Necessary condition for koszul_pair_mult(theta, sigma, .) != 0.
+    """Necessary condition for koszul_pair_mult(theta, sigma) != 0.
 
     Takes both partitions with their conjugates.  The multiplicity
     sum_{alpha,beta} c^theta_{alpha,beta} c^sigma_{alpha,beta} equals
     sum_nu g(theta, sigma, nu) dim S^nu(C^2), with g the Kronecker
-    coefficient and nu of at most 2 rows (a row cap on alpha, beta only
-    drops nonnegative terms).  Two families of bounds, each proven:
+    coefficient and nu of at most 2 rows.  Two families of bounds, each
+    proven:
 
     Dvir: for g(lam, nu, rho) != 0, len(rho) <= |lam ^ nu^dag| and
     rho_1 <= |lam ^ nu| (Y. Dvir, On the Kronecker product of S_n
@@ -335,16 +342,15 @@ def schur_of_sum_copies(beta: Partition, copies: int, max_rows: Optional[int] = 
     return out
 
 
-def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int,
-                 least: int = 0, most: Optional[int] = None) -> list[Partition]:
+def _pair_alphas(theta: Partition, sigma: Partition, least: int, most: int
+                 ) -> list[Partition]:
     """The alpha of `koszul_pair_mult`'s sum with least <= |alpha| <= most
-    (None: no upper bound) that pass its size, Weyl and first-column cuts.
+    that pass its size, Weyl and first-column cuts.
 
-    With kappa = theta ^ sigma and rows = min(max_rows, len(kappa)), lists
-    (in descending-lex order) every partition alpha inside kappa with at
-    most `rows` rows, |alpha| >= |theta| - |kappa|, and, for lam in
-    {theta, sigma} and every j, alpha_j >= lam_j - kappa_1 and
-    alpha_j >= lam_{j+rows}.  Those are per-row lower bounds, weakly
+    With kappa = theta ^ sigma and rows = len(kappa), lists (in
+    descending-lex order) every partition alpha inside kappa with
+    |alpha| >= |theta| - |kappa| and, for lam in {theta, sigma} and every
+    j, alpha_j >= lam_j - kappa_1 and alpha_j >= lam_{j+rows}.  Those are per-row lower bounds, weakly
     decreasing in j as a maximum of weakly decreasing sequences.  A
     positive bound past row `rows` leaves the list empty.
 
@@ -372,9 +378,8 @@ def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int,
     are exact, and the cut is tested once more.
     """
     meet = tuple(min(a, b) for a, b in zip(theta, sigma))
-    rows = min(max_rows, len(meet))
+    rows = len(meet)
     least = max(least, size(theta) - size(meet))
-    most = size(meet) if most is None else most
     width = part(meet, 1)
     low = [0] * max(len(theta), len(sigma))
     for lam in (theta, sigma):
@@ -422,14 +427,16 @@ def _pair_alphas(theta: Partition, sigma: Partition, max_rows: int,
     return out
 
 
-def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
+def koszul_pair_mult(theta: Partition, sigma: Partition) -> int:
     """Sum over alpha, beta of c^theta_{alpha,beta} * c^sigma_{alpha,beta}.
 
     Evaluated as sum_alpha <s_{theta/alpha}, s_{sigma/alpha}> over common
-    subpartitions with at most `max_rows` rows.  Both alpha and beta lie
-    in the meet kappa = theta ^ sigma (a nonzero c^theta_{alpha,beta} puts
-    them inside theta, c^sigma_{alpha,beta} inside sigma).  Each cut below
-    drops only zero terms:
+    subpartitions.  Both alpha and beta lie in the meet kappa = theta ^
+    sigma (a nonzero c^theta_{alpha,beta} puts them inside theta,
+    c^sigma_{alpha,beta} inside sigma), so no row cap is taken: the
+    pipeline's sigma lie in the r2-row box, and a cap of r2 = rank B2 rows
+    on alpha and beta is at least len(kappa).  Each cut below drops only
+    zero terms:
       - beta is enumerated with at most len(kappa) rows;
       - alpha is generated, not filtered (`_pair_alphas`): |alpha| >=
         |theta| - |kappa| (a smaller alpha leaves a beta larger than
@@ -449,17 +456,15 @@ def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
         keeps an alpha.
 
     Levels.  Let n = |theta| and P_j the terms with |beta| = j; swapping
-    alpha and beta gives P_j = P_{n-j}.  Under a moot cap (at least
-    len(kappa) rows) P_j is the q^j coefficient of <s_theta[X + qX],
-    s_sigma(X)>, and s_lam[XY] = sum g(lam,mu,nu) s_mu(X) s_nu(Y)
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.7) at
-    Y = (1, q) makes that sum_nu g(theta,sigma,nu) s_nu(1,q), nu with at
-    most 2 rows.  Each s_nu(1,q) = q^nu_2 + ... + q^nu_1 holds
+    alpha and beta gives P_j = P_{n-j}.  P_j is the q^j coefficient of
+    <s_theta[X + qX], s_sigma(X)>, and s_lam[XY] = sum g(lam,mu,nu)
+    s_mu(X) s_nu(Y) (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.7) at Y = (1, q) makes that sum_nu g(theta,sigma,nu) s_nu(1,q), nu
+    with at most 2 rows.  Each s_nu(1,q) = q^nu_2 + ... + q^nu_1 holds
     q^floor(n/2), and g >= 0: the sum is nonzero exactly when
     P_floor(n/2), the level |alpha| = ceil(n/2), is, so that level goes
     first.  The total is twice the levels |alpha| > n/2, plus the level
-    n/2 once for even n.  A binding cap sums every level: its middle
-    level is not proven to decide.
+    n/2 once for even n.
 
     theta and sigma must be canonical partitions: every caller in the
     package passes built ones (survivors and `koszul_terms`), so nothing
@@ -468,11 +473,11 @@ def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
     n = size(theta)
     if size(sigma) != n:
         return 0
-    rows = min(max_rows, len(theta), len(sigma))
+    rows = min(len(theta), len(sigma))
 
     def level(least: int, most: int) -> int:
         total = 0
-        for alpha in _pair_alphas(theta, sigma, max_rows, least, most):
+        for alpha in _pair_alphas(theta, sigma, least, most):
             e1 = _skew_expand(theta, alpha, rows)
             e2 = _skew_expand(sigma, alpha, rows)
             if len(e2) < len(e1):
@@ -480,8 +485,6 @@ def koszul_pair_mult(theta: Partition, sigma: Partition, max_rows: int) -> int:
             total += sum(m * e2.get(b, 0) for b, m in e1.items())
         return total
 
-    if rows < min(len(theta), len(sigma)):
-        return level(0, n)
     half = (n + 1) // 2
     mid = level(half, half)
     return mid and (1 + n % 2) * mid + 2 * level(half + 1, n)

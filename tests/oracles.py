@@ -153,7 +153,7 @@ def strip_lr_expand(alpha, beta, max_rows: Optional[int] = None) -> dict:
     return {g: m for g, m in out.items() if max_rows is None or len(g) <= max_rows}
 
 
-def graded_pair_mult(theta, sigma, max_rows: int) -> list:
+def graded_pair_mult(theta, sigma) -> list:
     """[P_0, ..., P_n]: the Koszul pair sum of `schur.koszul_pair_mult`
     split by |beta| = j, n = |theta| = |sigma|.
 
@@ -162,9 +162,9 @@ def graded_pair_mult(theta, sigma, max_rows: int) -> list:
     its beta.
     """
     n = size(theta)
-    rows = min(max_rows, len(theta), len(sigma))
+    rows = min(len(theta), len(sigma))
     levels = [0] * (n + 1)
-    for alpha in _pair_alphas(theta, sigma, max_rows):
+    for alpha in _pair_alphas(theta, sigma, 0, n):
         e1 = _skew_expand(theta, alpha, rows)
         e2 = _skew_expand(sigma, alpha, rows)
         levels[n - size(alpha)] += sum(m * e2.get(b, 0) for b, m in e1.items())
@@ -219,8 +219,8 @@ def kronecker(lam: tuple, mu: tuple, nu: tuple) -> int:
 
 
 def pair_mult_by_characters(theta: tuple, sigma: tuple) -> int:
-    """The Koszul pair sum of `schur.koszul_pair_mult` under a moot row
-    cap, from characters alone: no LR coefficient and no sum over nu.
+    """The Koszul pair sum of `schur.koszul_pair_mult`, from characters
+    alone: no LR coefficient and no sum over nu.
 
     The sum is <s_theta * s_sigma, h_n[2X]> (* the Kronecker product),
     and the character of h_n[2X] at the class rho is p_rho(1, 1) =

@@ -10,10 +10,8 @@ from quotbwb.bwb import (
     BwbOutcome,
     GrSpec,
     _bwb,
-    _dim,
     bwb_dual_weights,
     coh_bundle,
-    index_nonvanish,
     kunneth,
 )
 from quotbwb.partitions import (
@@ -21,8 +19,9 @@ from quotbwb.partitions import (
     as_weight,
     dual_entries,
     partition,
+    t_index,
 )
-from quotbwb.schur import schur_dim, tensor_expand_many, weight_dim
+from quotbwb.schur import entries_dim, schur_dim, tensor_expand_many, weight_dim
 
 
 def random_weight(rng, length, lo=-6, hi=7):
@@ -190,7 +189,7 @@ class TestTupleKernel:
             degree, gamma = got
             assert degree == want.degree
             assert gamma == want.gamma
-            assert _dim(n, gamma) == want.dim
+            assert entries_dim(gamma, n) == want.dim
         # the public wrapper: the same outcome, dual weight included
         assert bwb_dual_weights(gr, rho, chi) == want
 
@@ -261,9 +260,9 @@ class TestCohBundle:
 
 class TestIndexCriteria:
     def test_examples(self):
-        assert index_nonvanish((6, 6, 2, 2, 2, 2, 2, 2), 4) == (2, 8)
-        assert index_nonvanish((0, -2, -3), 4) == (0, 0)
-        assert index_nonvanish((5, 1), 3) == (1, 3)
+        assert t_index((6, 6, 2, 2, 2, 2, 2, 2), 4) == 2
+        assert t_index((0, -2, -3), 4) == 0
+        assert t_index((5, 1), 3) == 1
 
     def test_agreement_with_core(self):
         rng = random.Random(1234)
@@ -271,13 +270,13 @@ class TestIndexCriteria:
             k = rng.randrange(1, 7)
             qr = rng.randrange(1, 7)
             chi = random_weight(rng, qr, -5, 12)
-            res = index_nonvanish(chi, k)
+            j = t_index(chi, k)
             out = bwb_dual_weights(GrSpec(k, k + qr),
                                    as_weight((), k), chi)
-            if res is None:
+            if j is None:
                 assert out.vanishes
             else:
-                assert not out.vanishes and out.degree == res[1]
+                assert not out.vanishes and out.degree == k * j
 
     def test_degree_bound_examples(self):
         gr = GrSpec(3, 10)

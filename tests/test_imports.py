@@ -1,9 +1,11 @@
 """Static checks of the package sources: every module-level import is used
 (`__init__` re-exports), no module loads the process-pool machinery at
-import, every module-level definition is read by the package itself, and
-no invariant hides in an `assert`, which `python -O` strips."""
+import, every module-level definition is read by the package itself, no
+invariant hides in an `assert`, which `python -O` strips, and every name
+the benchmark reads on the package exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -128,3 +130,53 @@ def test_checker_sees_unread_definitions():
 def test_every_definition_is_read():
     sources = {name[:-3]: (PACKAGE / name).read_text() for name in MODULES}
     assert unread_definitions(sources) == []
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_hooks(source: str) -> list[tuple[str, str]]:
+    """(module, name) of every attribute the bench source reads by name on
+    a quotbwb module: the pairs of its `TRACED` tuple, and `alias.name`
+    for each module bound by `import quotbwb.m as alias` or
+    `from quotbwb import m`."""
+    tree = ast.parse(source)
+    out, aliases = [], {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            out += ast.literal_eval(node.value)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname, a.name.split(".", 1)[1]) for a in node.names
+                           if a.asname and a.name.startswith("quotbwb."))
+        elif isinstance(node, ast.ImportFrom) and node.module == "quotbwb":
+            aliases.update((a.asname or a.name, a.name) for a in node.names)
+    out += [(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases]
+    return out
+
+
+def test_checker_sees_bench_hooks():
+    source = ("TRACED = (('cli', 'run'),)\n"
+              "def main():\n    import quotbwb.cli as c\n"
+              "    from quotbwb import schur\n    c.build_parser()\n"
+              "    return len(schur._MEMO), os.sep\n")
+    assert bench_hooks(source) == [("cli", "run"), ("cli", "build_parser"),
+                                   ("schur", "_MEMO")]
+
+
+def test_bench_hooks_resolve():
+    # the benchmark wraps and reads these by name; a rename here breaks
+    # `bench/run.py --trace 1` while every other test passes
+    traced = bench_hooks((BENCH / "tracer.py").read_text())
+    assert traced
+    read = bench_hooks((BENCH / "child.py").read_text())
+    memos = sorted(f"{m}.{name}" for m, name in read if name.startswith("_"))
+    assert memos == ["complexes._SCAN_CACHE", "schur._LR_EXPAND_CACHE",
+                     "schur._SKEW_CACHE", "schur._SUM_CACHE"]
+    for module, name in traced + read:
+        value = getattr(importlib.import_module(f"quotbwb.{module}"), name, None)
+        assert value is not None, f"{module}.{name}"
+        assert callable(value) or isinstance(value, dict), f"{module}.{name}"

@@ -75,11 +75,12 @@ def weyl_fits(lam, alpha, width, height):
     return True
 
 
-def oracle_pair_alphas(theta, sigma, max_rows):
+def oracle_pair_alphas(theta, sigma, max_rows=None):
     """The alpha of the pair sum by filtering every subpartition of the meet
-    by size and by Weyl's bounds on both sides."""
+    (at most `max_rows` rows, None: no cap) by size and by Weyl's bounds on
+    both sides."""
     meet = tuple(min(a, b) for a, b in zip(theta, sigma))
-    rows = min(max_rows, len(meet))
+    rows = len(meet) if max_rows is None else min(max_rows, len(meet))
     least = size(theta) - size(meet)
     width = part(meet, 1)
     return [alpha for alpha in subpartitions(meet, max_rows)
@@ -94,13 +95,13 @@ def first_parts(lam, alpha):
     return longest, sum(part(alpha_dag, c) < h for c, h in enumerate(lam_dag, 1))
 
 
-def oracle_cut_pair_alphas(theta, sigma, max_rows):
+def oracle_cut_pair_alphas(theta, sigma):
     """`oracle_pair_alphas` less the alpha that fail the first-column cut,
     read off the skew shapes: the longest row of sigma/alpha against the
     nonempty columns of theta/alpha, and the same with theta and sigma
     swapped."""
     out = []
-    for alpha in oracle_pair_alphas(theta, sigma, max_rows):
+    for alpha in oracle_pair_alphas(theta, sigma):
         row_t, cols_t = first_parts(theta, alpha)
         row_s, cols_s = first_parts(sigma, alpha)
         if row_s <= cols_t and row_t <= cols_s:
@@ -236,7 +237,7 @@ class TestKoszul:
                 for mu in partitions_in_box(p.k1, 2 * p.r2, t):
                     cols = min(2 * p.k1, t) if t else 0
                     for sigma in partitions_in_box(p.r2, cols, t):
-                        got = koszul_pair_mult(conjugate(mu), sigma, p.r2)
+                        got = koszul_pair_mult(conjugate(mu), sigma)
                         assert got == expansion.get((mu, sigma), 0), \
                             (setup, mu, sigma)
 
@@ -300,7 +301,8 @@ class TestPairPrefilter:
 
     def test_pair_mult_matches_filter_loop(self):
         # generated alpha and memoized skew expansions against the plain
-        # filter loop on every prefiltered pair, zeros included
+        # filter loop on every prefiltered pair, zeros included: the
+        # uncapped kernel against the sum capped at r2 rows, the rank of B2
         setups = [QuotSetup(2, 1, 2, m=3), QuotSetup(2, 1, 2, m=4),
                   QuotSetup(3, 1, 1, m=1), QuotSetup(3, 1, 1, m=2),
                   QuotSetup(3, 1, 2, m=2), QuotSetup(3, 2, 1, m=2),
@@ -308,12 +310,12 @@ class TestPairPrefilter:
         pairs = [pair for setup in setups for pair in prefiltered_pairs(setup)]
         assert len(pairs) == 2857
         for theta, sigma, r2 in pairs:
-            assert koszul_pair_mult(theta, sigma, r2) == \
+            assert koszul_pair_mult(theta, sigma) == \
                 oracle_koszul_pair_mult(theta, sigma, r2), (theta, sigma, r2)
 
     def test_prefilter_prunes(self):
         # g((1,1,1,1), (4), nu) is nonzero only for nu = (1,1,1,1)
-        assert koszul_pair_mult((1, 1, 1, 1), (4,), 4) == 0
+        assert koszul_pair_mult((1, 1, 1, 1), (4,)) == 0
         assert not koszul_pair_possible((1, 1, 1, 1), (4,), (4,), (1, 1, 1, 1))
         assert koszul_pair_possible((2, 1), (2, 1), (2, 1), (2, 1))
 
@@ -322,24 +324,27 @@ class TestPairAlphas:
     """The generated alpha of the pair sum against the filtered enumeration,
     with and without the first-column cut."""
 
-    @pytest.mark.parametrize("theta, sigma, max_rows, expected", [
+    # cap: a row cap of at least len(kappa), moot for the capped oracle
+    @pytest.mark.parametrize("theta, sigma, cap, expected", [
         ((), (), 3, [()]),                            # empty meet
         ((1,), (), 3, []),                            # empty meet, bound past it
         ((4,), (1, 1, 1, 1), 4, []),                  # least = 3 > |meet| = 1
-        ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1), 2, []),    # lam_5 > 0 needs a third row
-        ((3, 3, 3), (3, 3, 3), 1, []),                # lam_3 > 0 needs a second row
+        ((3, 3, 1, 1, 1), (5, 4), 2, []),             # theta_5 > 0 needs a third row
+        ((2, 1, 1), (4,), 1, []),                     # theta_3 > 0 needs a second row
         ((2, 1), (2, 1), 2, [(2, 1), (2,), (1, 1), (1,), ()]),  # all-zero bound
     ])
-    def test_edge_cases(self, theta, sigma, max_rows, expected):
-        assert _pair_alphas(theta, sigma, max_rows) == expected
-        assert oracle_pair_alphas(theta, sigma, max_rows) == expected
+    def test_edge_cases(self, theta, sigma, cap, expected):
+        assert cap >= min(len(theta), len(sigma))
+        assert _pair_alphas(theta, sigma, 0, size(theta)) == expected
+        assert oracle_pair_alphas(theta, sigma) == expected
+        assert oracle_pair_alphas(theta, sigma, cap) == expected
         if not expected and size(theta) == size(sigma):
-            assert koszul_pair_mult(theta, sigma, max_rows) == 0
+            assert koszul_pair_mult(theta, sigma) == 0
 
-    # size windows below, inside and past the floor |theta| - |kappa|, and
-    # empty ones, beside the default window
-    WINDOWS = [(0, 0), (2, 1), (2, 2), (1, 3), (4, 6), (-2, 1), (6, None),
-               (0, None), (9, 20)]
+    # size windows below, inside and past the floor |theta| - |kappa|,
+    # past |kappa|, and empty ones, beside the whole window
+    WINDOWS = [(0, 0), (2, 1), (2, 2), (1, 3), (4, 6), (-2, 1), (6, 99),
+               (0, 99), (9, 20)]
 
     def test_matches_filtered_subpartitions(self):
         shapes = [lam for n in range(7) for lam in partitions_in_box(5, 4, n)]
@@ -347,44 +352,38 @@ class TestPairAlphas:
             for sigma in shapes:
                 floor = size(theta) - sum(map(min, theta, sigma))
                 windows = self.WINDOWS + [(floor - 2, floor - 1), (floor - 1, floor)]
-                for max_rows in (1, 2, 3, 5):
-                    every = oracle_cut_pair_alphas(theta, sigma, max_rows)
-                    assert _pair_alphas(theta, sigma, max_rows) == every, \
-                        (theta, sigma, max_rows)
-                    for least, most in windows:
-                        want = [a for a in every if size(a) >= least
-                                and (most is None or size(a) <= most)]
-                        assert _pair_alphas(theta, sigma, max_rows, least, most) \
-                            == want, (theta, sigma, max_rows, least, most)
+                every = oracle_cut_pair_alphas(theta, sigma)
+                assert _pair_alphas(theta, sigma, 0, size(theta)) == every, (theta, sigma)
+                for least, most in windows:
+                    want = [a for a in every if least <= size(a) <= most]
+                    assert _pair_alphas(theta, sigma, least, most) == want, \
+                        (theta, sigma, least, most)
 
     def test_first_column_cut(self):
         # theta/(1,1) has a row of 2, sigma/(1,1) one nonempty column
-        assert oracle_pair_alphas((3, 1), (2, 2), 2) == [(2, 1), (2,), (1, 1), (1,)]
-        assert _pair_alphas((3, 1), (2, 2), 2) == [(2, 1), (2,), (1,)]
+        assert oracle_pair_alphas((3, 1), (2, 2)) == [(2, 1), (2,), (1, 1), (1,)]
+        assert _pair_alphas((3, 1), (2, 2), 0, 4) == [(2, 1), (2,), (1,)]
         assert first_parts((3, 1), (1, 1)) == (2, 2)
         assert first_parts((2, 2), (1, 1)) == (1, 1)
 
     def test_cut_drops_only_zero_terms(self):
-        # on every pair of partitions of n <= 10, under binding caps and a
-        # moot one: the generator drops exactly the alpha whose skew shapes
-        # fail the cut, and each of them has a zero term
+        # on every pair of partitions of n <= 10: the generator drops
+        # exactly the alpha whose skew shapes fail the cut, and each of
+        # them has a zero term
         dropped = 0
         for n in range(11):
             shapes = partitions_in_box(n, n, n)
             for theta in shapes:
                 for sigma in shapes:
-                    for cap in (1, 2, 3, n):
-                        kept = _pair_alphas(theta, sigma, cap)
-                        assert kept == oracle_cut_pair_alphas(theta, sigma, cap), \
-                            (theta, sigma, cap)
-                        rows = min(cap, len(theta), len(sigma))
-                        for alpha in set(oracle_pair_alphas(theta, sigma, cap)) - set(kept):
-                            dropped += 1
-                            e1 = skew_expand(theta, alpha, rows)
-                            e2 = skew_expand(sigma, alpha, rows)
-                            assert not any(e2.get(b) for b in e1), \
-                                (theta, sigma, cap, alpha)
-        assert dropped == 6072
+                    kept = _pair_alphas(theta, sigma, 0, n)
+                    assert kept == oracle_cut_pair_alphas(theta, sigma), (theta, sigma)
+                    rows = min(len(theta), len(sigma))
+                    for alpha in set(oracle_pair_alphas(theta, sigma)) - set(kept):
+                        dropped += 1
+                        e1 = skew_expand(theta, alpha, rows)
+                        e2 = skew_expand(sigma, alpha, rows)
+                        assert not any(e2.get(b) for b in e1), (theta, sigma, alpha)
+        assert dropped == 3346
 
     def test_failing_prefixes_are_not_extended(self):
         # the middle levels of the m=6 scan of (2, 1, 2): the generator's
@@ -404,7 +403,7 @@ class TestPairAlphas:
             calls.append(0)
             sys.setprofile(count)
             try:
-                kept = _pair_alphas(f1.dag, f2.lam, p.r2, half, half)
+                kept = _pair_alphas(f1.dag, f2.lam, half, half)
             finally:
                 sys.setprofile(None)
             assert kept == ([()] if not f2.lam else []), (f1.lam, f2.lam)
@@ -414,8 +413,7 @@ class TestPairAlphas:
 class TestPairLevels:
     """The pair sum split by |beta| = j into levels P_j, on every pair of
     partitions of n <= 8: `koszul_pair_mult` decides a pair on its middle
-    level and sums half the levels when the row cap is moot, and sums
-    every level when it binds."""
+    level and sums half the levels."""
 
     PAIRS = [(theta, sigma) for n in range(9)
              for theta in partitions_in_box(n, n, n)
@@ -425,41 +423,63 @@ class TestPairLevels:
         assert len(self.PAIRS) == 919
         for theta, sigma in self.PAIRS:
             n = size(theta)
-            levels = graded_pair_mult(theta, sigma, n)
+            levels = graded_pair_mult(theta, sigma)
             assert levels == levels[::-1], (theta, sigma, levels)
             assert all(levels[j] <= levels[j + 1] for j in range(n // 2)), \
                 (theta, sigma, levels)
             assert bool(levels[n // 2]) == bool(sum(levels)), (theta, sigma, levels)
-            for cap in (n, min(len(theta), len(sigma))):
-                assert koszul_pair_mult(theta, sigma, cap) == sum(levels), \
-                    (theta, sigma, cap)
+            assert koszul_pair_mult(theta, sigma) == sum(levels), (theta, sigma)
 
-    def test_binding_cap_sums_every_level(self):
-        binding = 0
-        for theta, sigma in self.PAIRS:
-            for cap in (1, 2, 3):
-                if cap < min(len(theta), len(sigma)):
-                    binding += 1
-                    assert koszul_pair_mult(theta, sigma, cap) == \
-                        oracle_koszul_pair_mult(theta, sigma, cap), (theta, sigma, cap)
-        assert binding > 1000
+
+class TestRowCapNeverBinds:
+    """`koszul_pair_mult` takes no row cap.  The pair sum of
+    S^{mu^dag}(B2^dual + B2^dual) caps alpha and beta at r2 = rank B2
+    rows, and that cap is moot exactly when it is at least len(kappa) =
+    min(len(theta), len(sigma)); it is, because every sigma the pipeline
+    hands the kernel lies in the r2-row box."""
+
+    SETUPS = [QuotSetup(2, 1, 1, m=3), QuotSetup(2, 1, 2, m=4),
+              QuotSetup(3, 1, 1, m=2), QuotSetup(3, 2, 1, m=2)]
+
+    def test_every_sigma_has_at_most_r2_rows(self, monkeypatch):
+        calls = []
+
+        def recorded(theta, sigma):
+            calls.append((p.r2, sigma))
+            return koszul_pair_mult(theta, sigma)
+
+        monkeypatch.setattr(pipeline, "koszul_pair_mult", recorded)
+        monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
+        for setup in self.SETUPS:
+            p = stromme(setup)
+            for t in range(p.rank_k + 1):
+                koszul_terms(p, t)
+            for ins in (InsertionSpec(), InsertionSpec(a2=((1,),), b2=((1,),)),
+                        InsertionSpec(b1=((1,) + (0,) * (p.r1 - 2) + (-1,),))):
+                e1_page(p, ins)
+                _, _, a2, b2 = ins.key()
+                for t in range(p.rank_k + 1):
+                    for s in pipeline._factor_survivors(p, 2, a2, b2, t):
+                        assert len(s.lam) <= p.r2, (setup, ins, s.lam)
+        assert len(calls) > 1000
+        assert all(len(sigma) <= r2 for r2, sigma in calls)
+        assert any(len(sigma) == r2 for r2, sigma in calls)  # the bound is reached
 
 
 class TestSkewMemoKey:
     """The pair loop and `skew_expand` share one memo and one key."""
 
-    # the row cap changes every multiplicity here but the last
-    PAIRS = [((2, 2, 1, 1), (2, 2, 2), 1), ((3, 2, 1), (2, 2, 1, 1), 2),
-             ((2, 2, 1, 1), (3, 1, 1, 1), 2), ((4, 2), (3, 3), 1),
-             ((2, 2, 1, 1), (2, 2, 1, 1), 2), ((3, 2, 1), (3, 2, 1), 3)]
+    PAIRS = [((2, 2, 1, 1), (2, 2, 2)), ((3, 2, 1), (2, 2, 1, 1)),
+             ((2, 2, 1, 1), (3, 1, 1, 1)), ((4, 2), (3, 3)),
+             ((2, 2, 1, 1), (2, 2, 1, 1)), ((3, 2, 1), (3, 2, 1))]
 
     @staticmethod
-    def lr_pair_mult(theta, sigma, max_rows):
-        # sum over alpha, beta (at most max_rows rows each) of
-        # c^theta_{alpha,beta} c^sigma_{alpha,beta}, by the strip-chain
-        # oracle, which shares no memo with the skew filler
+    def lr_pair_mult(theta, sigma):
+        # sum over alpha, beta of c^theta_{alpha,beta} c^sigma_{alpha,beta},
+        # by the strip-chain oracle, which shares no memo with the skew
+        # filler
         meet = tuple(min(a, b) for a, b in zip(theta, sigma))
-        subs = subpartitions(meet, max_rows)
+        subs = subpartitions(meet)
         total = 0
         for alpha in subs:
             for beta in subs:
@@ -470,14 +490,14 @@ class TestSkewMemoKey:
 
     def test_cold_and_warm_memo_agree(self):
         cold = []
-        for theta, sigma, max_rows in self.PAIRS:
+        for pair in self.PAIRS:
             schur._SKEW_CACHE.clear()
-            cold.append(koszul_pair_mult(theta, sigma, max_rows))
+            cold.append(koszul_pair_mult(*pair))
         assert cold == [self.lr_pair_mult(*pair) for pair in self.PAIRS]
         # warm: uncapped expansions of every alpha, then the other pairs
         schur._SKEW_CACHE.clear()
-        for theta, sigma, _ in self.PAIRS:
-            for lam in (theta, sigma):
+        for pair in self.PAIRS:
+            for lam in pair:
                 for alpha in subpartitions(lam):
                     skew_expand(lam, alpha)
         for pair, expected in zip(self.PAIRS, cold):
@@ -485,6 +505,22 @@ class TestSkewMemoKey:
                 if other != pair:
                     koszul_pair_mult(*other)
             assert koszul_pair_mult(*pair) == expected, pair
+
+    def test_capped_reads_filter_the_full_expansion(self):
+        # the key keeps a binding cap and drops a moot one: with binding
+        # caps read first or last, every capped read is the full
+        # expansion less its constituents with more rows than the cap
+        shapes = sorted({lam for pair in self.PAIRS for lam in pair})
+        for order in (1, -1):
+            schur._SKEW_CACHE.clear()
+            for lam in shapes:
+                for nu in subpartitions(lam):
+                    caps = range(size(lam) - size(nu) + 2)[::order]
+                    got = {cap: skew_expand(lam, nu, cap) for cap in caps}
+                    full = skew_expand(lam, nu)
+                    for cap, exp in got.items():
+                        assert exp == {b: c for b, c in full.items() if len(b) <= cap}, \
+                            (lam, nu, cap, order)
 
     def test_only_the_memo_owners_fill(self, monkeypatch):
         # the pair loop reads skew expansions through `_skew_expand`, so
@@ -801,7 +837,7 @@ class TestFactorSurvivors:
         # with nothing beside the Koszul partition the collision criterion
         # is exact: every candidate survives, and the survivors are the
         # box partitions with a t-index, each with its single degree
-        # (`bwb.index_nonvanish`)
+        # (`partitions.t_index`)
         p = stromme(setup)
         pipeline._SURVIVOR_CACHE.clear()
         for factor, rows, cols, q in ((1, p.k1, 2 * p.r2, p.r1),

@@ -402,7 +402,7 @@ class TestSkewAndSums:
     def test_koszul_pair_mult_anchor(self):
         mu_dag = conjugate((10, 10, 4))
         sigma = (6, 6, 2, 2, 2, 2, 2, 2)
-        assert koszul_pair_mult(mu_dag, sigma, 8) == 28
+        assert koszul_pair_mult(mu_dag, sigma) == 28
 
 
 class TestKroneckerOracle:
@@ -425,7 +425,7 @@ class TestKroneckerOracle:
         assert kronecker((2, 2), (2, 2), (1, 1, 1, 1)) == 1
 
     def test_pair_mult_is_two_row_kronecker_sum(self):
-        # every pair of partitions of n <= 10, at the tightest moot row cap
+        # every pair of partitions of n <= 10
         for n in range(11):
             parts = partitions_in_box(n, n, n)
             two_rows = [nu for nu in parts if len(nu) <= 2]
@@ -433,18 +433,17 @@ class TestKroneckerOracle:
                 for sigma in parts:
                     want = sum(kronecker(theta, sigma, nu) * (part(nu, 1) - part(nu, 2) + 1)
                                for nu in two_rows)
-                    cap = min(len(theta), len(sigma))
-                    assert koszul_pair_mult(theta, sigma, cap) == want, (theta, sigma)
+                    assert koszul_pair_mult(theta, sigma) == want, (theta, sigma)
 
     def test_pair_mult_is_character_sum(self):
-        # every pair of partitions of n <= 8 under a moot cap, the level
-        # doubling included, against characters with no sum over nu
+        # every pair of partitions of n <= 8, the level doubling
+        # included, against characters with no sum over nu
         pairs = [(theta, sigma) for n in range(9)
                  for theta in partitions_in_box(n, n, n)
                  for sigma in partitions_in_box(n, n, n)]
         assert len(pairs) == 919
         for theta, sigma in pairs:
-            assert koszul_pair_mult(theta, sigma, sum(theta)) == \
+            assert koszul_pair_mult(theta, sigma) == \
                 pair_mult_by_characters(theta, sigma), (theta, sigma)
         assert pair_mult_by_characters((1, 1), (2,)) == 1
         assert pair_mult_by_characters((2, 1), (3,)) == 2
