@@ -251,8 +251,9 @@ def _m_window(args, setup: QuotSetup) -> list[int]:
     return list(range(setup.m, args.m_max + 1))
 
 
-def _sweep_verdicts(args, setup, check) -> tuple[dict, int]:
-    """Run a verifier over the twist window and report stabilization.
+def _sweep_verdicts(args, setup, verifier) -> tuple[dict, int]:
+    """Run a verifier of (setup, eta, rho) over the twist window and
+    report stabilization.
 
     No effective threshold for 'twist large enough' is asserted: the
     sweep reports each twist's verdict and the first from which the
@@ -261,7 +262,8 @@ def _sweep_verdicts(args, setup, check) -> tuple[dict, int]:
     window = _m_window(args, setup)
     verdicts = []
     for m in window:
-        v = check(QuotSetup(setup.n, setup.r, setup.d, setup.splitting, m))
+        v = verifier(QuotSetup(setup.n, setup.r, setup.d, setup.splitting, m),
+                     _weight_arg(args.eta), _weight_arg(args.rho))
         verdicts.append((m, v))
     stable_from = None
     for m, v in verdicts:
@@ -276,18 +278,14 @@ def _sweep_verdicts(args, setup, check) -> tuple[dict, int]:
     return payload, 0 if stable_from is not None else 2
 
 
+# The statements swept over the twist window by `--m-max`.
+SWEPT = {"thm41": verify_thm41, "prop47": verify_prop47}
+
+
 def cmd_verify(args):
     setup = _setup_from(args)
-    if args.statement == "thm41":
-        return _sweep_verdicts(
-            args, setup,
-            lambda s: verify_thm41(s, _weight_arg(args.eta or ""),
-                                   _weight_arg(args.rho or "")))
-    if args.statement == "prop47":
-        return _sweep_verdicts(
-            args, setup,
-            lambda s: verify_prop47(s, _weight_arg(args.eta or ""),
-                                    _weight_arg(args.rho or "")))
+    if args.statement in SWEPT:
+        return _sweep_verdicts(args, setup, SWEPT[args.statement])
     if args.statement == "ext":
         nu, lam = _partition_arg(args.nu or ""), _partition_arg(args.lam or "")
         res = ext_table(setup, nu, lam)
@@ -329,37 +327,27 @@ def cmd_verify(args):
     raise CliError(f"unknown statement '{args.statement}'")
 
 
-SHARP_EXPECT = {
-    "entries": {(0, 0): 210, (24, 23): 28},
-    "table": {0: 182},
-}
-SYM2_EXPECT = {
-    "entries": {(12, 13): 63, (11, 13): 72},
-    "upper": {1: 63, 2: 72},
-    "difference": 9,
+# The worked examples: (setup, insertion, check of the page and its report).
+EXAMPLES = {
+    # the sixth exterior power: E1 entries 210 and 28 assemble to 182
+    "sharp": (QuotSetup(2, 1, 2, m=5), InsertionSpec(b1=((1, 1, 1, 1, 1, 1),)),
+              lambda page, report: (page.entries == {(0, 0): 210, (24, 23): 28}
+                                    and report.exact and report.table == {0: 182})),
+    # the dual symmetric square: 63 and 72 bound h^1, h^2 with h^2 - h^1 = 9
+    "sym2": (QuotSetup(3, 1, 3, m=3), InsertionSpec(b1=((0, 0, 0, 0, 0, -2),)),
+             lambda page, report: (page.entries == {(12, 13): 63, (11, 13): 72}
+                                   and not report.exact
+                                   and report.upper == {1: 63, 2: 72}
+                                   and not report.degenerate
+                                   and (2, 1, 9) in report.relations)),
 }
 
 
 def cmd_examples(args):
-    if args.which == "sharp":
-        setup = QuotSetup(2, 1, 2, m=5)
-        ins = InsertionSpec(b1=((1, 1, 1, 1, 1, 1),))
-        page = e1_page(stromme(setup), ins)
-        report = assemble(page)
-        ok = (page.entries == SHARP_EXPECT["entries"]
-              and report.exact and report.table == SHARP_EXPECT["table"])
-        payload = {"e1": _page_json(page), "report": _report_json(report),
-                   "matches": ok}
-        return payload, 0 if ok else 2
-    setup = QuotSetup(3, 1, 3, m=3)
-    ins = InsertionSpec(b1=((0, 0, 0, 0, 0, -2),))
-    page = e1_page(stromme(setup), ins)
+    setup, insertion, check = EXAMPLES[args.which]
+    page = e1_page(stromme(setup), insertion)
     report = assemble(page)
-    ok = (page.entries == SYM2_EXPECT["entries"]
-          and not report.exact
-          and report.upper == SYM2_EXPECT["upper"]
-          and not report.degenerate
-          and (2, 1, SYM2_EXPECT["difference"]) in report.relations)
+    ok = check(page, report)
     payload = {"e1": _page_json(page), "report": _report_json(report),
                "matches": ok}
     return payload, 0 if ok else 2
@@ -396,42 +384,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Quot-scheme cohomology over P^1 via Borel-Weil-Bott")
     sp = ap.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sp.add_parser(name, parents=[common], **kw)
+    def add_parser(name, func, **kw):
+        sub = sp.add_parser(name, parents=[common], **kw)
+        sub.set_defaults(func=func)
+        return sub
 
-    s = add_parser("lr", help="one Littlewood-Richardson coefficient")
+    s = add_parser("lr", cmd_lr, help="one Littlewood-Richardson coefficient")
     s.add_argument("--alpha", required=True)
     s.add_argument("--beta", required=True)
     s.add_argument("--gamma", required=True)
 
-    s = add_parser("dim", help="Schur functor dimension")
+    s = add_parser("dim", cmd_dim, help="Schur functor dimension")
     s.add_argument("--weight", required=True)
     s.add_argument("--n", type=int, required=True)
 
-    s = add_parser("index", help="k-index nonvanishing criterion")
+    s = add_parser("index", cmd_index, help="k-index nonvanishing criterion")
     s.add_argument("--chi", required=True)
     s.add_argument("--k", type=int, required=True)
 
-    s = add_parser("bwb", help="cohomology of universal bundles on Gr(k,N)")
+    s = add_parser("bwb", cmd_bwb, help="cohomology of universal bundles on Gr(k,N)")
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--N", type=int, required=True)
     s.add_argument("--a", action="append")
     s.add_argument("--b", action="append")
 
-    for name in ("stromme", "koszul", "scan", "euler"):
-        s = add_parser(name)
+    for name, func in (("stromme", cmd_stromme), ("koszul", cmd_koszul),
+                       ("scan", cmd_scan), ("euler", cmd_euler)):
+        s = add_parser(name, func)
         _add_setup_args(s)
         if name == "koszul":
             s.add_argument("--t", type=int, required=True)
         if name in ("scan", "euler"):
             _add_insertion_args(s)
 
-    s = add_parser("ext", help="Ext table between quotient-side Schur functors")
+    s = add_parser("ext", cmd_ext, help="Ext table between quotient-side Schur functors")
     _add_setup_args(s)
     s.add_argument("--nu", required=True)
     s.add_argument("--lam", required=True)
 
-    s = add_parser("closed-form", help="stable closed form for insertions")
+    s = add_parser("closed-form", cmd_closed_form,
+                   help="stable closed form for insertions")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--r", type=int, required=True)
     s.add_argument("--d", type=int, required=True)
@@ -439,47 +431,29 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--insert", action="append", metavar="E:PARTS")
     s.set_defaults(m=None)
 
-    s = add_parser("hyper", help="hypercohomology of Schur insertions")
+    s = add_parser("hyper", cmd_hyper, help="hypercohomology of Schur insertions")
     _add_setup_args(s)
     s.add_argument("--insert", action="append", metavar="E:PARTS[:SIDE]")
 
-    s = add_parser("verify", help="check a statement on an instance")
-    s.add_argument("statement",
-                   choices=("thm41", "prop47", "ext", "cor14", "thm57", "sx"))
+    s = add_parser("verify", cmd_verify, help="check a statement on an instance")
+    s.add_argument("statement", choices=(*SWEPT, "ext", "cor14", "thm57", "sx"))
     _add_setup_args(s)
     s.add_argument("--m-max", type=int, default=None, dest="m_max",
                    help="sweep the twist from m to m-max and report "
-                        "stabilization (thm41/prop47 only)")
+                        f"stabilization ({'/'.join(SWEPT)} only)")
     s.add_argument("--eta", default="")
     s.add_argument("--rho", default="")
     s.add_argument("--nu", default="")
     s.add_argument("--lam", default="")
     s.add_argument("--insert", action="append", metavar="E:PARTS[:SIDE]")
 
-    s = add_parser("examples", help="reproduce the two worked examples")
-    s.add_argument("which", choices=("sharp", "sym2"))
+    s = add_parser("examples", cmd_examples, help="reproduce the two worked examples")
+    s.add_argument("which", choices=tuple(EXAMPLES))
     return ap
 
 
-COMMANDS = {
-    "lr": cmd_lr,
-    "dim": cmd_dim,
-    "index": cmd_index,
-    "bwb": cmd_bwb,
-    "stromme": cmd_stromme,
-    "koszul": cmd_koszul,
-    "scan": cmd_scan,
-    "euler": cmd_euler,
-    "ext": cmd_ext,
-    "closed-form": cmd_closed_form,
-    "hyper": cmd_hyper,
-    "verify": cmd_verify,
-    "examples": cmd_examples,
-}
-
-
 def _config_echo(args) -> dict:
-    skip = {"jobs", "output", "format", "command"}
+    skip = {"jobs", "output", "format", "command", "func"}
     return {k: v for k, v in sorted(vars(args).items())
             if k not in skip and v is not None}
 
@@ -515,7 +489,7 @@ def run(argv) -> int:
     try:
         if args.jobs < 1:
             raise CliError(f"--jobs {args.jobs} is below 1")
-        result, status = COMMANDS[args.command](args)
+        result, status = args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -142,23 +142,20 @@ def _two_term_schur(lam: Partition, left: Sequence[Slot], right: Sequence[Slot],
     form (S^{lam/nu}(left) x S^{nu^dag}(right) in degree +|nu|).  lam
     must be canonical.
     """
+    if window == (-1, 0):
+        straight_slots, skew_slots, sign = left, right, -1
+    else:
+        straight_slots, skew_slots, sign = right, left, 1
     out: FormalTerms = {}
     for nu in subpartitions(lam):
-        q = size(nu)
-        if window == (-1, 0):
-            straight, skew_slots, deg = conjugate(nu), right, -q
-            straight_slots = left
-        else:
-            straight, skew_slots, deg = conjugate(nu), left, q
-            straight_slots = right
-        straight_exp = _schur_of_slots(straight, straight_slots, ranks)
+        straight_exp = _schur_of_slots(conjugate(nu), straight_slots, ranks)
         if not straight_exp:
             continue
         skew_exp: dict[TermKey, int] = {}
         for beta, c in _skew_expand(lam, nu).items():
             for k, m in _schur_of_slots(beta, skew_slots, ranks).items():
                 skew_exp[k] = skew_exp.get(k, 0) + c * m
-        bucket = out.setdefault(deg, {})
+        bucket = out.setdefault(sign * size(nu), {})
         for k1, m1 in straight_exp.items():
             for k2, m2 in skew_exp.items():
                 key = _merge_keys(k1, k2)

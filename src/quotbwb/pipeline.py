@@ -494,26 +494,30 @@ def resolve_page(cells: dict[tuple[int, int], int]) -> QuotReport:
         of potential differentials, with single-degree uncertainty pinned
         by the exact Euler characteristic.
     """
-    cells = {k: v for k, v in cells.items() if v}
     sums: dict[int, int] = {}
+    by_degree: dict[int, list[tuple[int, int]]] = {}
     for (c, q), v in cells.items():
-        sums[c + q] = sums.get(c + q, 0) + v
+        if v:
+            sums[c + q] = sums.get(c + q, 0) + v
+            by_degree.setdefault(c + q, []).append((c, v))
     euler = sum(parity_sign(t) * v for t, v in sums.items())
     if not sums:
         return QuotReport(0, True, {}, {}, {}, True)
     tmin, tmax = min(sums), max(sums)
 
-    def is_pair(e1, e2):
-        (c1, q1), (c2, q2) = e1, e2
-        return c2 > c1 and q2 == q1 - (c2 - c1) + 1
-
+    # A differential joins (c1, q1) in total degree t to (c2, q2) in
+    # degree t + 1 when c2 > c1 and q2 = q1 - (c2 - c1) + 1.  The row
+    # condition always holds between these degrees: q2 = t + 1 - c2 =
+    # q1 + c1 + 1 - c2.  So a source has a partner exactly when it lies
+    # left of the last target column, and a target exactly when it lies
+    # right of the first source column.
     cap: dict[int, int] = {}
     for t in range(tmin, tmax):
-        src = [e for e in cells if sum(e) == t]
-        tgt = [e for e in cells if sum(e) == t + 1]
-        live_src = sum(cells[e] for e in src if any(is_pair(e, f) for f in tgt))
-        live_tgt = sum(cells[f] for f in tgt if any(is_pair(e, f) for e in src))
-        cap[t] = min(live_src, live_tgt)
+        src, tgt = by_degree.get(t), by_degree.get(t + 1)
+        if src and tgt:
+            last, first = max(c for c, _ in tgt), min(c for c, _ in src)
+            cap[t] = min(sum(v for c, v in src if c < last),
+                         sum(v for c, v in tgt if c > first))
 
     notes: list[str] = []
     # Degrees below zero carry no cohomology, so the differential rank

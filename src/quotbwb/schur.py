@@ -28,7 +28,7 @@ from .partitions import (
 
 _SKEW_CACHE: dict[tuple[Partition, Partition, Optional[int]], dict[Partition, int]] = {}
 _LR_EXPAND_CACHE: dict[tuple[Partition, Partition, Optional[int]], dict[Partition, int]] = {}
-_SUM_CACHE: dict[tuple[Partition, int, Optional[int]], dict[Partition, int]] = {}
+_SUM_CACHE: dict[tuple[Partition, int, int], dict[Partition, int]] = {}
 
 # An exact-length weight as a plain tuple, and a sum of such weights.
 Entries = tuple[int, ...]
@@ -132,24 +132,23 @@ def _skew_fill(lam: Partition, nu: Partition, max_rows: Optional[int], *,
     return out
 
 
-def skew_expand(lam: Partition, nu: Partition, max_rows: Optional[int] = None
-                ) -> dict[Partition, int]:
+def skew_expand(lam: Partition, nu: Partition) -> dict[Partition, int]:
     """Expansion of the skew Schur functor: {beta: c^lam_{nu, beta}}.
 
     Counts LR fillings of lam/nu cell by cell in reverse reading order.
-    `max_rows` caps the number of distinct letters (partitions beta with
-    more rows are dropped, matching a rank-limited target bundle).
     """
     lam, nu = partition(lam), partition(nu)
     if not contains(lam, nu):
         raise ValueError(f"{nu} is not contained in {lam}")
-    return _skew_expand(lam, nu, max_rows)
+    return _skew_expand(lam, nu)
 
 
 def _skew_expand(lam: Partition, nu: Partition, max_rows: Optional[int] = None
                  ) -> dict[Partition, int]:
     """`skew_expand` for internal callers, which pass canonical partitions
-    with nu inside lam: nothing is re-checked.  A row cap of at least
+    with nu inside lam: nothing is re-checked.  `max_rows` caps the number
+    of distinct letters (partitions beta with more rows are dropped,
+    matching a rank-limited target bundle); a cap of at least
     |lam| - |nu| caps nothing, so the memo key drops it."""
     if max_rows is not None and max_rows >= size(lam) - size(nu):
         max_rows = None
@@ -246,8 +245,7 @@ def lr(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     return _skew_fill(gamma, alpha, len(beta), bound=beta).get(beta, 0)
 
 
-def direct_sum_expand(gamma: Partition, max_rows: Optional[int] = None
-                      ) -> list[tuple[Partition, Partition, int]]:
+def direct_sum_expand(gamma: Partition) -> list[tuple[Partition, Partition, int]]:
     """All (alpha, beta, c^gamma_{alpha, beta}) with nonzero coefficient.
 
     The decomposition of a Schur functor of a direct sum; deterministic
@@ -255,8 +253,8 @@ def direct_sum_expand(gamma: Partition, max_rows: Optional[int] = None
     """
     gamma = partition(gamma)
     out = []
-    for alpha in subpartitions(gamma, max_rows):
-        exp = _skew_expand(gamma, alpha, max_rows)
+    for alpha in subpartitions(gamma):
+        exp = _skew_expand(gamma, alpha)
         for beta in sorted(exp, reverse=True):
             out.append((alpha, beta, exp[beta]))
     return out
@@ -315,28 +313,25 @@ def tensor_expand_many(weights: Sequence[Sequence[int]], length: int) -> Expansi
     return product_entries([as_weight(w, length) for w in weights], length)
 
 
-def schur_of_sum_copies(beta: Partition, copies: int, max_rows: Optional[int] = None
+def schur_of_sum_copies(beta: Partition, copies: int, rank: int
                         ) -> dict[Partition, int]:
-    """Decompose S^beta(U + ... + U) (`copies` summands) into S^theta(U).
+    """Decompose S^beta(U + ... + U) (`copies` >= 1 summands, U of rank
+    `rank`) into S^theta(U).
 
     Iterated direct-sum expansion recombined through LR; pure LR data, no
     Kronecker coefficients.  beta must be canonical.
     """
-    if copies <= 0:
-        return {(): 1} if not beta else {}
-    key = (beta, copies, max_rows)
+    key = (beta, copies, rank)
     if key in _SUM_CACHE:
         return _SUM_CACHE[key]
     if copies == 1:
-        out = {beta: 1} if max_rows is None or len(beta) <= max_rows else {}
+        out = {beta: 1} if len(beta) <= rank else {}
     else:
         out = {}
-        rest_cap = None if max_rows is None else max_rows * (copies - 1)
-        for a in subpartitions(beta, max_rows):
-            for b, c in _skew_expand(beta, a, rest_cap).items():
-                for theta1, m1 in schur_of_sum_copies(b, copies - 1,
-                                                      max_rows).items():
-                    for theta, m2 in lr_expand(a, theta1, max_rows).items():
+        for a in subpartitions(beta, rank):
+            for b, c in _skew_expand(beta, a, rank * (copies - 1)).items():
+                for theta1, m1 in schur_of_sum_copies(b, copies - 1, rank).items():
+                    for theta, m2 in lr_expand(a, theta1, rank).items():
                         out[theta] = out.get(theta, 0) + c * m1 * m2
     _SUM_CACHE[key] = out
     return out

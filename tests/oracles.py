@@ -5,7 +5,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
-from quotbwb.partitions import size
+from quotbwb.partitions import InconsistencyError, parity_sign, size
+from quotbwb.pipeline import QuotReport, pin_by_euler
 from quotbwb.schur import _pair_alphas, _skew_expand
 
 
@@ -260,3 +261,72 @@ def meet_dominance(theta: tuple, theta_dag: tuple, sigma: tuple, sigma_dag: tupl
     return (_within_double(theta, meet) and _within_double(sigma, meet)
             and _within_double(theta_dag, meet_dag)
             and _within_double(sigma_dag, meet_dag))
+
+
+def resolve_page_pairwise(cells: dict[tuple[int, int], int]) -> QuotReport:
+    """`pipeline.resolve_page` with its differential partners found by
+    testing every source against every target, cell by cell."""
+    cells = {k: v for k, v in cells.items() if v}
+    sums: dict[int, int] = {}
+    for (c, q), v in cells.items():
+        sums[c + q] = sums.get(c + q, 0) + v
+    euler = sum(parity_sign(t) * v for t, v in sums.items())
+    if not sums:
+        return QuotReport(0, True, {}, {}, {}, True)
+    tmin, tmax = min(sums), max(sums)
+
+    def is_pair(e1, e2):
+        (c1, q1), (c2, q2) = e1, e2
+        return c2 > c1 and q2 == q1 - (c2 - c1) + 1
+
+    cap: dict[int, int] = {}
+    for t in range(tmin, tmax):
+        src = [e for e in cells if sum(e) == t]
+        tgt = [e for e in cells if sum(e) == t + 1]
+        live_src = sum(cells[e] for e in src if any(is_pair(e, f) for f in tgt))
+        live_tgt = sum(cells[f] for f in tgt if any(is_pair(e, f) for e in src))
+        cap[t] = min(live_src, live_tgt)
+
+    notes: list[str] = []
+    # Degrees below zero carry no cohomology, so the differential rank
+    # leaving degree t < 0 is S_t minus the rank arriving from t - 1.
+    prev = 0
+    for t in range(tmin, 0):
+        out = sums.get(t, 0) - prev
+        if out < 0 or out > cap.get(t, 0):
+            raise InconsistencyError(
+                f"page cannot cancel its negative-degree entries at {t}")
+        prev = out
+    forced_in0 = prev
+    if forced_in0:
+        notes.append(f"negative-degree entries force a differential of rank "
+                     f"{forced_in0} into degree 0")
+
+    adj: dict[int, int] = {t: v for t, v in sums.items() if t > 0}
+    if sums.get(0, 0) or forced_in0:
+        adj[0] = sums.get(0, 0) - forced_in0
+        if adj[0] < 0:
+            raise InconsistencyError("forced cascade exceeds the degree-0 entry")
+    free_cap = {t: c for t, c in cap.items() if t >= 0}
+
+    upper = {t: v for t, v in adj.items() if v}
+    lower = {}
+    for t, v in adj.items():
+        lo = max(0, v - free_cap.get(t - 1, 0) - free_cap.get(t, 0))
+        if lo:
+            lower[t] = lo
+    degenerate = all(c == 0 for c in cap.values())
+
+    uncertain = [t for t in adj if upper.get(t, 0) != lower.get(t, 0)]
+    relations = []
+    if len(uncertain) == 2 and abs(uncertain[0] - uncertain[1]) == 1:
+        a, b = sorted(uncertain)
+        relations.append((b, a, adj.get(b, 0) - adj.get(a, 0)))
+
+    exact = pin_by_euler(euler, lower, upper, uncertain, notes)
+    table = dict(upper) if exact else None
+    if exact and not degenerate:
+        notes.append("nonzero differentials forced by nonnegativity; "
+                     "table exact nonetheless")
+    return QuotReport(euler, exact, table, lower, upper, degenerate,
+                      relations, notes)

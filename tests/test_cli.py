@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -154,6 +156,76 @@ class TestBasicCommands:
                               "result:", "  coefficient: 2", "notes:"]
 
 
+# One small instance per subcommand, per `verify` statement and per worked
+# example: (argv, exit status, sha256 of the sorted-key envelope without
+# elapsed_ms), recorded at commit 47f7cbc.
+PINNED_PAYLOADS = [
+    ("lr --alpha 2,1 --beta 2,1 --gamma 3,2,1", 0,
+     "ab7a72265bd955a924a1a6ae05a7a5687d05443e7a7757e1a8880d798994b2f6"),
+    ("dim --weight 1,0,-1 --n 3", 0,
+     "11cce7c6ff661d3cd256072fced74080a6176a61378af822cca8b20816d6efa5"),
+    ("index --chi 6,6,2,2,2,2,2,2 --k 4", 0,
+     "eeb53e5f2dba05f3abe1cff16ec0416ade16b633381a4a29b85cf26e990e70fd"),
+    ("bwb --k 2 --N 5 --a=-1,-2 --b=0,0,-3", 0,
+     "0d43395c9e2b124c17c3a3d379ce3db59fdd8c883ecc3226d29db452b9221aba"),
+    ("stromme --n 2 --r 1 --d 1 --m 2", 0,
+     "c9cd94f85e0bb313bc7e7a42b2c9828c738409ae3255810d7372b106ddfda7d0"),
+    ("koszul --n 2 --r 1 --d 2 --m 3 --t 2", 0,
+     "1b92d62ad06ffc42f1232a32f2872901c2a60cdc50de965ef810b0827df96d5b"),
+    ("scan --n 2 --r 1 --d 1 --m 3 --b1 1,1", 0,
+     "e7e5ec29dedb14d261b0a4330dc3659dc9dc715399c7e091aa8cf127c9571566"),
+    ("euler --n 2 --r 1 --d 1 --m 2 --b1 1 --b2 1", 0,
+     "73c20a6caaa7d17e4212cd554fb4308f4d926f8eb40169d1abc0402204e37d81"),
+    ("ext --n 3 --r 1 --d 1 --m 2 --nu 1 --lam 1", 0,
+     "4b39a212b25e1d4cfe3521c19c6766bb28d1e4768da8b84e873d3cc74e549216"),
+    ("closed-form --n 2 --r 1 --d 1 --insert=-2:1 --insert=1:1", 0,
+     "ee0d0380b83ac93f26a279facc0d35d857678d5e30fa26262a929166898f19c3"),
+    ("hyper --n 2 --r 1 --d 1 --m 2 --insert=-2:1 --insert=1:1", 0,
+     "a7fd751b229e531f2cec920c32a77d484a85be40eaba253dd3a49daffecd96a4"),
+    ("verify thm41 --n 2 --r 1 --d 1 --m 2 --m-max 3 --eta 1 --rho 1", 0,
+     "85530754b890ec308db26c86aec6025595cd4c72a3f9297e8fca4063ea77ae99"),
+    ("verify prop47 --n 2 --r 1 --d 1 --m 1 --m-max 2 --eta 1 --rho 1", 0,
+     "c6b213b1b9aa0208ac9e521597baf7cd51fab8e6268f90e6e972d4ffd3444275"),
+    ("verify ext --n 3 --r 1 --d 1 --m 2 --nu 1 --lam 1", 0,
+     "d790f70272f68b7e51007d692dd755b0881f118477447324ffc0baa751a6fe1d"),
+    ("verify cor14 --n 2 --r 1 --d 1 --insert=-2:1", 0,
+     "430209e07155066ba69fb07a0a06ff8bce6ebbe24d24b39c06072ee5fe3faf57"),
+    ("verify thm57 --n 2 --r 1 --d 1 --insert=1:1 --insert=2:1,1", 0,
+     "c934383db38af40b5ddeefa64ef5ba6fd912852f90b577a5b5914067f60ae487"),
+    ("verify sx --n 2 --r 1 --d 1 --lam 2,1", 0,
+     "abb4b52da45c5e386c43947add86766c3b84d401acfc845c978fdaaaca52da71"),
+    ("examples sharp", 0,
+     "25b775bc96a3ad47f4db83865391fbf7f2a7811d167d22ac996d38f7902c1d96"),
+    ("examples sym2", 0,
+     "5e02c40e0f3ed3e8e54563bc214046db5941c854f842804e6ca50067ff5f7a88"),
+]
+
+
+@pytest.mark.parametrize("line,status,digest", PINNED_PAYLOADS,
+                         ids=[line for line, _, _ in PINNED_PAYLOADS])
+def test_pinned_payload(capsys, line, status, digest):
+    got, payload = run_json(capsys, line.split())
+    payload.pop("elapsed_ms")
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert (got, hashlib.sha256(canon.encode()).hexdigest()) == (status, digest)
+
+
+def test_bench_argvs_parse_to_handlers():
+    # the benchmark's argv lists, loaded from their file without importing
+    # the bench package: every instance parses and reaches a handler
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    hyper, sx = workloads.hyper_space()
+    argvs = workloads.KOSZUL_SCAN + workloads.SWEEP_POOL + hyper + sx
+    assert len(argvs) == 1920
+    parser = build_parser()
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        assert callable(args.func), argv
+
+
 SETUP = {"--n": "2", "--r": "1", "--d": "1", "--m": "2"}
 SETUP_COMMANDS = {"stromme": [], "koszul": ["--t", "1"], "scan": [], "euler": [],
                   "ext": ["--nu", "1", "--lam", "1"], "hyper": ["--insert", "1:1"],
@@ -308,6 +380,14 @@ class TestValidationAndExitCodes:
         result = payload["result"]
         assert result["window"] == [2, 3] and result["stable_from"] == 2
         assert result["verdicts"]["3"]["report"]["table"] == {"0": "48"}
+
+    def test_window_checked_before_weights(self, capsys):
+        # a bad --m-max is reported before a bad --eta of the same sweep
+        for statement in ("thm41", "prop47"):
+            assert run(["verify", statement, "--n", "2", "--r", "1", "--d", "1",
+                        "--m", "2", "--m-max", "1", "--eta", "3,5"]) == 1
+            assert capsys.readouterr().err == (
+                "error: --m-max 1 below the starting twist 2\n")
 
     def test_verify_sx(self, capsys):
         status, payload = run_json(capsys, ["verify", "sx", "--n", "2",

@@ -5,14 +5,15 @@ from contextlib import contextmanager
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (collision_free, graded_pair_mult, meet_dominance, partitions_in_box,
-                     strip_lr_expand)
+                     resolve_page_pairwise, strip_lr_expand)
 from quotbwb import pipeline, schur
 from quotbwb.bwb import GrSpec, coh_bundle, coh_duals_nonempty
 from quotbwb.partitions import (
+    InconsistencyError,
     WeightLengthError,
     as_weight,
     conjugate,
@@ -40,6 +41,7 @@ from quotbwb.pipeline import (
 )
 from quotbwb.schur import (
     _pair_alphas,
+    _skew_expand,
     koszul_pair_mult,
     koszul_pair_possible,
     schur_dim,
@@ -58,7 +60,7 @@ def koszul_sigma_expansion(mu, r2):
     theta = conjugate(mu)
     out = {}
     for alpha in subpartitions(theta, r2):
-        for beta, c1 in skew_expand(theta, alpha, r2).items():
+        for beta, c1 in _skew_expand(theta, alpha, r2).items():
             for sigma, c2 in strip_lr_expand(alpha, beta, r2).items():
                 out[sigma] = out.get(sigma, 0) + c1 * c2
     return out
@@ -119,8 +121,8 @@ def oracle_koszul_pair_mult(theta, sigma, max_rows):
     rows = min(max_rows, len(theta), len(sigma))
     total = 0
     for alpha in oracle_pair_alphas(theta, sigma, max_rows):
-        e1 = skew_expand(theta, alpha, rows)
-        e2 = skew_expand(sigma, alpha, rows)
+        e1 = _skew_expand(theta, alpha, rows)
+        e2 = _skew_expand(sigma, alpha, rows)
         total += sum(m * e2.get(b, 0) for b, m in e1.items())
     return total
 
@@ -380,8 +382,8 @@ class TestPairAlphas:
                     rows = min(len(theta), len(sigma))
                     for alpha in set(oracle_pair_alphas(theta, sigma)) - set(kept):
                         dropped += 1
-                        e1 = skew_expand(theta, alpha, rows)
-                        e2 = skew_expand(sigma, alpha, rows)
+                        e1 = _skew_expand(theta, alpha, rows)
+                        e2 = _skew_expand(sigma, alpha, rows)
                         assert not any(e2.get(b) for b in e1), (theta, sigma, alpha)
         assert dropped == 3346
 
@@ -516,7 +518,7 @@ class TestSkewMemoKey:
             for lam in shapes:
                 for nu in subpartitions(lam):
                     caps = range(size(lam) - size(nu) + 2)[::order]
-                    got = {cap: skew_expand(lam, nu, cap) for cap in caps}
+                    got = {cap: _skew_expand(lam, nu, cap) for cap in caps}
                     full = skew_expand(lam, nu)
                     for cap, exp in got.items():
                         assert exp == {b: c for b, c in full.items() if len(b) <= cap}, \
@@ -959,6 +961,22 @@ class TestResolvePage:
         assert not rep.exact
         assert rep.upper == {0: 5, 1: 3, 2: 4}
         assert rep.lower == {0: 2, 2: 1}
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(-6, 2), st.integers(0, 8)),
+                           st.integers(0, 5), max_size=8))
+    @example({(-1, 5): 1, (0, 4): 1, (0, 5): 2})  # a source in the last target column
+    @example({(0, 4): 2, (0, 5): 1, (1, 4): 1})  # a target in the first source column
+    def test_matches_pairwise_partners(self, cells):
+        # the column rule for differential partners against testing every
+        # source and target pair
+        try:
+            want = resolve_page_pairwise(cells)
+        except InconsistencyError:
+            with pytest.raises(InconsistencyError):
+                resolve_page(cells)
+        else:
+            assert resolve_page(cells) == want
 
 
 class TestScans:

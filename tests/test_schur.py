@@ -395,7 +395,7 @@ class TestSkewAndSums:
         # S^beta(U + U) against Cauchy/dimension checks
         for beta in small_partitions(4):
             for rank, copies in [(2, 2), (3, 2), (2, 3)]:
-                exp = schur_of_sum_copies(beta, copies, max_rows=rank)
+                exp = schur_of_sum_copies(beta, copies, rank)
                 got = sum(m * schur_dim(th, rank) for th, m in exp.items())
                 assert got == schur_dim(beta, rank * copies), (beta, rank, copies)
 
