@@ -282,49 +282,61 @@ def _sweep_verdicts(args, setup, verifier) -> tuple[dict, int]:
 SWEPT = {"thm41": verify_thm41, "prop47": verify_prop47}
 
 
-def cmd_verify(args):
-    setup = _setup_from(args)
-    if args.statement in SWEPT:
-        return _sweep_verdicts(args, setup, SWEPT[args.statement])
-    if args.statement == "ext":
-        nu, lam = _partition_arg(args.nu or ""), _partition_arg(args.lam or "")
-        res = ext_table(setup, nu, lam)
-        concl = True
-        notes = list(res.notes)
-        if res.hypotheses_hold:
-            concl = all(q == 0 for q in res.table)
-            if nu == lam and concl:
-                concl = res.table == ({0: 1} if nu else res.table)
-            if nu and not lam and concl:
-                concl = not res.table
-        payload = {"table": _table_json(res.table),
-                   "hypotheses_hold": res.hypotheses_hold, "notes": notes}
-        return payload, 0 if (not res.hypotheses_hold or concl) else 2
+def _verify_ext(args, setup):
+    nu, lam = _partition_arg(args.nu), _partition_arg(args.lam)
+    res = ext_table(setup, nu, lam)
+    concl = True
+    notes = list(res.notes)
+    if res.hypotheses_hold:
+        concl = all(q == 0 for q in res.table)
+        if nu == lam and concl:
+            concl = res.table == ({0: 1} if nu else res.table)
+        if nu and not lam and concl:
+            concl = not res.table
+    payload = {"table": _table_json(res.table),
+               "hypotheses_hold": res.hypotheses_hold, "notes": notes}
+    return payload, 0 if (not res.hypotheses_hold or concl) else 2
+
+
+def _verify_cor14(args, setup):
+    inserts = _quotient_side([_insert_arg(x) for x in args.insert or []])
+    cf = closed_form_multi(setup.n, setup.r, setup.d, setup.splitting, inserts)
+    report = hyper_cohomology(setup, inserts)
+    ok = not cf.hypotheses_hold or (report.exact and report.table == cf.table)
+    return {"closed_form": _table_json(cf.table),
+            "hypotheses_hold": cf.hypotheses_hold,
+            "report": _report_json(report)}, 0 if ok else 2
+
+
+def _verify_thm57(args, setup):
     inserts = [_insert_arg(x) for x in args.insert or []]
-    if args.statement == "cor14":
-        inserts = _quotient_side(inserts)
-        cf = closed_form_multi(setup.n, setup.r, setup.d, setup.splitting, inserts)
-        report = hyper_cohomology(setup, inserts)
-        ok = not cf.hypotheses_hold or (report.exact and report.table == cf.table)
-        return {"closed_form": _table_json(cf.table),
-                "hypotheses_hold": cf.hypotheses_hold,
-                "report": _report_json(report)}, 0 if ok else 2
-    if args.statement == "thm57":
-        hyp = all(i.e >= setup.d + setup.b for i in inserts)
-        report = hyper_cohomology(setup, inserts)
-        top = report.max_degree()
-        ok = not hyp or top is None or top <= 0
-        return {"hypotheses_hold": hyp,
-                "report": _report_json(report)}, 0 if ok else 2
-    if args.statement == "sx":
-        lam = _partition_arg(args.lam or "")
-        bound = (setup.n * setup.d + setup.r * setup.b + setup.n)
-        hyp = 0 != sum(lam) * (setup.n - setup.r) < bound
-        report = sx_cohomology(setup, lam)
-        ok = not hyp or report.is_zero()
-        return {"hypotheses_hold": hyp,
-                "report": _report_json(report)}, 0 if ok else 2
-    raise CliError(f"unknown statement '{args.statement}'")
+    hyp = all(i.e >= setup.d + setup.b for i in inserts)
+    report = hyper_cohomology(setup, inserts)
+    top = report.max_degree()
+    ok = not hyp or top is None or top <= 0
+    return {"hypotheses_hold": hyp,
+            "report": _report_json(report)}, 0 if ok else 2
+
+
+def _verify_sx(args, setup):
+    lam = _partition_arg(args.lam)
+    bound = (setup.n * setup.d + setup.r * setup.b + setup.n)
+    hyp = 0 != sum(lam) * (setup.n - setup.r) < bound
+    report = sx_cohomology(setup, lam)
+    ok = not hyp or report.is_zero()
+    return {"hypotheses_hold": hyp,
+            "report": _report_json(report)}, 0 if ok else 2
+
+
+# Each `verify` statement's handler of (args, setup), in `--help` order.
+STATEMENTS = {**{name: functools.partial(_sweep_verdicts, verifier=verifier)
+                 for name, verifier in SWEPT.items()},
+              "ext": _verify_ext, "cor14": _verify_cor14,
+              "thm57": _verify_thm57, "sx": _verify_sx}
+
+
+def cmd_verify(args):
+    return STATEMENTS[args.statement](args, _setup_from(args))
 
 
 # The worked examples: (setup, insertion, check of the page and its report).
@@ -436,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--insert", action="append", metavar="E:PARTS[:SIDE]")
 
     s = add_parser("verify", cmd_verify, help="check a statement on an instance")
-    s.add_argument("statement", choices=(*SWEPT, "ext", "cor14", "thm57", "sx"))
+    s.add_argument("statement", choices=tuple(STATEMENTS))
     _add_setup_args(s)
     s.add_argument("--m-max", type=int, default=None, dest="m_max",
                    help="sweep the twist from m to m-max and report "

@@ -1,17 +1,18 @@
 """Schur complexes of two-term representations of tautological complexes.
 
-Any twist of the universal sub or quotient admits a two-term resolution by
-the two consecutive-degree tautological bundles of the embedding; Schur
-functors of those complexes expand, degree by degree, into insertion
-specifications the Koszul scan can evaluate.  Hypercohomology tables are
-totalized under the same conservative policy as single scans, computed
-along two independent representations (the direct quotient-side one and
-the sub-side route through the section-space triangle) whose bounds are
-intersected.
+Any twist of the universal sub or quotient is a two-term complex of the two
+consecutive-degree tautological bundles of the embedding, and the
+section-space triangle gives the quotient side a second two-term form.  One
+rule (Akin-Buchsbaum-Weyman), `_two_term_schur`, expands every Schur functor
+of such a complex, S^lam([X -> Y]) = sum over nu of S^{nu^dag}(X) x
+S^{lam/nu}(Y) in degree -|nu|, into insertion specifications the Koszul
+scan can evaluate.  Hypercohomology tables are totalized under the same
+conservative policy as single scans, computed along the two independent
+representations, whose bounds are intersected.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 from .partitions import (
     InconsistencyError,
@@ -35,7 +36,7 @@ from .pipeline import (
     resolve_page,
     stromme,
 )
-from .schur import _skew_expand, direct_sum_expand, schur_dim, schur_of_sum_copies, skew_dim
+from .schur import _skew_expand, direct_sum_expand, schur_dim, schur_of_sum_copies
 
 # A term key lists the partitions inserted on each of the four bundles.
 TermKey = tuple[tuple[Partition, ...], tuple[Partition, ...],
@@ -69,72 +70,50 @@ def _tensor_terms(f1: FormalTerms, f2: FormalTerms) -> FormalTerms:
 
 
 def _accumulate(acc: FormalTerms, other: FormalTerms, scale: int, shift: int) -> None:
-    if not scale:
-        return
     for d, terms in other.items():
         bucket = acc.setdefault(d + shift, {})
         for k, m in terms.items():
             bucket[k] = bucket.get(k, 0) + scale * m
 
 
-# Slots describe a direct sum of bundle copies and trivial summands:
-# (kind, copies) with kind one of _KINDS or "triv" (copies = dimension).
-Slot = tuple[str, int]
+# S^beta of one term of a two-term complex, as a function of beta.
+Term = Callable[[Partition], FormalTerms]
 
 
-def _with_partition(key: TermKey, kind: str, theta: Partition) -> TermKey:
-    if not theta:
-        return key
+def _copies(kind: str, copies: int, rank: int) -> Term:
+    """S^beta of `copies` copies of the universal bundle `kind` of rank
+    `rank`, decomposed into S^theta of one copy.  beta must be canonical."""
     pos = _KINDS.index(kind)
-    merged = list(key)
-    merged[pos] = tuple(sorted(key[pos] + (theta,), reverse=True))
-    return tuple(merged)
+
+    def term(beta: Partition) -> FormalTerms:
+        if not copies:
+            return _unit_terms() if not beta else {}
+        keys = {UNIT_KEY[:pos] + ((theta,) if theta else (),) + UNIT_KEY[pos + 1:]: m
+                for theta, m in schur_of_sum_copies(beta, copies, rank).items()}
+        return {0: keys} if keys else {}
+    return term
 
 
-def _schur_of_slots(beta: Partition, slots: Sequence[Slot],
-                    ranks: dict[str, int]) -> dict[TermKey, int]:
-    """Decompose S^beta(direct sum of slots) into term keys with multiplicity.
-
-    Bundle slots expand through the direct-sum rule recombined by LR;
-    trivial slots contribute their exact Schur dimension as a scalar.
-    beta must be canonical (every caller passes a built partition).
-    """
-    live = [s for s in slots if s[1] > 0]
-    if not live:
-        return {UNIT_KEY: 1} if not beta else {}
-    out: dict[TermKey, int] = {}
-
-    def emit(idx: int, here: Partition, rest: Partition, key: TermKey, mult: int):
-        kind, copies = live[idx]
-        if kind == "triv":
-            scalar = schur_dim(here, copies)
-            if not scalar:
-                return
-            results = {key: mult * scalar}
-        else:
-            results = {}
-            for theta, m2 in schur_of_sum_copies(here, copies, ranks[kind]).items():
-                nk = _with_partition(key, kind, theta)
-                results[nk] = results.get(nk, 0) + mult * m2
-        for nk, nm in results.items():
-            if idx == len(live) - 1:
-                out[nk] = out.get(nk, 0) + nm
-            else:
-                rec(idx + 1, rest, nk, nm)
-
-    def rec(idx: int, remaining: Partition, key: TermKey, mult: int):
-        if idx == len(live) - 1:
-            emit(idx, remaining, (), key, mult)
-            return
-        for here, rest, c in direct_sum_expand(remaining):
-            emit(idx, here, rest, key, mult * c)
-
-    rec(0, beta, UNIT_KEY, 1)
-    return out
+def _trivial(h: int) -> Term:
+    """S^beta of a trivial bundle of rank h: its dimension, as a scalar."""
+    def term(beta: Partition) -> FormalTerms:
+        dim = schur_dim(beta, h)
+        return {0: {UNIT_KEY: dim}} if dim else {}
+    return term
 
 
-def _two_term_schur(lam: Partition, left: Sequence[Slot], right: Sequence[Slot],
-                    window: tuple[int, int], ranks: dict[str, int]) -> FormalTerms:
+def _direct_sum(first: Term, second: Term) -> Term:
+    """S^beta of first + second through the LR direct-sum rule."""
+    def term(beta: Partition) -> FormalTerms:
+        out: FormalTerms = {}
+        for alpha, gamma, c in direct_sum_expand(beta):
+            _accumulate(out, _tensor_terms(first(alpha), second(gamma)), c, 0)
+        return out
+    return term
+
+
+def _two_term_schur(lam: Partition, left: Term, right: Term,
+                    window: tuple[int, int]) -> FormalTerms:
     """Degreewise terms of the Schur complex of [left -> right].
 
     Window (-1, 0) is the homological form (term S^{nu^dag}(left) x
@@ -143,24 +122,19 @@ def _two_term_schur(lam: Partition, left: Sequence[Slot], right: Sequence[Slot],
     must be canonical.
     """
     if window == (-1, 0):
-        straight_slots, skew_slots, sign = left, right, -1
+        straight, skew, sign = left, right, -1
     else:
-        straight_slots, skew_slots, sign = right, left, 1
+        straight, skew, sign = right, left, 1
     out: FormalTerms = {}
     for nu in subpartitions(lam):
-        straight_exp = _schur_of_slots(conjugate(nu), straight_slots, ranks)
+        straight_exp = straight(conjugate(nu))
         if not straight_exp:
             continue
-        skew_exp: dict[TermKey, int] = {}
+        skew_exp: FormalTerms = {}
         for beta, c in _skew_expand(lam, nu).items():
-            for k, m in _schur_of_slots(beta, skew_slots, ranks).items():
-                skew_exp[k] = skew_exp.get(k, 0) + c * m
-        bucket = out.setdefault(sign * size(nu), {})
-        for k1, m1 in straight_exp.items():
-            for k2, m2 in skew_exp.items():
-                key = _merge_keys(k1, k2)
-                bucket[key] = bucket.get(key, 0) + m1 * m2
-    return {d: terms for d, terms in out.items() if terms}
+            _accumulate(skew_exp, skew(beta), c, 0)
+        _accumulate(out, _tensor_terms(straight_exp, skew_exp), 1, sign * size(nu))
+    return out
 
 
 def _ranks(params: StrommeParams) -> dict[str, int]:
@@ -188,54 +162,38 @@ def _terms_insert_L(setup: QuotSetup, ranks, e: int, lam: Partition,
                     side: str) -> FormalTerms:
     """Schur complex of the consecutive-twist representation of one insert."""
     window, lm, rm = _rep_window(setup, e)
-    kinds = ("a1", "a2") if side == "sub" else ("b1", "b2")
-    left = ((kinds[0], lm),)
-    right = ((kinds[1], rm),)
-    return _two_term_schur(lam, left, right, window, ranks)
+    left, right = ("a1", "a2") if side == "sub" else ("b1", "b2")
+    return _two_term_schur(lam, _copies(left, lm, ranks[left]),
+                           _copies(right, rm, ranks[right]), window)
 
 
 def _terms_insert_theta(setup: QuotSetup, ranks, e: int, lam: Partition
                         ) -> Optional[FormalTerms]:
     """Quotient insert through the section-space triangle.
 
-    O(e)^{[d]} is the cone of (sub-side complex) -> H(V(e)) x O; the three
-    degree regimes give two-term complexes whose Schur terms reduce to
-    sub-side insertions and trivial factors.  None when H(V(e)) lives in
-    two degrees at once (no two-term representation of this shape).  lam
-    must be canonical (`HyperInsert.lam`).
+    O(e)^{[d]} is the cone of (sub-side complex) -> H(V(e)) x O, so each
+    degree regime is one two-term complex for `_two_term_schur`:
+    [sub-side insert -> H^0] when e >= d + b and [A1 copies -> A2 copies
+    + H^0] when 0 <= e < d + b, both in degrees [-1, 0]; [W -> H^1] in
+    degrees [0, 1] when e < 0, S^beta(W) the homological Schur complex of
+    the sub-side resolution W.  None when H(V(e)) lives in two degrees at
+    once.  lam must be canonical (`HyperInsert.lam`).
     """
     h0v, h1v = bundle_coh(setup.splitting, e)
     if h0v and h1v:
         return None
-    out: FormalTerms = {}
     if e >= setup.d + setup.b:
-        # [sub -> triv] in degrees [-1, 0]: S^{nu^dag}(sub) x S^{lam/nu}(triv)
-        for nu in subpartitions(lam):
-            scalar = skew_dim(lam, nu, h0v)
-            if not scalar:
-                continue
-            inner = _terms_insert_L(setup, ranks, e, conjugate(nu), "sub")
-            _accumulate(out, inner, scalar, -size(nu))
-        return {d: terms for d, terms in out.items() if terms}
+        return _two_term_schur(
+            lam, lambda beta: _terms_insert_L(setup, ranks, e, beta, "sub"),
+            _trivial(h0v), (-1, 0))
     window, lm, rm = _rep_window(setup, e)
     if window != (0, 1):
         raise InconsistencyError(f"twist {e} below m = {setup.m} has window {window}")
+    a1, a2 = _copies("a1", lm, ranks["a1"]), _copies("a2", rm, ranks["a2"])
     if e >= 0:
-        # 0 <= e < d + b: merged two-term [A1-slot -> A2-slot + triv].
-        return _two_term_schur(lam, (("a1", lm),), (("a2", rm), ("triv", h0v)),
-                               (-1, 0), ranks)
-    # [W -> triv] in degrees [0, 1], W the shifted sub-side complex:
-    # S^{lam/nu}(W) x S^{nu^dag}(triv) in degree |nu|; S^beta(W) is the
-    # homological Schur complex of the (injective) two-term resolution.
-    for nu in subpartitions(lam):
-        scalar = schur_dim(conjugate(nu), h1v)
-        if not scalar:
-            continue
-        for beta, c in _skew_expand(lam, nu).items():
-            inner = _two_term_schur(beta, (("a1", lm),), (("a2", rm),),
-                                    (-1, 0), ranks)
-            _accumulate(out, inner, scalar * c, size(nu))
-    return {d: terms for d, terms in out.items() if terms}
+        return _two_term_schur(lam, a1, _direct_sum(a2, _trivial(h0v)), (-1, 0))
+    return _two_term_schur(lam, lambda beta: _two_term_schur(beta, a1, a2, (-1, 0)),
+                           _trivial(h1v), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -327,10 +285,6 @@ def _intersect(reports: list[QuotReport]) -> QuotReport:
     return QuotReport(chi, exact_now, table, lower, upper, False, [], notes)
 
 
-def _insert_norm(inserts) -> list[HyperInsert]:
-    return [i if isinstance(i, HyperInsert) else HyperInsert(*i) for i in inserts]
-
-
 def hyper_cohomology(setup: QuotSetup, inserts) -> QuotReport:
     """Cohomology table of a tensor product of Schur insertions.
 
@@ -339,26 +293,24 @@ def hyper_cohomology(setup: QuotSetup, inserts) -> QuotReport:
     Euler characteristics must agree exactly, and the per-degree bounds
     are intersected (with single-degree Euler pinning).
     """
-    inserts = _insert_norm(inserts)
+    inserts = [i if isinstance(i, HyperInsert) else HyperInsert(*i) for i in inserts]
     ranks = _ranks(stromme(setup))
-    routes: list[FormalTerms] = []
     total_l = _unit_terms()
     for ins in inserts:
         total_l = _tensor_terms(total_l,
                                 _terms_insert_L(setup, ranks, ins.e, ins.lam,
                                                 ins.side))
-    routes.append(total_l)
-    total_t: Optional[FormalTerms] = _unit_terms()
+    routes = [total_l]
+    total_t = _unit_terms()
     for ins in inserts:
         if ins.side == "sub":
             f = _terms_insert_L(setup, ranks, ins.e, ins.lam, "sub")
         else:
             f = _terms_insert_theta(setup, ranks, ins.e, ins.lam)
-        if f is None or total_t is None:
-            total_t = None
+        if f is None:
             break
         total_t = _tensor_terms(total_t, f)
-    if total_t is not None:
+    else:
         routes.append(total_t)
     reports = [_totalize(setup, f) for f in routes]
     return _intersect(reports)
@@ -368,7 +320,7 @@ def sx_cohomology(setup: QuotSetup, lam: Partition) -> QuotReport:
     """Cohomology of a Schur functor of the sub bundle restricted to a fiber,
     through the resolution by the two consecutive sub-side bundles."""
     ranks = _ranks(stromme(setup))
-    formal = _two_term_schur(partition(lam), (("a1", 1),), (("a2", 1),),
-                             (-1, 0), ranks)
+    formal = _two_term_schur(partition(lam), _copies("a1", 1, ranks["a1"]),
+                             _copies("a2", 1, ranks["a2"]), (-1, 0))
     return _totalize(setup, formal)
 

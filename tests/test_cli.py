@@ -210,20 +210,46 @@ def test_pinned_payload(capsys, line, status, digest):
     assert (got, hashlib.sha256(canon.encode()).hexdigest()) == (status, digest)
 
 
-def test_bench_argvs_parse_to_handlers():
-    # the benchmark's argv lists, loaded from their file without importing
-    # the bench package: every instance parses and reaches a handler
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name):
+    """A module of the benchmark harness, loaded from its file without
+    importing the bench package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_argvs():
+    workloads = load_bench("workloads")
     hyper, sx = workloads.hyper_space()
-    argvs = workloads.KOSZUL_SCAN + workloads.SWEEP_POOL + hyper + sx
+    return workloads.KOSZUL_SCAN + workloads.SWEEP_POOL + hyper + sx
+
+
+def test_bench_argvs_parse_to_handlers():
+    # every benchmark instance parses and reaches a handler
+    argvs = bench_argvs()
     assert len(argvs) == 1920
     parser = build_parser()
     for argv in argvs:
         args = parser.parse_args(argv)
         assert callable(args.func), argv
+
+
+def test_bench_argvs_reproduce_pins(capsys):
+    # every benchmark instance, run in one process, passes the benchmark's
+    # own correctness gate against its pinned payload hash
+    gate = load_bench("gate")
+    pins = gate.load_pins()
+    failed = []
+    for argv in bench_argvs():
+        status = run(argv)
+        why = gate.check(argv, status, capsys.readouterr().out, pins)
+        if why:
+            failed.append((" ".join(argv), why))
+    assert not failed, (len(failed), failed[:5])
 
 
 SETUP = {"--n": "2", "--r": "1", "--d": "1", "--m": "2"}

@@ -10,11 +10,15 @@ import pytest
 
 import quotbwb
 
-from oracles import partitions_in_box
+from oracles import partitions_in_box, strip_lr_expand
 from quotbwb.complexes import (
+    UNIT_KEY,
     HyperInsert,
+    _copies,
+    _direct_sum,
     _intersect,
     _rep_window,
+    _trivial,
     _two_term_schur,
     hyper_cohomology,
     sx_cohomology,
@@ -57,9 +61,10 @@ WIDE = {"a1": 9, "b1": 9, "a2": 9, "b2": 9}
 
 
 def schur_complex(lam, window, ranks=WIDE):
-    """`_two_term_schur` of one map E1 -> E2 (slots a1 -> a2, one copy
-    each) as {degree: {(E1 partition, E2 partition): multiplicity}}."""
-    terms = _two_term_schur(lam, (("a1", 1),), (("a2", 1),), window, ranks)
+    """`_two_term_schur` of one map E1 -> E2 (one copy of a1 -> one copy
+    of a2) as {degree: {(E1 partition, E2 partition): multiplicity}}."""
+    terms = _two_term_schur(lam, _copies("a1", 1, ranks["a1"]),
+                            _copies("a2", 1, ranks["a2"]), window)
     return {d: {(key[0][0] if key[0] else (), key[2][0] if key[2] else ()): m
                 for key, m in keyed.items()}
             for d, keyed in terms.items()}
@@ -92,6 +97,56 @@ class TestSchurComplexTerms:
             assert set(hom) == {q - n for q in coh}
             for q, terms in hom.items():
                 assert terms == coh[q + n], (lam, q)
+
+
+def collapse(terms, pos, rank):
+    """Terms with the partitions inserted on slot `pos` multiplied out by
+    LR (at most `rank` rows) into one partition per key."""
+    out = {}
+    for d, keyed in terms.items():
+        bucket = out.setdefault(d, {})
+        for key, m in keyed.items():
+            product = {(): 1}
+            for theta in key[pos]:
+                step = {}
+                for a, ma in product.items():
+                    for g, mg in strip_lr_expand(a, theta, rank).items():
+                        step[g] = step.get(g, 0) + ma * mg
+                product = step
+            for g, mg in product.items():
+                k = key[:pos] + ((g,) if g else (),) + key[pos + 1:]
+                bucket[k] = bucket.get(k, 0) + m * mg
+    return {d: {k: m for k, m in keyed.items() if m} for d, keyed in out.items() if keyed}
+
+
+class TestTerms:
+    # the term constructors of `_two_term_schur` on every |beta| <= 5
+    BETAS = all_partitions_upto(5)
+
+    def test_trivial_sum(self):
+        for a in range(4):
+            for b in range(4):
+                total = _trivial(a + b)
+                summed = _direct_sum(_trivial(a), _trivial(b))
+                for beta in self.BETAS:
+                    assert summed(beta) == total(beta), (a, b, beta)
+
+    def test_copies_sum(self):
+        for kind, rank in (("a1", 2), ("b2", 3)):
+            pos = ("a1", "b1", "a2", "b2").index(kind)
+            for c1 in range(3):
+                for c2 in range(3):
+                    total = _copies(kind, c1 + c2, rank)
+                    summed = _direct_sum(_copies(kind, c1, rank), _copies(kind, c2, rank))
+                    for beta in self.BETAS:
+                        assert collapse(summed(beta), pos, rank) == total(beta), \
+                            (kind, c1, c2, beta)
+
+    def test_zero_copies(self):
+        for kind in ("a1", "b1", "a2", "b2"):
+            term = _copies(kind, 0, 3)
+            for beta in self.BETAS:
+                assert term(beta) == ({0: {UNIT_KEY: 1}} if not beta else {}), beta
 
 
 def virtual_rank(setup, e, side):
@@ -255,12 +310,12 @@ class TestSx:
 
 
 def test_private_sites_get_canonical_partitions(monkeypatch):
-    # the hyper and sx paths hand these four routines partitions that are
+    # the hyper and sx paths hand these three routines partitions that are
     # canonical already (HyperInsert.lam, conjugates, skew and subpartition
     # keys), so none of them re-validates its partition argument
     from quotbwb import complexes, schur
-    seen = dict.fromkeys(["schur_of_sum_copies", "_schur_of_slots",
-                          "_two_term_schur", "_terms_insert_theta"], 0)
+    seen = dict.fromkeys(["schur_of_sum_copies", "_two_term_schur",
+                          "_terms_insert_theta"], 0)
 
     def watch(module, name, pos):
         fn = getattr(module, name)
@@ -277,7 +332,6 @@ def test_private_sites_get_canonical_partitions(monkeypatch):
     monkeypatch.setattr(schur, "_SUM_CACHE", {})
     monkeypatch.setattr(complexes, "schur_of_sum_copies",
                         watch(schur, "schur_of_sum_copies", 0))
-    watch(complexes, "_schur_of_slots", 0)
     watch(complexes, "_two_term_schur", 0)
     watch(complexes, "_terms_insert_theta", 3)
     for setup in (QuotSetup(2, 1, 1, m=1), QuotSetup(2, 1, 1, (0, 1))):
@@ -320,12 +374,11 @@ def test_unchecked_expansions_get_canonical_partitions(monkeypatch):
         sx_cohomology(setup, [2, 1, 0])
     e1_page(stromme(QuotSetup(2, 1, 1, m=3)),
             InsertionSpec(a1=((1,), (0, -1)), b1=((2, 1),), a2=((1,),), b2=((1,),)))
-    # skew_expand calls in after its own check (skew_dim's route), level is
-    # koszul_pair_mult's pair loop; lr_expand fills beta after alpha itself
-    # and no longer goes through the skew memo
+    # level is koszul_pair_mult's pair loop; lr_expand fills beta after
+    # alpha itself and no longer goes through the skew memo
     assert callers == {
         "_skew_expand": {"schur_of_sum_copies", "_two_term_schur", "direct_sum_expand",
-                         "_terms_insert_theta", "skew_expand", "level"},
+                         "level"},
         "lr_expand": {"tensor_entries", "schur_of_sum_copies"}}, callers
 
 
