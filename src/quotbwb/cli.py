@@ -200,10 +200,8 @@ def cmd_koszul(args):
 
 
 def _insertion_spec(args) -> InsertionSpec:
-    def grab(entries):
-        return tuple(_weight_arg(w) for w in (entries or []))
-    return InsertionSpec(a1=grab(args.a1), b1=grab(args.b1),
-                         a2=grab(args.a2), b2=grab(args.b2))
+    return InsertionSpec(*[tuple(_weight_arg(w) for w in getattr(args, slot) or [])
+                           for slot in InsertionSpec._fields])
 
 
 def cmd_scan(args):
@@ -377,7 +375,7 @@ def _add_setup_args(sub):
 
 
 def _add_insertion_args(sub):
-    for slot in ("a1", "b1", "a2", "b2"):
+    for slot in InsertionSpec._fields:
         sub.add_argument(f"--{slot}", action="append", metavar="W",
                          help=f"weight on the {slot} bundle (repeatable)")
 

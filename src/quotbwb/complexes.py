@@ -5,13 +5,15 @@ consecutive-degree tautological bundles of the embedding, and the
 section-space triangle gives the quotient side a second two-term form.  One
 rule (Akin-Buchsbaum-Weyman), `_two_term_schur`, expands every Schur functor
 of such a complex, S^lam([X -> Y]) = sum over nu of S^{nu^dag}(X) x
-S^{lam/nu}(Y) in degree -|nu|, into insertion specifications the Koszul
-scan can evaluate.  Hypercohomology tables are totalized under the same
+S^{lam/nu}(Y) in degree -|nu|, into `InsertionSpec` terms on the four
+universal bundles A1, B1, A2, B2, which the Koszul scan evaluates and which
+key its memo as they are.  Hypercohomology tables are totalized under the same
 conservative policy as single scans, computed along the two independent
 representations, whose bounds are intersected.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 from .partitions import (
@@ -24,6 +26,7 @@ from .partitions import (
     subpartitions,
 )
 from .pipeline import (
+    EMPTY_INSERTION,
     InsertionSpec,
     QuotReport,
     QuotSetup,
@@ -38,22 +41,17 @@ from .pipeline import (
 )
 from .schur import _skew_expand, direct_sum_expand, schur_dim, schur_of_sum_copies
 
-# A term key lists the partitions inserted on each of the four bundles.
-TermKey = tuple[tuple[Partition, ...], tuple[Partition, ...],
-                tuple[Partition, ...], tuple[Partition, ...]]
-# degree -> {term key: multiplicity}
-FormalTerms = dict[int, dict[TermKey, int]]
-
-_KINDS = ("a1", "b1", "a2", "b2")
-UNIT_KEY: TermKey = ((), (), (), ())
+# degree -> {insertion of partitions, each slot sorted: multiplicity}
+FormalTerms = dict[int, dict[InsertionSpec, int]]
 
 
-def _merge_keys(k1: TermKey, k2: TermKey) -> TermKey:
-    return tuple(tuple(sorted(k1[i] + k2[i], reverse=True)) for i in range(4))
+def _merge_keys(k1: InsertionSpec, k2: InsertionSpec) -> InsertionSpec:
+    return InsertionSpec(*[tuple(sorted(s1 + s2, reverse=True))
+                           for s1, s2 in zip(k1, k2)])
 
 
 def _unit_terms() -> FormalTerms:
-    return {0: {UNIT_KEY: 1}}
+    return {0: {EMPTY_INSERTION: 1}}
 
 
 def _tensor_terms(f1: FormalTerms, f2: FormalTerms) -> FormalTerms:
@@ -83,12 +81,10 @@ Term = Callable[[Partition], FormalTerms]
 def _copies(kind: str, copies: int, rank: int) -> Term:
     """S^beta of `copies` copies of the universal bundle `kind` of rank
     `rank`, decomposed into S^theta of one copy.  beta must be canonical."""
-    pos = _KINDS.index(kind)
-
     def term(beta: Partition) -> FormalTerms:
         if not copies:
             return _unit_terms() if not beta else {}
-        keys = {UNIT_KEY[:pos] + ((theta,) if theta else (),) + UNIT_KEY[pos + 1:]: m
+        keys = {InsertionSpec(**{kind: (theta,) if theta else ()}): m
                 for theta, m in schur_of_sum_copies(beta, copies, rank).items()}
         return {0: keys} if keys else {}
     return term
@@ -98,7 +94,7 @@ def _trivial(h: int) -> Term:
     """S^beta of a trivial bundle of rank h: its dimension, as a scalar."""
     def term(beta: Partition) -> FormalTerms:
         dim = schur_dim(beta, h)
-        return {0: {UNIT_KEY: dim}} if dim else {}
+        return {0: {EMPTY_INSERTION: dim}} if dim else {}
     return term
 
 
@@ -138,7 +134,8 @@ def _two_term_schur(lam: Partition, left: Term, right: Term,
 
 
 def _ranks(params: StrommeParams) -> dict[str, int]:
-    return {"a1": params.k1, "b1": params.r1, "a2": params.k2, "b2": params.r2}
+    ranks = (params.k1, params.r1, params.k2, params.r2)
+    return dict(zip(InsertionSpec._fields, ranks))
 
 
 # --------------------------------------------------- two-term representations
@@ -210,32 +207,25 @@ class HyperInsert:
             raise ValueError("side must be 'quot' or 'sub'")
 
 
-_SCAN_CACHE: dict[tuple[QuotSetup, TermKey], QuotReport] = {}
+_SCAN_CACHE: dict[tuple[QuotSetup, InsertionSpec], QuotReport] = {}
 
 
-def _term_report(setup: QuotSetup, key: TermKey) -> QuotReport:
+def _term_report(setup: QuotSetup, key: InsertionSpec) -> QuotReport:
     ck = (setup, key)
     hit = _SCAN_CACHE.get(ck)
     if hit is None:
-        ins = InsertionSpec(a1=key[0], b1=key[1], a2=key[2], b2=key[3])
-        hit = assemble(e1_page(stromme(setup), ins))
+        hit = assemble(e1_page(stromme(setup), key))
         _SCAN_CACHE[ck] = hit
     return hit
 
 
 def _totalize(setup: QuotSetup, formal: FormalTerms) -> QuotReport:
     """Outer spectral page over the total complex of scanned term tables."""
-    cells: dict[tuple[int, int], int] = {}
-    soft = False
-    reports = []
-    for d, terms in formal.items():
-        for k, m in terms.items():
-            rep = _term_report(setup, k)
-            reports.append((d, m, rep))
-            if not rep.exact:
-                soft = True
+    reports = [(d, m, _term_report(setup, k))
+               for d, terms in formal.items() for k, m in terms.items()]
     chi = sum(parity_sign(d) * m * rep.euler for d, m, rep in reports)
-    if not soft:
+    if all(rep.exact for _, _, rep in reports):
+        cells: dict[tuple[int, int], int] = {}
         for d, m, rep in reports:
             for q, v in rep.table.items():
                 cells[(d, q)] = cells.get((d, q), 0) + m * v
@@ -245,12 +235,11 @@ def _totalize(setup: QuotSetup, formal: FormalTerms) -> QuotReport:
                 f"total complex has Euler characteristic {out.euler}, its terms {chi}")
         return out
     upper: dict[int, int] = {}
-    lower: dict[int, int] = {}
     for d, m, rep in reports:
         for q, v in rep.upper.items():
             upper[d + q] = upper.get(d + q, 0) + m * v
     upper = {t: v for t, v in upper.items() if v and t >= 0}
-    return QuotReport(chi, False, None, lower, upper, False,
+    return QuotReport(chi, False, None, {}, upper, False,
                       notes=["per-term tables not all exact; bounds only"])
 
 
@@ -288,31 +277,20 @@ def _intersect(reports: list[QuotReport]) -> QuotReport:
 def hyper_cohomology(setup: QuotSetup, inserts) -> QuotReport:
     """Cohomology table of a tensor product of Schur insertions.
 
-    Evaluated along the consecutive-twist route and, when available, the
-    section-space-triangle route; each totalization is conservative, the
-    Euler characteristics must agree exactly, and the per-degree bounds
-    are intersected (with single-degree Euler pinning).
+    Evaluated along the consecutive-twist route and, when every quotient
+    insert has one, the section-space-triangle route, which reuses each
+    sub-side insert's consecutive-twist terms; each totalization is
+    conservative, the Euler characteristics must agree exactly, and the
+    per-degree bounds are intersected (with single-degree Euler pinning).
     """
     inserts = [i if isinstance(i, HyperInsert) else HyperInsert(*i) for i in inserts]
     ranks = _ranks(stromme(setup))
-    total_l = _unit_terms()
-    for ins in inserts:
-        total_l = _tensor_terms(total_l,
-                                _terms_insert_L(setup, ranks, ins.e, ins.lam,
-                                                ins.side))
-    routes = [total_l]
-    total_t = _unit_terms()
-    for ins in inserts:
-        if ins.side == "sub":
-            f = _terms_insert_L(setup, ranks, ins.e, ins.lam, "sub")
-        else:
-            f = _terms_insert_theta(setup, ranks, ins.e, ins.lam)
-        if f is None:
-            break
-        total_t = _tensor_terms(total_t, f)
-    else:
-        routes.append(total_t)
-    reports = [_totalize(setup, f) for f in routes]
+    terms_l = [_terms_insert_L(setup, ranks, i.e, i.lam, i.side) for i in inserts]
+    terms_t = [f if i.side == "sub" else _terms_insert_theta(setup, ranks, i.e, i.lam)
+               for i, f in zip(inserts, terms_l)]
+    routes = [terms_l] if None in terms_t else [terms_l, terms_t]
+    reports = [_totalize(setup, reduce(_tensor_terms, terms, _unit_terms()))
+               for terms in routes]
     return _intersect(reports)
 
 

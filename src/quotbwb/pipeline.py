@@ -9,7 +9,7 @@ per-degree bounds are reported.
 """
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .bwb import (CohomTable, GrSpec, coh_bundle, coh_duals, coh_duals_nonempty,
                   dual_side, expand_side, kunneth)
@@ -122,15 +122,15 @@ def stromme(setup: QuotSetup) -> StrommeParams:
     return p
 
 
-@dataclass(frozen=True)
-class InsertionSpec:
+class InsertionSpec(NamedTuple):
     """Weights of Schur functors inserted on the four universal bundles.
 
     a1/a2 land on the rank k1/k2 subbundles (the sub-side tautological
     bundles), b1/b2 on the rank r1/r2 quotients.  Each weight is a
     sequence of integers: a partition (padded to the bundle rank) or an
     exact-length weight; a dual bundle S^w(E^dual) is entered as the
-    bundle-side weight dual_entries(w).
+    bundle-side weight dual_entries(w).  With entry tuples it is
+    hashable; it keys the hyper terms and the scan memo.
     """
 
     a1: tuple[Sequence[int], ...] = ()
@@ -140,8 +140,7 @@ class InsertionSpec:
 
     def key(self) -> tuple:
         """The four slots as tuples of entry tuples."""
-        return tuple(tuple(tuple(w) for w in ws)
-                     for ws in (self.a1, self.b1, self.a2, self.b2))
+        return tuple(tuple(tuple(w) for w in ws) for ws in self)
 
 
 EMPTY_INSERTION = InsertionSpec()

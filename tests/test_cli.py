@@ -198,6 +198,22 @@ PINNED_PAYLOADS = [
      "25b775bc96a3ad47f4db83865391fbf7f2a7811d167d22ac996d38f7902c1d96"),
     ("examples sym2", 0,
      "5e02c40e0f3ed3e8e54563bc214046db5941c854f842804e6ca50067ff5f7a88"),
+    # hyper cases the bench pins miss (every bench hyper argv is
+    # quotient-side with a trivial splitting), recorded at commit 0ce8afc:
+    # sub-side only and inexact, mixed sides, sub-side only and exact, and
+    # an insert with no theta route (V(0) has h^0 and h^1) in both orders
+    ("hyper --n 2 --r 1 --d 1 --m 2 --insert=-2:2,1:sub --insert=-2:1:sub", 0,
+     "e3678127610e65dd68c23f2086fb294a04160f1ad9b0a107aacfa265eabcfa11"),
+    ("hyper --n 2 --r 1 --d 1 --m 2 --insert=-2:2,1:sub --insert=-2:1", 0,
+     "32bd062f8a7375f1e7efd1b684eea9da688c32d6d3964c1d95f7c3e151cd42ab"),
+    ("hyper --n 2 --r 1 --d 1 --m 2 --insert=1:2,1:sub --insert=3:1:sub", 0,
+     "811d5afbce0c5f1c4d961b34b4702a47c69c542cf1137a095c296b7ec1ef131e"),
+    ("hyper --n 2 --r 1 --d 1 --b 0,2 --insert=0:1 --insert=4:1", 0,
+     "266363513e677e851458214932d52d2ff98687bd7513986ae482ced6fae5549c"),
+    ("hyper --n 2 --r 1 --d 1 --b 0,2 --insert=4:1 --insert=0:1", 0,
+     "6b832bc7e3eb5a5618c34e92cfde744a544a7075df17a4501a454ed13ec9c775"),
+    ("verify sx --n 2 --r 1 --d 1 --b 0,2 --lam 2,1", 0,
+     "896ba52d6050017da92fd6c8c84a2ef909eca1cda8eb90e7a01b9fb7dae0c89d"),
 ]
 
 
@@ -444,13 +460,19 @@ class TestDeterminismAndCache:
         text = json.dumps(payload, indent=2, sort_keys=True)
         assert json.loads(text) == payload
 
-    @pytest.mark.parametrize("extra", [[], ["--m", "5", "--b1", "1,1,1,1,1,1"]])
-    def test_scan_payload_same_under_O(self, tmp_path, extra):
-        # the scan's pruning must not hide in an assert: python -O gives
-        # the same payload (the second case has E1 entries at t = 0 and 24)
+    @pytest.mark.parametrize("argv", [
+        "scan --n 2 --r 1 --d 2 --m 4",
+        "scan --n 2 --r 1 --d 2 --m 5 --b1 1,1,1,1,1,1",
+        "hyper --n 2 --r 1 --d 1 --m 2 --insert=-2:2,1:sub --insert=-2:1",
+    ], ids=["scan", "scan_t24", "hyper_mixed"])
+    def test_scan_payload_same_under_O(self, tmp_path, argv):
+        # the scan's pruning and the checks of `_totalize` and `_intersect`
+        # must not hide in an assert: python -O gives the same payload (the
+        # second scan has E1 entries at t = 0 and 24; the hyper case
+        # intersects two inexact routes)
         src = str(Path(quotbwb.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
-        argv = ["scan", "--n", "2", "--r", "1", "--d", "2", "--m", "4"] + extra
+        argv = argv.split()
         payloads = []
         for flags in ([], ["-O"]):
             out = tmp_path / f"scan{len(flags)}.json"
@@ -460,7 +482,11 @@ class TestDeterminismAndCache:
             payload.pop("elapsed_ms")
             payloads.append(payload)
         assert payloads[0] == payloads[1]
-        assert payloads[0]["result"]["e1"]["entries"]
+        result = payloads[0]["result"]
+        if argv[0] == "scan":
+            assert result["e1"]["entries"]
+        else:
+            assert result["report"]["notes"] == ["intersection of independent representations"]
 
     def test_output_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"

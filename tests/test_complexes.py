@@ -12,7 +12,6 @@ import quotbwb
 
 from oracles import partitions_in_box, strip_lr_expand
 from quotbwb.complexes import (
-    UNIT_KEY,
     HyperInsert,
     _copies,
     _direct_sum,
@@ -146,7 +145,7 @@ class TestTerms:
         for kind in ("a1", "b1", "a2", "b2"):
             term = _copies(kind, 0, 3)
             for beta in self.BETAS:
-                assert term(beta) == ({0: {UNIT_KEY: 1}} if not beta else {}), beta
+                assert term(beta) == ({0: {InsertionSpec(): 1}} if not beta else {}), beta
 
 
 def virtual_rank(setup, e, side):
@@ -286,6 +285,36 @@ class TestHyper:
         setup = QuotSetup(2, 1, 1, m=1)
         rep = hyper_cohomology(setup, [HyperInsert(1, (1,), "sub")])
         assert rep.exact and rep.table == {}
+
+    def test_each_insert_built_once(self, monkeypatch):
+        # a sub-side insert is one consecutive-twist complex on both routes
+        from quotbwb import complexes
+        terms_insert_L = complexes._terms_insert_L
+        built = []
+
+        def counting(setup, ranks, e, lam, side):
+            built.append((e, lam, side))
+            return terms_insert_L(setup, ranks, e, lam, side)
+
+        monkeypatch.setattr(complexes, "_terms_insert_L", counting)
+        rep = hyper_cohomology(QuotSetup(2, 1, 1, m=2),
+                               [(1, (2, 1), "sub"), (3, (1,), "sub")])
+        assert built == [(1, (2, 1), "sub"), (3, (1,), "sub")]
+        assert rep == QuotReport(0, True, {}, {}, {}, True)
+
+    def test_scan_memo_keyed_by_insertion_spec(self, monkeypatch):
+        # every formal term is an InsertionSpec of entry tuples, and its
+        # memoized report is the scan of the same entries given as lists
+        from quotbwb import complexes
+        monkeypatch.setattr(complexes, "_SCAN_CACHE", {})
+        setup = QuotSetup(2, 1, 1, m=2)  # d + b = 1
+        hyper_cohomology(setup, [(-1, (1,)), (0, (2,))])
+        hyper_cohomology(setup, [(2, (1, 1)), (1, (1,), "sub")])
+        assert len(complexes._SCAN_CACHE) > 1
+        for (s, spec), report in complexes._SCAN_CACHE.items():
+            assert type(spec) is InsertionSpec and spec == InsertionSpec(*spec.key())
+            as_lists = InsertionSpec(*[[list(w) for w in ws] for ws in spec])
+            assert report == assemble(e1_page(stromme(s), as_lists)), spec
 
 
 class TestSx:
