@@ -14,7 +14,7 @@ representations, whose bounds are intersected.
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Optional
+from typing import Callable
 
 from .partitions import (
     InconsistencyError,
@@ -164,8 +164,7 @@ def _terms_insert_L(setup: QuotSetup, ranks, e: int, lam: Partition,
                            _copies(right, rm, ranks[right]), window)
 
 
-def _terms_insert_theta(setup: QuotSetup, ranks, e: int, lam: Partition
-                        ) -> Optional[FormalTerms]:
+def _terms_insert_theta(setup: QuotSetup, ranks, e: int, lam: Partition) -> FormalTerms:
     """Quotient insert through the section-space triangle.
 
     O(e)^{[d]} is the cone of (sub-side complex) -> H(V(e)) x O, so each
@@ -173,12 +172,11 @@ def _terms_insert_theta(setup: QuotSetup, ranks, e: int, lam: Partition
     [sub-side insert -> H^0] when e >= d + b and [A1 copies -> A2 copies
     + H^0] when 0 <= e < d + b, both in degrees [-1, 0]; [W -> H^1] in
     degrees [0, 1] when e < 0, S^beta(W) the homological Schur complex of
-    the sub-side resolution W.  None when H(V(e)) lives in two degrees at
-    once.  lam must be canonical (`HyperInsert.lam`).
+    the sub-side resolution W.  H(V(e)) must live in one degree
+    (`hyper_cohomology` asks for no other).  lam must be canonical
+    (`HyperInsert.lam`).
     """
     h0v, h1v = bundle_coh(setup.splitting, e)
-    if h0v and h1v:
-        return None
     if e >= setup.d + setup.b:
         return _two_term_schur(
             lam, lambda beta: _terms_insert_L(setup, ranks, e, beta, "sub"),
@@ -277,18 +275,20 @@ def _intersect(reports: list[QuotReport]) -> QuotReport:
 def hyper_cohomology(setup: QuotSetup, inserts) -> QuotReport:
     """Cohomology table of a tensor product of Schur insertions.
 
-    Evaluated along the consecutive-twist route and, when every quotient
-    insert has one, the section-space-triangle route, which reuses each
-    sub-side insert's consecutive-twist terms; each totalization is
-    conservative, the Euler characteristics must agree exactly, and the
-    per-degree bounds are intersected (with single-degree Euler pinning).
+    Evaluated along the consecutive-twist route and, when the cohomology
+    H(V(e)) of every quotient insert lives in one degree, the
+    section-space-triangle route, which reuses each sub-side insert's
+    consecutive-twist terms; each totalization is conservative, the Euler
+    characteristics must agree exactly, and the per-degree bounds are
+    intersected (with single-degree Euler pinning).
     """
     inserts = [i if isinstance(i, HyperInsert) else HyperInsert(*i) for i in inserts]
     ranks = _ranks(stromme(setup))
     terms_l = [_terms_insert_L(setup, ranks, i.e, i.lam, i.side) for i in inserts]
-    terms_t = [f if i.side == "sub" else _terms_insert_theta(setup, ranks, i.e, i.lam)
-               for i, f in zip(inserts, terms_l)]
-    routes = [terms_l] if None in terms_t else [terms_l, terms_t]
+    routes = [terms_l]
+    if all(i.side == "sub" or 0 in bundle_coh(setup.splitting, i.e) for i in inserts):
+        routes.append([f if i.side == "sub" else _terms_insert_theta(setup, ranks, i.e, i.lam)
+                       for i, f in zip(inserts, terms_l)])
     reports = [_totalize(setup, reduce(_tensor_terms, terms, _unit_terms()))
                for terms in routes]
     return _intersect(reports)

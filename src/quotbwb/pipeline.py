@@ -96,10 +96,6 @@ class StrommeParams:
     def gr1(self) -> GrSpec:
         return GrSpec(self.k1, self.n1)
 
-    @property
-    def gr2(self) -> GrSpec:
-        return GrSpec(self.k2, self.n2)
-
 
 def stromme(setup: QuotSetup) -> StrommeParams:
     """Embedding parameters at twist m: section counts of V(m-1) and V(m)."""
@@ -158,7 +154,7 @@ def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
     """Summands (mu, sigma, mult) of the t-th exterior power of K^dual.
 
     mu runs over the k1 x 2r2 box with |mu| = t; sigma over the r2 x 2k1
-    box with |sigma| = t (sigma_1 <= 2 mu^dag_1 <= 2k1), each the bucket t
+    box with |sigma| = t (the boxes of `_factor_inputs`), each the bucket t
     of one `_collision_free_by_size` walk with nothing dead and a size cap
     of t, joined by `_possible_pairs`.  The multiplicity of S^mu(A1) x
     S^sigma(B2^dual) is the pair multiplicity of S^{mu^dag}(B2^dual +
@@ -168,8 +164,8 @@ def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
     if not 0 <= t <= params.rank_k:
         raise ValueError(f"t = {t} outside [0, {params.rank_k}]")
     mus, sigmas = ([_Survivor(lam, None) for lam in
-                    _collision_free_by_size(rows, 2 * other, [frozenset()], t).get(t, [])]
-                   for rows, other in ((params.k1, params.r2), (params.r2, params.k1)))
+                    _collision_free_by_size(gr.k, cols, [frozenset()], t).get(t, [])]
+                   for gr, cols, _, _ in (_factor_inputs(params, f, (), ()) for f in (1, 2)))
     terms = []
     for f1, f2 in _possible_pairs(mus, sigmas):
         mult = koszul_pair_mult(f1.dag, f2.lam)
@@ -192,9 +188,9 @@ class _Survivor:
     conjugate.  Its cohomology table is built by `table()` on first call
     and then kept here.  Besides the partition a survivor holds only its
     factor's memo key (params, factor, a, b), whose insertions `table()`
-    expands again; no expansion outlives the lists' construction.
-    `koszul_terms` wraps its box partitions with no key and builds no
-    table."""
+    expands again (`_factor_inputs`); no expansion outlives the lists'
+    construction.  `koszul_terms` wraps its box partitions with no key and
+    builds no table."""
 
     __slots__ = ("lam", "dag", "key", "built")
 
@@ -203,10 +199,8 @@ class _Survivor:
 
     def table(self) -> CohomTable:
         if self.built is None:
-            params, factor, a, b = self.key
-            gr, fixed, product = _factor_inputs(params, factor, a, b)
-            self.built = coh_duals(gr.n, *_factor_terms(factor, gr, fixed, product,
-                                                         self.lam))
+            gr, _, fixed, product = _factor_inputs(*self.key)
+            self.built = coh_duals(gr.n, *_factor_terms(gr, fixed, product, self.lam))
         return self.built
 
 
@@ -222,12 +216,13 @@ def _times(entries: Entries, product: Optional[Expansion]) -> Expansion:
 
 
 def _window(product: Optional[Expansion]) -> tuple[int, int]:
-    """[lo, hi]: the least last entry and the greatest first entry over the
-    summands of a product of insertions; [0, 0] for no insertion (or a
-    rank-0 bundle, whose box has no row)."""
+    """[lo, hi] on the bundle side of a dual-convention product of
+    insertions: the least last and the greatest first entry of the duals
+    of its summands; [0, 0] for no insertion (or a rank-0 bundle, whose
+    box has no row)."""
     if not product or not next(iter(product)):
         return 0, 0
-    return min(w[-1] for w in product), max(w[0] for w in product)
+    return -max(w[0] for w in product), -min(w[-1] for w in product)
 
 
 def _dead_values(forbidden: set[int], lo: int, hi: int) -> frozenset[int]:
@@ -254,7 +249,7 @@ def _collision_free_by_size(rows: int, cols: int, dead: list[frozenset[int]],
     positive), so they first differ in some row below a common prefix,
     and the walk visits the whole subtree of that row's larger value
     before the smaller one.  The order is fixed, so a page lists its
-    pairs, and `contributions` their terms, in the same order on every run.
+    pairs in the same order on every run.
     """
     out: dict[int, list[Partition]] = {}
     lam: list[int] = []
@@ -279,28 +274,39 @@ def _collision_free_by_size(rows: int, cols: int, dead: list[frozenset[int]],
 
 
 def _factor_inputs(params: StrommeParams, factor: int, a: tuple, b: tuple
-                   ) -> tuple[GrSpec, list[tuple[Entries, int]], Optional[Expansion]]:
-    """(gr, fixed, P) of one Grassmannian factor: the Grassmannian, the
-    dual-convention summands of the side without the Koszul partition, and
-    the product of the insertions beside it (None for none, {} when one is
-    a partition too long for its bundle)."""
+                   ) -> tuple[GrSpec, int, list[tuple[Entries, int]], Optional[Expansion]]:
+    """(gr, cols, fixed, P) of one Grassmannian factor: the Grassmannian
+    whose rank-gr.k sub bundle carries the Koszul partition, the width of
+    the partition's gr.k x cols box, the summands of the quotient side
+    (the side without the partition), and the product of the insertions
+    beside the partition (None for none, {} when one is a partition too
+    long for its bundle), both in the dual convention.  This is the one
+    place that names a factor's Grassmannian, sides and box.
+
+    Factor 1 is Gr(k1, n1), mu on A1 in the k1 x 2r2 box: a beside mu, b
+    fixed, both dualized.  Factor 2 is read on Gr(r2, n2), sigma in the
+    r2 x 2k1 box: U -> U^perp identifies Gr(k2, n2) with Gr(r2, n2), A2
+    with the dual of the quotient bundle there and B2 with the dual of
+    the sub bundle (J. Weyman, Cohomology of Vector Bundles and Syzygies,
+    CUP 2003, ch. 3-4).  So S^sigma(B2^dual) is S^sigma of the sub
+    bundle, and the weights of b on B2 (beside sigma) and of a on A2
+    (fixed) are already in the dual convention.
+    """
     if factor == 1:
         gr = params.gr1
-        return (gr, dual_side(expand_side(b, gr.quotient_rank)),
-                expand_side(a, gr.k) if a else None)
-    gr = params.gr2
-    return gr, dual_side(expand_side(a, gr.k)), expand_side(b, gr.quotient_rank) if b else None
+        return (gr, 2 * params.r2, dual_side(expand_side(b, gr.quotient_rank)),
+                dict(dual_side(expand_side(a, gr.k))) if a else None)
+    gr = GrSpec(params.r2, params.n2)
+    return (gr, 2 * params.k1, list(expand_side(a, gr.quotient_rank).items()),
+            expand_side(b, gr.k) if b else None)
 
 
-def _factor_terms(factor: int, gr: GrSpec, fixed: list, product: Optional[Expansion],
+def _factor_terms(gr: GrSpec, fixed: list, product: Optional[Expansion],
                   lam: Partition) -> tuple[list, list]:
-    """(rhos, chis) of a factor's table for the Koszul partition lam: lam
-    (factor 1) or sigma^dual (factor 2) tensored with P, beside the fixed
-    side."""
-    if factor == 1:
-        return dual_side(_times(lam + (0,) * (gr.k - len(lam)), product)), fixed
-    dual = (0,) * (gr.quotient_rank - len(lam)) + dual_entries(lam)
-    return fixed, dual_side(_times(dual, product))
+    """(rhos, chis) of a factor's table for the Koszul partition lam on the
+    sub bundle: the dual of lam tensored with P, beside the fixed side."""
+    dual = (0,) * (gr.k - len(lam)) + dual_entries(lam)
+    return list(_times(dual, product).items()), fixed
 
 
 def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
@@ -308,17 +314,17 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
     """Koszul partitions of the t-th term whose Grassmannian factor survives.
 
     factor 1: mu in the k1 x 2r2 box with |mu| = t, table
-    H(Gr1, S^mu(A1) x a x b); factor 2: sigma in the r2 x 2k1 box with
-    |sigma| = t, table H(Gr2, a x S^sigma(B2^dual) x b).  Each survivor is
-    a `_Survivor`, in the order of `_collision_free_by_size`.  `a` and `b`
-    are tuples of entry tuples (`InsertionSpec.key()`), so insertions
-    given as lists or tuples with the same entries share one memo entry.
-    The first call for a factor builds its lists for every t at once: the
-    side without the Koszul partition is validated, expanded and dualized,
-    and the insertions beside the partition are multiplied out (P; an
-    empty product, from a partition too long for its bundle, empties every
-    list), by one `_factor_inputs` call, which runs again for each table
-    built; one walk of the box then yields every size's candidates.
+    H(Gr(k1, n1), S^mu(A1) x a x b); factor 2: sigma in the r2 x 2k1 box
+    with |sigma| = t, table H(Gr(k2, n2), a x S^sigma(B2^dual) x b).  Each
+    survivor is a `_Survivor`, in the order of `_collision_free_by_size`.
+    `a` and `b` are tuples of entry tuples (`InsertionSpec.key()`), so
+    insertions given as lists or tuples with the same entries share one
+    memo entry.  The first call for a factor builds its lists for every t
+    at once: the fixed side is validated and expanded, and the insertions
+    beside the partition are multiplied out (P; an empty product, from a
+    partition too long for its bundle, empties every list), by one
+    `_factor_inputs` call, which runs again for each table built; one walk
+    of the box then yields every size's candidates.
 
     Only partitions that pass the BWB collision criterion are built; each
     is then one tensor with P, kept when some term escapes a tie
@@ -326,43 +332,38 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
     table is nonempty), a test skipped when nothing sits beside the
     partition, where the criterion is exact.  No dimension is computed
     here: a survivor builds its table only when asked, and `e1_page` asks
-    only for the pairs with a nonzero multiplicity.  The criterion, with
-    0-indexed rows counting zero rows:
-      - factor 1 (Gr(k1, n1), q = r1): a constituent gamma of mu x P
-        against a chi-side summand chi ties in `_bwb` exactly when
-        gamma_i - i lies in F_chi = {1 + j - chi_j} for some row i;
-      - every constituent has gamma_i - mu_i in [lo, hi] (`_window`):
-        twisting a summand w of P by det^(-w_last) gives a partition beta,
-        and gamma = g + w_last for a constituent g of mu x beta; LR
-        containment gives g_i >= mu_i, and Weyl's inequality at j = 1
-        gives g_i <= mu_i + beta_1, so gamma_i - mu_i is in
-        [w_last, w_first];
-      - so if, for every chi, some row has all of mu_i - i + [lo, hi] in
-        F_chi, every term collides and the table is empty; mu is a
-        candidate only otherwise, and with no insertion beside mu
-        ([lo, hi] = [0, 0], gamma = mu) the criterion is exact;
-      - factor 2 (Gr(k2, n2)) is the same with F_rho = {rho_i + k2 - i}
-        and the window sigma_j - j + [-hi, -lo], P the product of b.
+    only for the pairs with a nonzero multiplicity.  The criterion, on
+    the Grassmannian Gr(k, n) of `_factor_inputs`, with the partition lam
+    on the sub bundle and 0-indexed rows counting zero rows:
+      - a bundle-side constituent gamma of lam x P against a fixed
+        summand chi ties in `_bwb` exactly when gamma_i - i lies in
+        F_chi = {1 + j - chi_j} for some row i;
+      - every constituent has gamma_i - lam_i in [lo, hi] (`_window`):
+        twisting a bundle-side summand w of P by det^(-w_last) gives a
+        partition beta, and gamma = g + w_last for a constituent g of
+        lam x beta; LR containment gives g_i >= lam_i, and Weyl's
+        inequality at j = 1 gives g_i <= lam_i + beta_1, so gamma_i -
+        lam_i is in [w_last, w_first];
+      - so if, for every chi, some row has all of lam_i - i + [lo, hi] in
+        F_chi, every term collides and the table is empty; lam is a
+        candidate only otherwise, and with no insertion beside lam
+        ([lo, hi] = [0, 0], gamma = lam) the criterion is exact;
+      - factor 2 needs no rule of its own: Gr(k2, n2) and Gr(r2, n2) are
+        the same variety, its bundle is the same bundle there, so its
+        table is the same table.
     """
     key = (params, factor, a, b)
     lists = _SURVIVOR_CACHE.get(key)
     if lists is None:
         lists = {}
-        gr, fixed, product = _factor_inputs(params, factor, a, b)
+        gr, cols, fixed, product = _factor_inputs(*key)
         if fixed and product != {}:
             lo, hi = _window(product)
-            if factor == 1:
-                rows, cols = params.k1, 2 * params.r2
-                dead = {_dead_values({1 + j - x for j, x in enumerate(chi)}, lo, hi)
-                        for chi, _ in fixed}
-            else:
-                rows, cols = params.r2, 2 * params.k1
-                dead = {_dead_values({x + gr.k - i for i, x in enumerate(rho)}, -hi, -lo)
-                        for rho, _ in fixed}
-            for total, lams in _collision_free_by_size(rows, cols, list(dead)).items():
+            dead = {_dead_values({1 + j - x for j, x in enumerate(chi)}, lo, hi)
+                    for chi, _ in fixed}
+            for total, lams in _collision_free_by_size(gr.k, cols, list(dead)).items():
                 kept = [_Survivor(lam, key) for lam in lams if product is None
-                        or coh_duals_nonempty(gr.n, *_factor_terms(factor, gr, fixed,
-                                                                  product, lam))]
+                        or coh_duals_nonempty(gr.n, *_factor_terms(gr, fixed, product, lam))]
                 if kept:
                     lists[total] = kept
         _SURVIVOR_CACHE[key] = lists
@@ -395,11 +396,10 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
 
 @dataclass
 class E1Page:
-    """Sparse (t, q) -> dimension table with contributing-term diagnostics."""
+    """Sparse (t, q) -> dimension table."""
 
     params: StrommeParams
     entries: dict[tuple[int, int], int]
-    contributions: dict[tuple[int, int], list[tuple[Partition, Partition, int, int]]]
 
     def euler(self) -> int:
         return sum(parity_sign(q - t) * v for (t, q), v in self.entries.items())
@@ -415,16 +415,13 @@ def e1_page(params: StrommeParams, ins: InsertionSpec = EMPTY_INSERTION) -> E1Pa
     nonzero multiplicity.
     """
     entries: dict[tuple[int, int], int] = {}
-    contribs: dict[tuple[int, int], list] = {}
     for t, f1, f2 in _candidate_pairs(params, ins):
         mult = koszul_pair_mult(f1.dag, f2.lam)
         if not mult:
             continue
         for q, v in sorted(kunneth(f1.table(), f2.table()).items()):
             entries[(t, q)] = entries.get((t, q), 0) + mult * v
-            contribs.setdefault((t, q), []).append((f1.lam, f2.lam, mult, mult * v))
-    entries = {k: v for k, v in entries.items() if v}
-    return E1Page(params, entries, {k: contribs[k] for k in entries})
+    return E1Page(params, {k: v for k, v in entries.items() if v})
 
 
 # ------------------------------------------------------------------ assembly

@@ -5,9 +5,11 @@ from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
+from quotbwb.bwb import kunneth
 from quotbwb.partitions import InconsistencyError, parity_sign, size
-from quotbwb.pipeline import QuotReport, pin_by_euler
-from quotbwb.schur import _pair_alphas, _skew_expand
+from quotbwb.pipeline import (EMPTY_INSERTION, QuotReport, _candidate_pairs,
+                              pin_by_euler)
+from quotbwb.schur import _pair_alphas, _skew_expand, koszul_pair_mult
 
 
 def inversions(seq: Sequence[int]) -> int:
@@ -330,3 +332,17 @@ def resolve_page_pairwise(cells: dict[tuple[int, int], int]) -> QuotReport:
                      "table exact nonetheless")
     return QuotReport(euler, exact, table, lower, upper, degenerate,
                       relations, notes)
+
+
+def contributions(params, ins=EMPTY_INSERTION) -> dict:
+    """The terms behind `pipeline.e1_page(params, ins)`: for each (t, q)
+    entry, the (mu, sigma, mult, mult * dim) of every pair with a nonzero
+    multiplicity, in the page's pair order, from the same candidate pairs,
+    multiplicities and factor tables."""
+    out: dict = {}
+    for t, f1, f2 in _candidate_pairs(params, ins):
+        mult = koszul_pair_mult(f1.dag, f2.lam)
+        if mult:
+            for q, v in sorted(kunneth(f1.table(), f2.table()).items()):
+                out.setdefault((t, q), []).append((f1.lam, f2.lam, mult, mult * v))
+    return out

@@ -8,7 +8,7 @@ import time
 from math import comb
 
 from lemmas import horn_predicates
-from oracles import partitions_in_box
+from oracles import contributions, partitions_in_box
 from quotbwb.bwb import GrSpec, bwb_dual_weights, coh_bundle
 from quotbwb.cli import run as cli_run
 from quotbwb.complexes import hyper_cohomology, sx_cohomology
@@ -59,11 +59,13 @@ def test_criterion_1_sharpness_example():
 def test_criterion_2_sym2_example():
     started = time.monotonic()
     params = stromme(SYM2_SETUP)
-    page = e1_page(params, InsertionSpec(b1=((0, 0, 0, 0, 0, -2),)))
+    ins = InsertionSpec(b1=((0, 0, 0, 0, 0, -2),))
+    page = e1_page(params, ins)
     assert page.entries == {(12, 13): 63, (11, 13): 72}
-    assert [(mu, sg, mult) for mu, sg, mult, _ in page.contributions[(12, 13)]] \
+    terms = contributions(params, ins)
+    assert [(mu, sg, mult) for mu, sg, mult, _ in terms[(12, 13)]] \
         == [((8, 2, 2), (6, 1, 1, 1, 1, 1, 1), 7)]
-    assert [(mu, sg, mult) for mu, sg, mult, _ in page.contributions[(11, 13)]] \
+    assert [(mu, sg, mult) for mu, sg, mult, _ in terms[(11, 13)]] \
         == [((7, 2, 2), (6, 1, 1, 1, 1, 1), 6)]
     rep = assemble(page)
     assert not rep.exact and not rep.degenerate

@@ -243,6 +243,22 @@ class TestCohBundle:
         assert coh_bundle(GrSpec(1, 3), ((1, 1),), ()) == {}
         assert coh_bundle(GrSpec(2, 4), (), ((1, 1, 1),)) == {}
 
+    @pytest.mark.parametrize("k, n", [(k, n) for n in range(6) for k in range(n + 1)])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_dual_grassmannian(self, k, n, data):
+        # U -> U^perp identifies Gr(k, n) with Gr(n - k, n), carrying A to
+        # the dual of the quotient bundle there and B to the dual of the sub
+        # bundle: the same bundle, so the same table
+        def side(rank):
+            weight = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+            return data.draw(st.lists(weight.map(lambda w: tuple(sorted(w, reverse=True))),
+                                      max_size=2))
+
+        a, b = side(k), side(n - k)
+        assert coh_bundle(GrSpec(k, n), a, b) == coh_bundle(
+            GrSpec(n - k, n), [dual_entries(w) for w in b], [dual_entries(w) for w in a])
+
     def test_misordered_weight_is_an_error(self):
         # only a weight too long for its bundle means the zero bundle
         with pytest.raises(ValueError) as err:

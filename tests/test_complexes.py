@@ -238,6 +238,22 @@ class TestHyper:
         rep = hyper_cohomology(setup, [(-2, (1,))])
         assert rep.exact and rep.table == {1: 2} and rep.euler == -2
 
+    def test_no_theta_terms_without_the_theta_route(self, monkeypatch):
+        # H(V(0)) of V = O + O(-2) has degrees 0 and 1, so the section-space
+        # triangle gives no route and none of its terms is built, whichever
+        # insert comes first
+        from quotbwb import complexes
+        calls = []
+        theta = complexes._terms_insert_theta
+        monkeypatch.setattr(complexes, "_terms_insert_theta",
+                            lambda *args: calls.append(args) or theta(*args))
+        setup = QuotSetup(2, 1, 1, (0, 2))
+        for inserts in ([(0, (1,)), (4, (1,))], [(4, (1,)), (0, (1,))]):
+            rep = hyper_cohomology(setup, inserts)
+            assert (rep.euler, rep.exact, rep.upper, rep.relations) \
+                == (0, False, {1: 144, 0: 144}, [(1, 0, 0)])
+        assert calls == []
+
     def test_closed_form_agreement_sample(self):
         cases = [
             (QuotSetup(2, 1, 1), [(-2, (1,))]),
@@ -457,7 +473,7 @@ from quotbwb.pipeline import E1Page, QuotReport, QuotSetup, stromme
 def report(euler, table):
     return QuotReport(euler, True, table, table, table, True)
 
-page = E1Page(stromme(QuotSetup(2, 1, 1)), {(0, 0): 1}, {})
+page = E1Page(stromme(QuotSetup(2, 1, 1)), {(0, 0): 1})
 pipeline.resolve_page = lambda cells: report(2, {0: 2})
 checks = {
     "euler disagreement": lambda: _intersect([report(1, {0: 1}), report(2, {0: 1})]),

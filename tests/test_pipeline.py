@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (collision_free, graded_pair_mult, meet_dominance, partitions_in_box,
-                     resolve_page_pairwise, strip_lr_expand)
+from oracles import (collision_free, contributions, graded_pair_mult, meet_dominance,
+                     partitions_in_box, resolve_page_pairwise, strip_lr_expand)
 from quotbwb import pipeline, schur
-from quotbwb.bwb import GrSpec, coh_bundle, coh_duals_nonempty
+from quotbwb.bwb import (GrSpec, coh_bundle, coh_duals_nonempty, dual_side,
+                         expand_side)
 from quotbwb.partitions import (
     InconsistencyError,
     WeightLengthError,
@@ -557,8 +558,7 @@ class TestSurvivorMemo:
 
     @staticmethod
     def _page(p, ins):
-        page = e1_page(p, ins)
-        return page.entries, page.contributions
+        return e1_page(p, ins).entries, contributions(p, ins)
 
     @pytest.mark.parametrize("setup", SETUPS)
     def test_cold_warm_and_entry_forms_agree(self, setup):
@@ -618,7 +618,7 @@ def oracle_factor_survivors(params, factor, a, b, t):
     else:
         for sigma in partitions_in_box(params.r2, min(2 * params.k1, t), t):
             dual = dual_entries(as_weight(sigma, params.r2))
-            table = coh_bundle(params.gr2, a, (dual,) + b)
+            table = coh_bundle(GrSpec(params.k2, params.n2), a, (dual,) + b)
             if table:
                 out.append((sigma, conjugate(sigma), table))
     return out
@@ -626,22 +626,31 @@ def oracle_factor_survivors(params, factor, a, b, t):
 
 def oracle_candidate_pairs(params):
     """(t, mu, sigma) of the page without insertions, built one t at a
-    time: each factor's candidates of size t from the per-size oracle walk
-    `collision_free`, kept when `coh_duals_nonempty`, joined by
-    `koszul_pair_possible` in the order mu, then sigma."""
+    time on the embedding's own Grassmannians: mu on A1 of Gr(k1, n1)
+    against the trivial chi-side summand, dead sets {1 + j - chi_j};
+    sigma^dual on B2 of Gr(k2, n2) against the trivial rho-side summand,
+    dead sets {rho_i + k2 - i}.  Each factor's candidates of size t come
+    from the per-size oracle walk `collision_free`, kept when
+    `coh_duals_nonempty`, joined by `koszul_pair_possible` in the order
+    mu, then sigma."""
+    gr1, gr2 = params.gr1, GrSpec(params.k2, params.n2)
+    chis = dual_side(expand_side((), gr1.quotient_rank))
+    rhos = dual_side(expand_side((), gr2.k))
+    factors = [
+        (params.k1, 2 * params.r2,
+         [frozenset(1 + j - x for j, x in enumerate(chi)) for chi, _ in chis],
+         lambda mu: coh_duals_nonempty(
+             gr1.n, [(dual_entries(as_weight(mu, gr1.k)), 1)], chis)),
+        (params.r2, 2 * params.k1,
+         [frozenset(x + gr2.k - i for i, x in enumerate(rho)) for rho, _ in rhos],
+         lambda sigma: coh_duals_nonempty(
+             gr2.n, rhos, [(as_weight(sigma, gr2.quotient_rank), 1)])),
+    ]
     lists = {}
-    for factor in (1, 2):
-        gr, fixed, product = pipeline._factor_inputs(params, factor, (), ())
-        if factor == 1:
-            rows, cols = params.k1, 2 * params.r2
-            dead = [frozenset(1 + j - x for j, x in enumerate(chi)) for chi, _ in fixed]
-        else:
-            rows, cols = params.r2, 2 * params.k1
-            dead = [frozenset(x + gr.k - i for i, x in enumerate(rho)) for rho, _ in fixed]
+    for factor, (rows, cols, dead, survives) in enumerate(factors, 1):
         lists[factor] = [
             [(lam, conjugate(lam)) for lam in collision_free(rows, min(cols, t), t, dead)
-             if coh_duals_nonempty(gr.n, *pipeline._factor_terms(factor, gr, fixed,
-                                                                 product, lam))]
+             if survives(lam)]
             for t in range(params.rank_k + 1)]
     return [(t, mu, sigma) for t in range(params.rank_k + 1)
             for mu, theta in lists[1][t] for sigma, sigma_dag in lists[2][t]
@@ -895,7 +904,7 @@ class TestFactorSurvivors:
         assert read == 1215
         assert sum(len(lst) for lists in pipeline._SURVIVOR_CACHE.values()
                    for lst in lists.values()) == 1221
-        assert page.contributions == {(0, 0): [((), (), 1, 1)]}
+        assert contributions(p) == {(0, 0): [((), (), 1, 1)]}
         assert len(calls) == 2
         assert [(s.lam, s.built) for factor in (1, 2)
                 for s in pipeline._factor_survivors(p, factor, (), (), 0)] \
@@ -1023,16 +1032,16 @@ class TestScans:
         p = stromme(QuotSetup(2, 1, 2, m=m))
         candidates = {6: 134, 7: 1054, 8: 9738}[m]
         assert len(pipeline._candidate_pairs(p, InsertionSpec())) == candidates
-        page = e1_page(p)
-        assert page.entries == {(0, 0): 1}
-        assert page.contributions == {(0, 0): [((), (), 1, 1)]}
+        assert e1_page(p).entries == {(0, 0): 1}
+        assert contributions(p) == {(0, 0): [((), (), 1, 1)]}
 
     def test_diagnostics_present(self):
         setup = QuotSetup(3, 1, 3, m=3)
-        page = e1_page(stromme(setup), InsertionSpec(b1=((0, 0, 0, 0, 0, -2),)))
-        assert page.entries == {(12, 13): 63, (11, 13): 72}
-        assert page.contributions[(12, 13)][0][:2] == ((8, 2, 2), (6, 1, 1, 1, 1, 1, 1))
-        assert page.contributions[(11, 13)][0][:2] == ((7, 2, 2), (6, 1, 1, 1, 1, 1))
+        p, ins = stromme(setup), InsertionSpec(b1=((0, 0, 0, 0, 0, -2),))
+        assert e1_page(p, ins).entries == {(12, 13): 63, (11, 13): 72}
+        terms = contributions(p, ins)
+        assert terms[(12, 13)][0][:2] == ((8, 2, 2), (6, 1, 1, 1, 1, 1, 1))
+        assert terms[(11, 13)][0][:2] == ((7, 2, 2), (6, 1, 1, 1, 1, 1))
 
 
 class TestVerifiers:
