@@ -318,8 +318,7 @@ def _verify_thm57(args, setup):
 
 def _verify_sx(args, setup):
     lam = _partition_arg(args.lam)
-    bound = (setup.n * setup.d + setup.r * setup.b + setup.n)
-    hyp = 0 != sum(lam) * (setup.n - setup.r) < bound
+    hyp = 0 != sum(lam) * (setup.n - setup.r) < setup.size_bound
     report = sx_cohomology(setup, lam)
     ok = not hyp or report.is_zero()
     return {"hypotheses_hold": hyp,

@@ -250,9 +250,10 @@ def _intersect(reports: list[QuotReport]) -> QuotReport:
         raise InconsistencyError("independent routes disagree on the Euler characteristic")
     exact = [r for r in reports if r.exact]
     if exact:
+        table = exact[0].table
         for other in reports:
-            for t, v in exact[0].table.items():
-                if not other.upper.get(t, 0) >= v >= other.lower.get(t, 0):
+            for t in table.keys() | other.upper.keys() | other.lower.keys():
+                if not other.upper.get(t, 0) >= table.get(t, 0) >= other.lower.get(t, 0):
                     raise InconsistencyError(
                         f"exact degree {t} outside an independent route's bounds")
         return exact[0]

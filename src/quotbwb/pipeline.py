@@ -9,7 +9,7 @@ per-degree bounds are reported.
 """
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bwb import (CohomTable, GrSpec, coh_bundle, coh_duals, coh_duals_nonempty,
                   dual_side, expand_side, kunneth)
@@ -32,6 +32,7 @@ from .schur import (
     koszul_pair_mult,
     koszul_pair_possible,
     schur_dim,
+    schur_of_sum_copies,
     skew_dim,
     tensor_entries,
 )
@@ -74,6 +75,12 @@ class QuotSetup:
     @property
     def quot_dim(self) -> int:
         return self.n * self.d + self.r * self.b + self.r * (self.n - self.r)
+
+    @property
+    def size_bound(self) -> int:
+        """n d + r b + n, the bound in the size hypotheses of the paper's
+        vanishing statements."""
+        return self.n * self.d + self.r * self.b + self.n
 
 
 @dataclass(frozen=True)
@@ -153,34 +160,26 @@ class KoszulTerm:
 def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
     """Summands (mu, sigma, mult) of the t-th exterior power of K^dual.
 
-    mu runs over the k1 x 2r2 box with |mu| = t; sigma over the r2 x 2k1
-    box with |sigma| = t (the boxes of `_factor_inputs`), each the bucket t
-    of one `_collision_free_by_size` walk with nothing dead and a size cap
-    of t, joined by `_possible_pairs`.  The multiplicity of S^mu(A1) x
-    S^sigma(B2^dual) is the pair multiplicity of S^{mu^dag}(B2^dual +
-    B2^dual).  Zero multiplicities are omitted; ordering is the fixed
-    descending-lex order on mu then sigma.
+    K^dual = A1 x (B2^dual + B2^dual), so by the dual Cauchy formula
+    (I. G. Macdonald, Symmetric Functions and Hall Polynomials, I.4;
+    J. Weyman, Cohomology of Vector Bundles and Syzygies, 2.3) it is the
+    sum over |mu| = t of S^mu(A1) x S^{mu^dag}(B2^dual + B2^dual), mu in
+    the k1 x 2r2 box of `_factor_inputs`; `schur_of_sum_copies` splits the
+    second factor into S^sigma(B2^dual), with multiplicity the sum of
+    c^{mu^dag}_{a,b} c^sigma_{a,b} over a, b.  Each sigma lies in the
+    r2 x 2k1 box: the rank cap r2 bounds its rows, and a nonzero term has
+    a and b inside mu^dag, whose parts are at most k1, so sigma_1 <= a_1 +
+    b_1 <= 2k1.  Terms come in descending-lex order on mu, then sigma.
     """
     if not 0 <= t <= params.rank_k:
         raise ValueError(f"t = {t} outside [0, {params.rank_k}]")
-    mus, sigmas = ([_Survivor(lam, None) for lam in
-                    _collision_free_by_size(gr.k, cols, [frozenset()], t).get(t, [])]
-                   for gr, cols, _, _ in (_factor_inputs(params, f, (), ()) for f in (1, 2)))
+    gr, cols, _, _ = _factor_inputs(params, 1, (), ())
     terms = []
-    for f1, f2 in _possible_pairs(mus, sigmas):
-        mult = koszul_pair_mult(f1.dag, f2.lam)
-        if mult:
-            terms.append(KoszulTerm(t, f1.lam, f2.lam, mult))
+    for mu in _collision_free_by_size(gr.k, cols, [frozenset()], t).get(t, []):
+        exp = schur_of_sum_copies(conjugate(mu), 2, params.r2)
+        terms.extend(KoszulTerm(t, mu, sigma, exp[sigma])
+                     for sigma in sorted(exp, reverse=True))
     return terms
-
-
-def _possible_pairs(firsts: list, seconds: list) -> Iterator[tuple]:
-    """The pairs (f1, f2), f1 over `firsts` then f2 over `seconds`, that
-    pass `koszul_pair_possible` with theta = f1.dag and sigma = f2.lam.
-    Each item holds a partition `lam` and its conjugate `dag`: f1.lam is
-    mu, f2.lam is sigma."""
-    return ((f1, f2) for f1 in firsts for f2 in seconds
-            if koszul_pair_possible(f1.dag, f1.lam, f2.lam, f2.dag))
 
 
 class _Survivor:
@@ -189,8 +188,7 @@ class _Survivor:
     and then kept here.  Besides the partition a survivor holds only its
     factor's memo key (params, factor, a, b), whose insertions `table()`
     expands again (`_factor_inputs`); no expansion outlives the lists'
-    construction.  `koszul_terms` wraps its box partitions with no key and
-    builds no table."""
+    construction."""
 
     __slots__ = ("lam", "dag", "key", "built")
 
@@ -378,10 +376,10 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
     Both Grassmannian factors are evaluated first, through the memoized
     survivor lists (one walk per factor covers every t; the sigma lists
     are read only at the t where some mu survives).  A pair of
-    survivors is a candidate when `_possible_pairs` keeps it: it passes
-    `koszul_pair_possible` (Dvir's Kronecker-support bounds, Y. Dvir,
-    J. Algebra 154, 1993, and meet dominance; necessary conditions proven
-    in its docstring), which skips the LR-expensive `koszul_pair_mult`.
+    survivors is a candidate when it passes `koszul_pair_possible` with
+    theta = mu^dag (Dvir's Kronecker-support bounds, Y. Dvir, J. Algebra
+    154, 1993, and meet dominance; necessary conditions proven in its
+    docstring), which skips the LR-expensive `koszul_pair_mult`.
     """
     a1, b1, a2, b2 = ins.key()
     out = []
@@ -390,7 +388,8 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
         if not firsts:
             continue
         seconds = _factor_survivors(params, 2, a2, b2, t)
-        out.extend((t, f1, f2) for f1, f2 in _possible_pairs(firsts, seconds))
+        out.extend((t, f1, f2) for f1 in firsts for f2 in seconds
+                   if koszul_pair_possible(f1.dag, f1.lam, f2.lam, f2.dag))
     return out
 
 
@@ -607,9 +606,9 @@ def verify_thm41(setup: QuotSetup, eta: Sequence[int], rho: Sequence[int]) -> Ve
     we, wr = as_weight(eta, params.r1), as_weight(rho, params.r2)
     gamma, delta = split_signs(we)
     lam, nu = split_signs(wr)
-    n, r, d, b = setup.n, setup.r, setup.d, setup.b
+    n, r = setup.n, setup.r
     hyp_size = (n - r) * (size(lam) + size(gamma)) + r * (size(nu) + size(delta)) \
-        < n * d + r * b + n
+        < setup.size_bound
     hyp_first = (nu[0] if nu else 0) + (delta[0] if delta else 0) < n - r
     hyp = hyp_size and hyp_first
     report = assemble(e1_page(params, InsertionSpec(b1=(we,), b2=(wr,))))
@@ -657,10 +656,10 @@ def ext_table(setup: QuotSetup, nu: Partition, lam: Partition) -> ExtResult:
     """
     params = stromme(setup)
     nu, lam = partition(nu), partition(lam)
-    n, r, d, b = setup.n, setup.r, setup.d, setup.b
+    n, r = setup.n, setup.r
     notes = []
     hyp_first = not nu or nu[0] < n - r
-    hyp_size = r * size(nu) + (n - r) * size(lam) < n * d + r * b + n
+    hyp_size = r * size(nu) + (n - r) * size(lam) < setup.size_bound
     if not hyp_first:
         notes.append(f"nu_1 = {nu[0]} is not below n - r = {n - r}")
     if not hyp_size:
@@ -706,14 +705,13 @@ def closed_form_multi(n: int, r: int, d: int, splitting: Sequence[int],
     degree this collapses to the single nonzero degree
     D = sum of |lam_j| over the H^1 factors.
     """
-    splitting = tuple(splitting) if splitting else (0,) * n
+    setup = QuotSetup(n, r, d, splitting)
     inserts = [(e, partition(lam)) for e, lam in inserts]
     total = sum(size(lam) for _, lam in inserts)
-    b = sum(splitting)
-    hyp = total * (n - r) < n * d + r * b + n
+    hyp = total * (n - r) < setup.size_bound
     table: CohomTable = {0: 1}
     for e, lam in inserts:
-        h0, h1 = bundle_coh(splitting, e)
+        h0, h1 = bundle_coh(setup.splitting, e)
         factor: CohomTable = {}
         for nu in subpartitions(lam):
             v = skew_dim(lam, nu, h0) * schur_dim(conjugate(nu), h1)

@@ -461,9 +461,9 @@ def koszul_pair_mult(theta: Partition, sigma: Partition) -> int:
     first.  The total is twice the levels |alpha| > n/2, plus the level
     n/2 once for even n.
 
-    theta and sigma must be canonical partitions: every caller in the
-    package passes built ones (survivors and `koszul_terms`), so nothing
-    is re-checked.
+    theta and sigma must be canonical partitions: the one caller in the
+    package, `pipeline.e1_page`, passes built survivors, so nothing is
+    re-checked.
     """
     n = size(theta)
     if size(sigma) != n:

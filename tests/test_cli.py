@@ -214,6 +214,12 @@ PINNED_PAYLOADS = [
      "6b832bc7e3eb5a5618c34e92cfde744a544a7075df17a4501a454ed13ec9c775"),
     ("verify sx --n 2 --r 1 --d 1 --b 0,2 --lam 2,1", 0,
      "896ba52d6050017da92fd6c8c84a2ef909eca1cda8eb90e7a01b9fb7dae0c89d"),
+    # two pages of the sharp listing, recorded at commit 9948d6d: t = 24
+    # (2942 terms, most pairs of the boxes nonzero) and t = 38 (297 terms)
+    ("koszul --n 2 --r 1 --d 2 --m 5 --t 24", 0,
+     "3262c649d851ae1a7f30b1cc0972c027cea9117b42afddca157fcd3949ddf877"),
+    ("koszul --n 2 --r 1 --d 2 --m 5 --t 38", 0,
+     "157d9c2def2baaaec9ee104ee2d253e81eba7177cfbc07210f7b7c382c90f125"),
 ]
 
 

@@ -22,7 +22,7 @@ from quotbwb.complexes import (
     hyper_cohomology,
     sx_cohomology,
 )
-from quotbwb.partitions import conjugate, contains, partition, size
+from quotbwb.partitions import InconsistencyError, conjugate, contains, partition, size
 from quotbwb.pipeline import (
     InsertionSpec,
     QuotReport,
@@ -449,6 +449,15 @@ class TestIntersect:
         assert out.euler == 2
         assert "degree 1 pinned by the exact Euler characteristic" in out.notes
 
+    @pytest.mark.parametrize("other", [
+        _bounds(1, {0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 1}, exact=True),
+        _bounds(1, {1: 2}, {0: 1, 1: 3, 2: 1})])
+    def test_exact_zero_outside_bounds_raises(self, other):
+        # the exact table is 0 in degree 1, where the other route's lower
+        # bound is positive; equal Euler characteristics hide it
+        with pytest.raises(InconsistencyError):
+            _intersect([_bounds(1, {0: 1}, {0: 1}, exact=True), other])
+
     def test_disjoint_bounds_raise(self):
         with pytest.raises(ArithmeticError):
             _intersect([_bounds(3, {0: 3}, {0: 3}), _bounds(3, {}, {0: 2})])
@@ -479,6 +488,8 @@ checks = {
     "euler disagreement": lambda: _intersect([report(1, {0: 1}), report(2, {0: 1})]),
     "exact outside bounds": lambda: _intersect([report(1, {0: 1}),
                                                 report(1, {0: 2, 1: 1})]),
+    "exact zero inside bounds": lambda: _intersect([report(1, {0: 1}),
+                                                    report(1, {0: 1, 1: 1, 2: 1})]),
     "assemble euler": lambda: pipeline.assemble(page),
     "t-index not unique": lambda: t_index((0, 0), -5),
 }
@@ -500,8 +511,8 @@ def test_invariants_raise_under_O():
                          check=True, timeout=60)
     assert json.loads(out.stdout) == {
         "optimize": 1,
-        "raised": ["euler disagreement", "exact outside bounds", "assemble euler",
-                   "t-index not unique"]}
+        "raised": ["euler disagreement", "exact outside bounds",
+                   "exact zero inside bounds", "assemble euler", "t-index not unique"]}
 
 
 class TestProp47Randomized:

@@ -439,10 +439,15 @@ class TestRowCapNeverBinds:
     S^{mu^dag}(B2^dual + B2^dual) caps alpha and beta at r2 = rank B2
     rows, and that cap is moot exactly when it is at least len(kappa) =
     min(len(theta), len(sigma)); it is, because every sigma the pipeline
-    hands the kernel lies in the r2-row box."""
+    hands the kernel is a factor-2 survivor, which lies in the r2-row
+    box.  `koszul_terms` reads its sigma off the expansion, which must
+    put each in the r2 x 2k1 box with no filter."""
 
     SETUPS = [QuotSetup(2, 1, 1, m=3), QuotSetup(2, 1, 2, m=4),
               QuotSetup(3, 1, 1, m=2), QuotSetup(3, 2, 1, m=2)]
+    # the scans also run on the bench's scan setup, whose survivor lists
+    # and pair kernel see far more sigma than the small setups
+    SCAN_SETUPS = SETUPS + [QuotSetup(2, 1, 2, m=6)]
 
     def test_every_sigma_has_at_most_r2_rows(self, monkeypatch):
         calls = []
@@ -453,20 +458,28 @@ class TestRowCapNeverBinds:
 
         monkeypatch.setattr(pipeline, "koszul_pair_mult", recorded)
         monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
+        survivors, listed = [], []
         for setup in self.SETUPS:
             p = stromme(setup)
             for t in range(p.rank_k + 1):
-                koszul_terms(p, t)
+                listed.extend((p.r2, 2 * p.k1, T.sigma) for T in koszul_terms(p, t))
+        for setup in self.SCAN_SETUPS:
+            p = stromme(setup)
             for ins in (InsertionSpec(), InsertionSpec(a2=((1,),), b2=((1,),)),
                         InsertionSpec(b1=((1,) + (0,) * (p.r1 - 2) + (-1,),))):
                 e1_page(p, ins)
                 _, _, a2, b2 = ins.key()
                 for t in range(p.rank_k + 1):
-                    for s in pipeline._factor_survivors(p, 2, a2, b2, t):
-                        assert len(s.lam) <= p.r2, (setup, ins, s.lam)
-        assert len(calls) > 1000
-        assert all(len(sigma) <= r2 for r2, sigma in calls)
+                    survivors.extend((p.r2, s.lam)
+                                     for s in pipeline._factor_survivors(p, 2, a2, b2, t))
+        sigmas = calls + survivors
+        assert len(sigmas) > 1000
+        assert all(len(sigma) <= r2 for r2, sigma in sigmas)
         assert any(len(sigma) == r2 for r2, sigma in calls)  # the bound is reached
+        assert len(listed) > 1000
+        assert all(len(sigma) <= r2 and part(sigma, 1) <= cols for r2, cols, sigma in listed)
+        assert any(len(sigma) == r2 for r2, _, sigma in listed)
+        assert any(part(sigma, 1) == cols for _, cols, sigma in listed)
 
 
 class TestSkewMemoKey:
