@@ -333,6 +333,8 @@ STATEMENTS = {**{name: functools.partial(_sweep_verdicts, verifier=verifier)
 
 
 def cmd_verify(args):
+    if args.m_max is not None and args.statement not in SWEPT:
+        raise CliError(f"--m-max applies only to {' and '.join(SWEPT)}")
     return STATEMENTS[args.statement](args, _setup_from(args))
 
 

@@ -9,6 +9,7 @@ per-degree bounds are reported.
 """
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
 from .bwb import (CohomTable, GrSpec, coh_bundle, coh_duals, coh_duals_nonempty,
@@ -21,6 +22,7 @@ from .partitions import (
     as_weight,
     conjugate,
     dual_entries,
+    part,
     partition,
     size,
     split_signs,
@@ -30,7 +32,6 @@ from .schur import (
     Entries,
     Expansion,
     koszul_pair_mult,
-    koszul_pair_possible,
     schur_dim,
     schur_of_sum_copies,
     skew_dim,
@@ -184,16 +185,21 @@ def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
 
 class _Survivor:
     """A Koszul partition whose Grassmannian factor survives, with its
-    conjugate.  Its cohomology table is built by `table()` on first call
-    and then kept here.  Besides the partition a survivor holds only its
-    factor's memo key (params, factor, a, b), whose insertions `table()`
-    expands again (`_factor_inputs`); no expansion outlives the lists'
+    conjugate and the four keys `_candidate_pairs` compares: h = len(lam),
+    w = lam_1, h2 = dag_1 + dag_2 and w2 = lam_1 + lam_2 (parts past the
+    end are 0).  Its cohomology table is built by `table()` on first call
+    and then kept here.  Besides these a survivor holds only its factor's
+    memo key (params, factor, a, b), whose insertions `table()` expands
+    again (`_factor_inputs`); no expansion outlives the lists'
     construction."""
 
-    __slots__ = ("lam", "dag", "key", "built")
+    __slots__ = ("lam", "dag", "h", "w", "h2", "w2", "key", "built")
 
     def __init__(self, lam: Partition, key: tuple):
-        self.lam, self.dag, self.key, self.built = lam, conjugate(lam), key, None
+        dag = conjugate(lam)
+        self.lam, self.dag, self.key, self.built = lam, dag, key, None
+        self.h, self.w = len(lam), part(lam, 1)
+        self.h2, self.w2 = self.h + part(dag, 2), self.w + part(lam, 2)
 
     def table(self) -> CohomTable:
         if self.built is None:
@@ -368,6 +374,19 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
     return lists.get(t, [])
 
 
+def _within_double_meet(a: Partition, b: Partition) -> bool:
+    """Every partial sum of a and of b is at most twice that of the meet
+    a ^ b, in one walk: past the shorter partition the meet adds 0."""
+    sa = sb = sm = 0
+    for x, y in zip_longest(a, b, fillvalue=0):
+        sa += x
+        sb += y
+        sm += 2 * min(x, y)
+        if sa > sm or sb > sm:
+            return False
+    return True
+
+
 def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
     """Candidate pairs (t, f1, f2) of the page: f1 the survivor of mu on
     the first factor, f2 that of sigma on the second, ordered by t, then
@@ -375,11 +394,29 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
 
     Both Grassmannian factors are evaluated first, through the memoized
     survivor lists (one walk per factor covers every t; the sigma lists
-    are read only at the t where some mu survives).  A pair of
-    survivors is a candidate when it passes `koszul_pair_possible` with
-    theta = mu^dag (Dvir's Kronecker-support bounds, Y. Dvir, J. Algebra
-    154, 1993, and meet dominance; necessary conditions proven in its
-    docstring), which skips the LR-expensive `koszul_pair_mult`.
+    are read only at the t where some mu survives).  A pair is kept only
+    when it passes two necessary conditions for koszul_pair_mult(theta,
+    sigma) != 0, theta = mu^dag, which skip the LR-expensive kernel; they
+    never assert a nonzero multiplicity.  The multiplicity
+    sum_{alpha,beta} c^theta_{alpha,beta} c^sigma_{alpha,beta} equals
+    sum_nu g(theta, sigma, nu) dim S^nu(C^2), with g the Kronecker
+    coefficient and nu of at most 2 rows.
+
+    Dvir: g(lam, nu, rho) != 0 forces len(rho) <= |lam ^ nu^dag| and
+    rho_1 <= |lam ^ nu| (Y. Dvir, On the Kronecker product of S_n
+    characters, J. Algebra 154, 1993).  With len(nu) <= 2 this gives
+    len(theta) <= sigma^dag_1 + sigma^dag_2, len(sigma) <= theta^dag_1 +
+    theta^dag_2, theta_1 <= sigma_1 + sigma_2 and sigma_1 <= theta_1 +
+    theta_2.  As theta = mu^dag, in the survivors' keys (`_Survivor`):
+    w(f1) <= h2(f2), h(f2) <= w2(f1), h(f1) <= w2(f2) and w(f2) <= h2(f1).
+
+    Meet dominance: with kappa = theta ^ sigma, a nonzero term has alpha,
+    beta inside kappa, and c^gamma_{alpha,beta} != 0 forces the partial
+    sums of gamma (and of gamma^dag) below those of alpha + beta (and of
+    alpha^dag + beta^dag); so theta and sigma are bounded by 2 kappa, and
+    their conjugates by 2 kappa^dag = 2 (theta^dag ^ sigma^dag).  These
+    are the two `_within_double_meet` walks, on (mu^dag, sigma) and (mu,
+    sigma^dag).
     """
     a1, b1, a2, b2 = ins.key()
     out = []
@@ -388,8 +425,12 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
         if not firsts:
             continue
         seconds = _factor_survivors(params, 2, a2, b2, t)
-        out.extend((t, f1, f2) for f1 in firsts for f2 in seconds
-                   if koszul_pair_possible(f1.dag, f1.lam, f2.lam, f2.dag))
+        for f1 in firsts:
+            h, w, h2, w2 = f1.h, f1.w, f1.h2, f1.w2
+            out.extend((t, f1, f2) for f2 in seconds
+                       if w <= f2.h2 and f2.h <= w2 and h <= f2.w2 and f2.w <= h2
+                       and _within_double_meet(f1.dag, f2.lam)
+                       and _within_double_meet(f1.lam, f2.dag))
     return out
 
 
@@ -397,7 +438,6 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
 class E1Page:
     """Sparse (t, q) -> dimension table."""
 
-    params: StrommeParams
     entries: dict[tuple[int, int], int]
 
     def euler(self) -> int:
@@ -420,7 +460,7 @@ def e1_page(params: StrommeParams, ins: InsertionSpec = EMPTY_INSERTION) -> E1Pa
             continue
         for q, v in sorted(kunneth(f1.table(), f2.table()).items()):
             entries[(t, q)] = entries.get((t, q), 0) + mult * v
-    return E1Page(params, {k: v for k, v in entries.items() if v})
+    return E1Page({k: v for k, v in entries.items() if v})
 
 
 # ------------------------------------------------------------------ assembly
@@ -561,12 +601,7 @@ def resolve_page(cells: dict[tuple[int, int], int]) -> QuotReport:
 
 def assemble(page: E1Page) -> QuotReport:
     """Resolve the Koszul page: E1[t, q] sits in column -t, total degree q - t."""
-    report = resolve_page({(-t, q): v for (t, q), v in page.entries.items()})
-    if report.euler != page.euler():
-        raise InconsistencyError(
-            f"resolved Euler characteristic {report.euler} is not the page's "
-            f"{page.euler()}")
-    return report
+    return resolve_page({(-t, q): v for (t, q), v in page.entries.items()})
 
 
 # ------------------------------------------------------------------ verifiers

@@ -184,55 +184,6 @@ def lr_expand(alpha: Partition, beta: Partition, max_rows: Optional[int] = None
     return hit
 
 
-def _within_double_meet(a: Partition, b: Partition) -> bool:
-    """Every partial sum of a and of b is at most twice that of the meet
-    a ^ b, in one walk: past the shorter partition the meet adds 0."""
-    sa = sb = sm = 0
-    for x, y in zip_longest(a, b, fillvalue=0):
-        sa += x
-        sb += y
-        sm += 2 * min(x, y)
-        if sa > sm or sb > sm:
-            return False
-    return True
-
-
-def koszul_pair_possible(theta: Partition, theta_dag: Partition,
-                         sigma: Partition, sigma_dag: Partition) -> bool:
-    """Necessary condition for koszul_pair_mult(theta, sigma) != 0.
-
-    Takes both partitions with their conjugates.  The multiplicity
-    sum_{alpha,beta} c^theta_{alpha,beta} c^sigma_{alpha,beta} equals
-    sum_nu g(theta, sigma, nu) dim S^nu(C^2), with g the Kronecker
-    coefficient and nu of at most 2 rows.  Two families of bounds, each
-    proven:
-
-    Dvir: for g(lam, nu, rho) != 0, len(rho) <= |lam ^ nu^dag| and
-    rho_1 <= |lam ^ nu| (Y. Dvir, On the Kronecker product of S_n
-    characters, J. Algebra 154, 1993).  With len(nu) <= 2 this gives
-    len(theta) <= sigma^dag_1 + sigma^dag_2, len(sigma) <= theta^dag_1 +
-    theta^dag_2, theta_1 <= sigma_1 + sigma_2 and sigma_1 <= theta_1 + theta_2.
-
-    Meet dominance: with kappa = theta ^ sigma, a nonzero term has alpha,
-    beta inside kappa, and c^gamma_{alpha,beta} != 0 forces the partial
-    sums of gamma (and of gamma^dag) below those of alpha + beta (and of
-    alpha^dag + beta^dag); so theta and sigma are bounded by 2 kappa, and
-    their conjugates by 2 kappa^dag = 2 (theta^dag ^ sigma^dag).
-
-    Used only to skip pairs; it never asserts a nonzero multiplicity.
-    """
-    if len(theta) > part(sigma_dag, 1) + part(sigma_dag, 2):
-        return False
-    if len(sigma) > part(theta_dag, 1) + part(theta_dag, 2):
-        return False
-    if part(theta, 1) > part(sigma, 1) + part(sigma, 2):
-        return False
-    if part(sigma, 1) > part(theta, 1) + part(theta, 2):
-        return False
-    return (_within_double_meet(theta, sigma)
-            and _within_double_meet(theta_dag, sigma_dag))
-
-
 def lr(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     """The Littlewood-Richardson coefficient c^gamma_{alpha, beta}: the LR
     fillings of gamma/alpha with content beta (Macdonald I.9).  Memoizes
@@ -327,9 +278,16 @@ def schur_of_sum_copies(beta: Partition, copies: int, rank: int
     if copies == 1:
         out = {beta: 1} if len(beta) <= rank else {}
     else:
-        out = {}
+        cap, out = rank * (copies - 1), {}
         for a in subpartitions(beta, rank):
-            for b, c in _skew_expand(beta, a, rank * (copies - 1)).items():
+            # A column-strict filling of beta/a with at most cap letters
+            # puts at most cap cells in a column.  If beta_{i+cap} > a_i,
+            # column beta_{i+cap} of beta/a holds rows i..i+cap, so the
+            # capped skew is empty and a is skipped.  A kept a may still
+            # have an empty skew: the test is necessary, not sufficient.
+            if any(x > part(a, i) for i, x in enumerate(beta[cap:], 1)):
+                continue
+            for b, c in _skew_expand(beta, a, cap).items():
                 for theta1, m1 in schur_of_sum_copies(b, copies - 1, rank).items():
                     for theta, m2 in lr_expand(a, theta1, rank).items():
                         out[theta] = out.get(theta, 0) + c * m1 * m2

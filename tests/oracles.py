@@ -6,10 +6,11 @@ from math import factorial
 from typing import Optional, Sequence
 
 from quotbwb.bwb import kunneth
-from quotbwb.partitions import InconsistencyError, parity_sign, size
+from quotbwb.partitions import (InconsistencyError, parity_sign, part, size,
+                                 subpartitions)
 from quotbwb.pipeline import (EMPTY_INSERTION, QuotReport, _candidate_pairs,
                               pin_by_euler)
-from quotbwb.schur import _pair_alphas, _skew_expand, koszul_pair_mult
+from quotbwb.schur import _pair_alphas, _skew_expand, koszul_pair_mult, lr_expand
 
 
 def inversions(seq: Sequence[int]) -> int:
@@ -254,8 +255,8 @@ def _within_double(lam: tuple, kappa: tuple) -> bool:
 
 def meet_dominance(theta: tuple, theta_dag: tuple, sigma: tuple, sigma_dag: tuple
                    ) -> bool:
-    """The meet-dominance half of `schur.koszul_pair_possible`, from the
-    meets themselves: kappa = theta ^ sigma bounds theta and sigma, and
+    """The meet-dominance half of `pipeline._candidate_pairs`' test, from
+    the meets themselves: kappa = theta ^ sigma bounds theta and sigma, and
     kappa^dag = theta^dag ^ sigma^dag bounds their conjugates, each
     partial sum by twice the meet's, one scan per partition."""
     meet = tuple(min(a, b) for a, b in zip(theta, sigma))
@@ -263,6 +264,32 @@ def meet_dominance(theta: tuple, theta_dag: tuple, sigma: tuple, sigma_dag: tupl
     return (_within_double(theta, meet) and _within_double(sigma, meet)
             and _within_double(theta_dag, meet_dag)
             and _within_double(sigma_dag, meet_dag))
+
+
+def pair_possible(theta: tuple, theta_dag: tuple, sigma: tuple, sigma_dag: tuple
+                  ) -> bool:
+    """The candidate test of `pipeline._candidate_pairs` for one pair,
+    each partition given with its conjugate: Dvir's four bounds read off
+    the parts, then `meet_dominance`."""
+    return (len(theta) <= part(sigma_dag, 1) + part(sigma_dag, 2)
+            and len(sigma) <= part(theta_dag, 1) + part(theta_dag, 2)
+            and part(theta, 1) <= part(sigma, 1) + part(sigma, 2)
+            and part(sigma, 1) <= part(theta, 1) + part(theta, 2)
+            and meet_dominance(theta, theta_dag, sigma, sigma_dag))
+
+
+def sum_copies_uncut(beta: tuple, copies: int, rank: int) -> dict:
+    """`schur.schur_of_sum_copies` without its column cut and memo: every
+    a of at most `rank` rows gets its capped skew expansion."""
+    if copies == 1:
+        return {beta: 1} if len(beta) <= rank else {}
+    out: dict = {}
+    for a in subpartitions(beta, rank):
+        for b, c in _skew_expand(beta, a, rank * (copies - 1)).items():
+            for theta1, m1 in sum_copies_uncut(b, copies - 1, rank).items():
+                for theta, m2 in lr_expand(a, theta1, rank).items():
+                    out[theta] = out.get(theta, 0) + c * m1 * m2
+    return out
 
 
 def resolve_page_pairwise(cells: dict[tuple[int, int], int]) -> QuotReport:

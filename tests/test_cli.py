@@ -275,6 +275,8 @@ def test_bench_argvs_reproduce_pins(capsys):
 
 
 SETUP = {"--n": "2", "--r": "1", "--d": "1", "--m": "2"}
+UNSWEPT = {"ext": ["--nu", "1", "--lam", "1"], "cor14": ["--insert=-2:1"],
+           "thm57": ["--insert=1:1"], "sx": ["--lam", "2,1"]}
 SETUP_COMMANDS = {"stromme": [], "koszul": ["--t", "1"], "scan": [], "euler": [],
                   "ext": ["--nu", "1", "--lam", "1"], "hyper": ["--insert", "1:1"],
                   "verify": ["thm41", "--eta", "1", "--rho", "1"]}
@@ -296,6 +298,9 @@ def negative_option_argvs():
     yield ["bwb", "--k", "1", "--N", "-1"]
     yield ["koszul", *setup(None), "--t", "-1"]
     yield ["verify", "thm41", *setup(None), "--m-max", "-1", "--eta", "1", "--rho", "1"]
+    # a statement that does not sweep takes no --m-max at all
+    for statement, extra in UNSWEPT.items():
+        yield ["verify", statement, *setup(None), "--m-max", "-1", *extra]
     yield ["scan", *setup(None), "--jobs", "-1"]
 
 
@@ -436,6 +441,16 @@ class TestValidationAndExitCodes:
                         "--m", "2", "--m-max", "1", "--eta", "3,5"]) == 1
             assert capsys.readouterr().err == (
                 "error: --m-max 1 below the starting twist 2\n")
+
+    def test_m_max_only_on_swept_statements(self, capsys):
+        # a window on a statement that does not sweep would be echoed in
+        # the config while only twist m runs: bad input, even when valid
+        for statement, extra in UNSWEPT.items():
+            assert run(["verify", statement, "--n", "2", "--r", "1", "--d", "1",
+                        "--m", "2", "--m-max", "3", *extra]) == 1, statement
+            captured = capsys.readouterr()
+            assert captured.err == "error: --m-max applies only to thm41 and prop47\n"
+            assert captured.out == ""
 
     def test_verify_sx(self, capsys):
         status, payload = run_json(capsys, ["verify", "sx", "--n", "2",

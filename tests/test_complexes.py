@@ -477,20 +477,18 @@ import json, sys
 from quotbwb import pipeline
 from quotbwb.complexes import _intersect
 from quotbwb.partitions import InconsistencyError, t_index
-from quotbwb.pipeline import E1Page, QuotReport, QuotSetup, stromme
+from quotbwb.pipeline import E1Page, QuotReport
 
 def report(euler, table):
     return QuotReport(euler, True, table, table, table, True)
 
-page = E1Page(stromme(QuotSetup(2, 1, 1)), {(0, 0): 1})
-pipeline.resolve_page = lambda cells: report(2, {0: 2})
 checks = {
     "euler disagreement": lambda: _intersect([report(1, {0: 1}), report(2, {0: 1})]),
     "exact outside bounds": lambda: _intersect([report(1, {0: 1}),
                                                 report(1, {0: 2, 1: 1})]),
     "exact zero inside bounds": lambda: _intersect([report(1, {0: 1}),
                                                     report(1, {0: 1, 1: 1, 2: 1})]),
-    "assemble euler": lambda: pipeline.assemble(page),
+    "page cannot cancel": lambda: pipeline.assemble(E1Page({(1, 0): 1})),
     "t-index not unique": lambda: t_index((0, 0), -5),
 }
 raised = []
@@ -512,7 +510,8 @@ def test_invariants_raise_under_O():
     assert json.loads(out.stdout) == {
         "optimize": 1,
         "raised": ["euler disagreement", "exact outside bounds",
-                   "exact zero inside bounds", "assemble euler", "t-index not unique"]}
+                   "exact zero inside bounds", "page cannot cancel",
+                   "t-index not unique"]}
 
 
 class TestProp47Randomized:

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (collision_free, contributions, graded_pair_mult, meet_dominance,
+from oracles import (collision_free, contributions, graded_pair_mult, pair_possible,
                      partitions_in_box, resolve_page_pairwise, strip_lr_expand)
 from quotbwb import pipeline, schur
 from quotbwb.bwb import (GrSpec, coh_bundle, coh_duals_nonempty, dual_side,
                          expand_side)
+from quotbwb.cli import EXAMPLES
 from quotbwb.partitions import (
     InconsistencyError,
     WeightLengthError,
@@ -44,7 +45,6 @@ from quotbwb.schur import (
     _pair_alphas,
     _skew_expand,
     koszul_pair_mult,
-    koszul_pair_possible,
     schur_dim,
     skew_expand,
     weight_dim,
@@ -56,7 +56,7 @@ def koszul_sigma_expansion(mu, r2):
 
     Multiplicity of sigma is sum over alpha, beta of
     c^{mu^dag}_{alpha,beta} * c^sigma_{alpha,beta}: the oracle for the
-    pair route (`koszul_pair_possible` + `koszul_pair_mult`).
+    pair route (`pair_possible` + `koszul_pair_mult`).
     """
     theta = conjugate(mu)
     out = {}
@@ -130,7 +130,7 @@ def oracle_koszul_pair_mult(theta, sigma, max_rows):
 
 def prefiltered_pairs(setup):
     """(theta, sigma, r2) for every pair of every t-box of the setup that
-    passes `koszul_pair_possible`."""
+    passes `pair_possible`."""
     p = stromme(setup)
     for t in range(p.rank_k + 1):
         sigmas = [(s, conjugate(s))
@@ -138,7 +138,7 @@ def prefiltered_pairs(setup):
         for mu in partitions_in_box(p.k1, 2 * p.r2, t):
             theta = conjugate(mu)
             for sigma, sigma_dag in sigmas:
-                if koszul_pair_possible(theta, mu, sigma, sigma_dag):
+                if pair_possible(theta, mu, sigma, sigma_dag):
                     yield theta, sigma, p.r2
 
 
@@ -267,25 +267,44 @@ _PRUNE_SETUPS = [s for s in (QuotSetup(n, r, d, b, m=sum(b) + d + e)
 
 
 class TestPairPrefilter:
-    def test_one_walk_matches_meet_oracle(self):
+    def test_one_walk_matches_meet_oracle(self, monkeypatch):
         # every ordered pair of partitions of at most 9, sizes unequal
-        # included: Dvir's four bounds and the meet tuples of the oracle
+        # included, handed to the join as the survivors of one t: Dvir's
+        # four bounds on the survivor keys and the two meet walks against
+        # the oracle's parts and meet tuples, pair for pair in order
         parts = [lam for n in range(10) for lam in partitions_in_box(n, n, n)]
         assert len(parts) == 97
-        kept = 0
-        for theta in parts:
-            theta_dag = conjugate(theta)
-            for sigma in parts:
-                sigma_dag = conjugate(sigma)
-                dvir = (len(theta) <= part(sigma_dag, 1) + part(sigma_dag, 2)
-                        and len(sigma) <= part(theta_dag, 1) + part(theta_dag, 2)
-                        and part(theta, 1) <= part(sigma, 1) + part(sigma, 2)
-                        and part(sigma, 1) <= part(theta, 1) + part(theta, 2))
-                want = dvir and meet_dominance(theta, theta_dag, sigma, sigma_dag)
-                assert koszul_pair_possible(theta, theta_dag, sigma, sigma_dag) == want, \
-                    (theta, sigma)
-                kept += want
-        assert 0 < kept < len(parts) ** 2
+        survivors = [pipeline._Survivor(lam, None) for lam in parts]
+        monkeypatch.setattr(pipeline, "_factor_survivors",
+                            lambda params, factor, a, b, t: survivors if t == 0 else [])
+        got = [(t, f1.lam, f2.lam) for t, f1, f2 in
+               pipeline._candidate_pairs(stromme(QuotSetup(2, 1, 1)), InsertionSpec())]
+        want = [(0, f1.lam, f2.lam) for f1 in survivors for f2 in survivors
+                if pair_possible(f1.dag, f1.lam, f2.lam, f2.dag)]
+        assert got == want
+        assert 0 < len(got) < len(parts) ** 2
+
+    @pytest.mark.parametrize("setup, ins", [
+        (QuotSetup(2, 1, 2, m=6), InsertionSpec()),
+        (QuotSetup(2, 1, 2, m=7), InsertionSpec()),
+        (QuotSetup(2, 1, 2, m=8), InsertionSpec()),
+        (QuotSetup(3, 1, 1, m=4), InsertionSpec()),
+        EXAMPLES["sharp"][:2],
+        EXAMPLES["sym2"][:2],
+    ], ids=["212m6", "212m7", "212m8", "311m4", "sharp", "sym2"])
+    def test_real_pages_match_oracle_join(self, setup, ins):
+        # the real survivor lists of every t, joined by the oracle
+        p = stromme(setup)
+        a1, b1, a2, b2 = ins.key()
+        want = []
+        for t in range(p.rank_k + 1):
+            firsts = pipeline._factor_survivors(p, 1, a1, b1, t)
+            seconds = pipeline._factor_survivors(p, 2, a2, b2, t) if firsts else []
+            want.extend((t, f1.lam, f2.lam) for f1 in firsts for f2 in seconds
+                        if pair_possible(f1.dag, f1.lam, f2.lam, f2.dag))
+        got = [(t, f1.lam, f2.lam) for t, f1, f2 in pipeline._candidate_pairs(p, ins)]
+        assert got == want
+        assert got
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.data())
@@ -299,7 +318,7 @@ class TestPairPrefilter:
         theta = conjugate(mu)
         for sigma, mult in koszul_sigma_expansion(mu, p.r2).items():
             if mult:
-                assert koszul_pair_possible(theta, mu, sigma, conjugate(sigma)), \
+                assert pair_possible(theta, mu, sigma, conjugate(sigma)), \
                     (setup, mu, sigma)
 
     def test_pair_mult_matches_filter_loop(self):
@@ -319,8 +338,8 @@ class TestPairPrefilter:
     def test_prefilter_prunes(self):
         # g((1,1,1,1), (4), nu) is nonzero only for nu = (1,1,1,1)
         assert koszul_pair_mult((1, 1, 1, 1), (4,)) == 0
-        assert not koszul_pair_possible((1, 1, 1, 1), (4,), (4,), (1, 1, 1, 1))
-        assert koszul_pair_possible((2, 1), (2, 1), (2, 1), (2, 1))
+        assert not pair_possible((1, 1, 1, 1), (4,), (4,), (1, 1, 1, 1))
+        assert pair_possible((2, 1), (2, 1), (2, 1), (2, 1))
 
 
 class TestPairAlphas:
@@ -644,7 +663,7 @@ def oracle_candidate_pairs(params):
     sigma^dual on B2 of Gr(k2, n2) against the trivial rho-side summand,
     dead sets {rho_i + k2 - i}.  Each factor's candidates of size t come
     from the per-size oracle walk `collision_free`, kept when
-    `coh_duals_nonempty`, joined by `koszul_pair_possible` in the order
+    `coh_duals_nonempty`, joined by `pair_possible` in the order
     mu, then sigma."""
     gr1, gr2 = params.gr1, GrSpec(params.k2, params.n2)
     chis = dual_side(expand_side((), gr1.quotient_rank))
@@ -667,7 +686,7 @@ def oracle_candidate_pairs(params):
             for t in range(params.rank_k + 1)]
     return [(t, mu, sigma) for t in range(params.rank_k + 1)
             for mu, theta in lists[1][t] for sigma, sigma_dag in lists[2][t]
-            if koszul_pair_possible(theta, mu, sigma, sigma_dag)]
+            if pair_possible(theta, mu, sigma, sigma_dag)]
 
 
 def materialized(survivors):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lemmas import horn_predicates, lemma45_check
 from oracles import (class_size, kronecker, mn_character, pair_mult_by_characters,
-                     partitions_in_box, strip_lr_expand)
+                     partitions_in_box, strip_lr_expand, sum_copies_uncut)
 from quotbwb import schur
 from quotbwb.partitions import (
     WeightLengthError,
@@ -398,6 +398,32 @@ class TestSkewAndSums:
                 exp = schur_of_sum_copies(beta, copies, rank)
                 got = sum(m * schur_dim(th, rank) for th, m in exp.items())
                 assert got == schur_dim(beta, rank * copies), (beta, rank, copies)
+
+    def test_sum_copies_column_cut(self, monkeypatch):
+        # every beta of at most 8 cells, 2-3 copies, rank 1-3: each a the
+        # column cut skips has an empty capped skew, and the decomposition
+        # equals the uncut loop
+        real, calls = schur._skew_expand, []
+
+        def recorded(lam, nu, max_rows=None):
+            calls.append((lam, nu, max_rows))
+            return real(lam, nu, max_rows)
+
+        monkeypatch.setattr(schur, "_skew_expand", recorded)
+        skipped = 0
+        for beta in (lam for n in range(9) for lam in partitions_in_box(n, n, n)):
+            for copies, rank in product((2, 3), (1, 2, 3)):
+                cap = rank * (copies - 1)
+                monkeypatch.setattr(schur, "_SUM_CACHE", {})
+                calls.clear()
+                got = schur_of_sum_copies(beta, copies, rank)
+                tried = {nu for lam, nu, rows in calls if lam == beta and rows == cap}
+                for a in subpartitions(beta, rank):
+                    if a not in tried:
+                        skipped += 1
+                        assert not real(beta, a, cap), (beta, copies, rank, a)
+                assert got == sum_copies_uncut(beta, copies, rank), (beta, copies, rank)
+        assert skipped
 
     def test_koszul_pair_mult_anchor(self):
         mu_dag = conjugate((10, 10, 4))
