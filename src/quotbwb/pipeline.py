@@ -184,26 +184,59 @@ def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
 
 
 class _Survivor:
-    """A Koszul partition whose Grassmannian factor survives, with its
-    conjugate and the four keys `_candidate_pairs` compares: h = len(lam),
-    w = lam_1, h2 = dag_1 + dag_2 and w2 = lam_1 + lam_2 (parts past the
-    end are 0).  Its cohomology table is built by `table()` on first call
-    and then kept here.  Besides these a survivor holds only its factor's
-    memo key (params, factor, a, b), whose insertions `table()` expands
-    again (`_factor_inputs`); no expansion outlives the lists'
-    construction."""
+    """A collision-free Koszul partition lam of one Grassmannian factor,
+    with the keys `_candidate_pairs` compares: h = len(lam), w = lam_1,
+    h2 = dag_1 + dag_2 = h + #{i : lam_i >= 2}, w2 = lam_1 + lam_2, and
+    (ch, cw, ch2, cw2) the same of its complement lam^c_i = C - lam_{R+1-i}
+    in its R x C box, read off lam padded to R rows: cw = C - lam_R, cw2 =
+    cw + C - lam_{R-1}, ch = #{i : lam_i < C}, ch2 = ch + #{i : lam_i <=
+    C - 2}, all 0 when R = 0.  `dag`, `complement()` (lam^c and its
+    conjugate), `alive()` (the table is nonempty) and `table()` are built
+    on first read and kept; the last two read the factor's inputs (gr,
+    cols, fixed, P), built once per memo entry and shared."""
 
-    __slots__ = ("lam", "dag", "h", "w", "h2", "w2", "key", "built")
+    __slots__ = ("lam", "inputs", "h", "w", "h2", "w2", "ch", "cw", "ch2", "cw2",
+                 "_dag", "_comp", "live", "built")
 
-    def __init__(self, lam: Partition, key: tuple):
-        dag = conjugate(lam)
-        self.lam, self.dag, self.key, self.built = lam, dag, key, None
+    def __init__(self, lam: Partition, inputs: tuple):
+        rows, cols = inputs[0].k, inputs[1]
+        self.lam, self.inputs = lam, inputs
+        self._dag = self._comp = self.live = self.built = None
         self.h, self.w = len(lam), part(lam, 1)
-        self.h2, self.w2 = self.h + part(dag, 2), self.w + part(lam, 2)
+        self.h2, self.w2 = 2 * self.h - lam.count(1), self.w + part(lam, 2)
+        self.cw = cols - part(lam, rows) if rows else 0
+        self.cw2 = self.cw + (cols - part(lam, rows - 1) if rows > 1 else 0)
+        # the parts lie in [1, C], and the padding zeros are below C if C > 0
+        self.ch = rows - lam.count(cols) if cols else 0
+        self.ch2 = self.ch + (rows - lam.count(cols) - lam.count(cols - 1) if cols > 1 else 0)
+
+    @property
+    def dag(self) -> Partition:
+        if self._dag is None:
+            self._dag = conjugate(self.lam)
+        return self._dag
+
+    def complement(self) -> tuple[Partition, Partition]:
+        """(lam^c, its conjugate) in the survivor's box."""
+        if self._comp is None:
+            gr, cols = self.inputs[0], self.inputs[1]
+            comp = tuple(x for x in (cols - part(self.lam, i)
+                                     for i in range(gr.k, 0, -1)) if x)
+            self._comp = comp, conjugate(comp)
+        return self._comp
+
+    def alive(self) -> bool:
+        """`coh_duals_nonempty` (one tensor with P, then `_bwb`), skipped
+        for P None, where the walk's collision criterion is exact."""
+        if self.live is None:
+            gr, _, fixed, product = self.inputs
+            self.live = product is None or coh_duals_nonempty(
+                gr.n, *_factor_terms(gr, fixed, product, self.lam))
+        return self.live
 
     def table(self) -> CohomTable:
         if self.built is None:
-            gr, _, fixed, product = _factor_inputs(*self.key)
+            gr, _, fixed, product = self.inputs
             self.built = coh_duals(gr.n, *_factor_terms(gr, fixed, product, self.lam))
         return self.built
 
@@ -315,30 +348,25 @@ def _factor_terms(gr: GrSpec, fixed: list, product: Optional[Expansion],
 
 def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
                       t: int) -> list[_Survivor]:
-    """Koszul partitions of the t-th term whose Grassmannian factor survives.
+    """Koszul partitions of the t-th term that pass the factor's BWB
+    collision criterion, the candidates whose table may be nonempty.
 
     factor 1: mu in the k1 x 2r2 box with |mu| = t, table
     H(Gr(k1, n1), S^mu(A1) x a x b); factor 2: sigma in the r2 x 2k1 box
     with |sigma| = t, table H(Gr(k2, n2), a x S^sigma(B2^dual) x b).  Each
-    survivor is a `_Survivor`, in the order of `_collision_free_by_size`.
+    candidate is a `_Survivor`, in the order of `_collision_free_by_size`.
     `a` and `b` are tuples of entry tuples (`InsertionSpec.key()`), so
     insertions given as lists or tuples with the same entries share one
     memo entry.  The first call for a factor builds its lists for every t
-    at once: the fixed side is validated and expanded, and the insertions
-    beside the partition are multiplied out (P; an empty product, from a
-    partition too long for its bundle, empties every list), by one
-    `_factor_inputs` call, which runs again for each table built; one walk
-    of the box then yields every size's candidates.
-
-    Only partitions that pass the BWB collision criterion are built; each
-    is then one tensor with P, kept when some term escapes a tie
-    (`coh_duals_nonempty`: every term is positive, so that is when its
-    table is nonempty), a test skipped when nothing sits beside the
-    partition, where the criterion is exact.  No dimension is computed
-    here: a survivor builds its table only when asked, and `e1_page` asks
-    only for the pairs with a nonzero multiplicity.  The criterion, on
-    the Grassmannian Gr(k, n) of `_factor_inputs`, with the partition lam
-    on the sub bundle and 0-indexed rows counting zero rows:
+    at once: one `_factor_inputs` call, shared by every survivor,
+    validates and expands the fixed side and multiplies out the
+    insertions beside the partition (P; an empty product, from a
+    partition too long for its bundle, empties every list), and one walk
+    of the box yields every size's candidates.  Nothing is tensored here:
+    `_candidate_pairs` tests a candidate's table for a surviving term
+    (`_Survivor.alive`) only in a pair that passed its cheaper tests.  The
+    criterion, on the Grassmannian Gr(k, n) of `_factor_inputs`, with the
+    partition lam on the sub bundle and 0-indexed rows counting zero rows:
       - a bundle-side constituent gamma of lam x P against a fixed
         summand chi ties in `_bwb` exactly when gamma_i - i lies in
         F_chi = {1 + j - chi_j} for some row i;
@@ -360,16 +388,14 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
     lists = _SURVIVOR_CACHE.get(key)
     if lists is None:
         lists = {}
-        gr, cols, fixed, product = _factor_inputs(*key)
+        inputs = _factor_inputs(*key)
+        gr, cols, fixed, product = inputs
         if fixed and product != {}:
             lo, hi = _window(product)
             dead = {_dead_values({1 + j - x for j, x in enumerate(chi)}, lo, hi)
                     for chi, _ in fixed}
-            for total, lams in _collision_free_by_size(gr.k, cols, list(dead)).items():
-                kept = [_Survivor(lam, key) for lam in lams if product is None
-                        or coh_duals_nonempty(gr.n, *_factor_terms(gr, fixed, product, lam))]
-                if kept:
-                    lists[total] = kept
+            lists = {total: [_Survivor(lam, inputs) for lam in lams] for total, lams
+                     in _collision_free_by_size(gr.k, cols, list(dead)).items()}
         _SURVIVOR_CACHE[key] = lists
     return lists.get(t, [])
 
@@ -392,14 +418,17 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
     the first factor, f2 that of sigma on the second, ordered by t, then
     mu, then sigma.
 
-    Both Grassmannian factors are evaluated first, through the memoized
-    survivor lists (one walk per factor covers every t; the sigma lists
-    are read only at the t where some mu survives).  A pair is kept only
-    when it passes two necessary conditions for koszul_pair_mult(theta,
-    sigma) != 0, theta = mu^dag, which skip the LR-expensive kernel; they
-    never assert a nonzero multiplicity.  The multiplicity
-    sum_{alpha,beta} c^theta_{alpha,beta} c^sigma_{alpha,beta} equals
-    sum_nu g(theta, sigma, nu) dim S^nu(C^2), with g the Kronecker
+    The candidates come from the memoized lists of `_factor_survivors`
+    (the sigma lists are read only at the t where some mu is listed).
+    Each test runs only on a pair that passed every one before it: the
+    eight Dvir keys of the pair and its complement pair (those that fail
+    most often on the scans first), the pair's two meet walks, the
+    complement pair's two, and last whether both factor tables are
+    nonempty (`_Survivor.alive`).  All but the last are necessary for
+    koszul_pair_mult(theta, sigma) != 0, theta = mu^dag; none asserts a
+    nonzero multiplicity, and the kernel evaluates the pair itself.  The
+    multiplicity sum_{alpha,beta} c^theta_{alpha,beta} c^sigma_{alpha,beta}
+    equals sum_nu g(theta, sigma, nu) dim S^nu(C^2), with g the Kronecker
     coefficient and nu of at most 2 rows.
 
     Dvir: g(lam, nu, rho) != 0 forces len(rho) <= |lam ^ nu^dag| and
@@ -417,6 +446,19 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
     their conjugates by 2 kappa^dag = 2 (theta^dag ^ sigma^dag).  These
     are the two `_within_double_meet` walks, on (mu^dag, sigma) and (mu,
     sigma^dag).
+
+    Koszul duality: a pair is nonzero only if its complement pair (mu^c,
+    sigma^c) is, mu^c in the k1 x 2r2 box and sigma^c in the r2 x 2k1 box.
+    Let W = B2^dual, V = A1 x (W + W) of rank N = 2 k1 r2.  By the dual
+    Cauchy formula, restricted to the diagonal GL(W), Lambda^t V is the
+    sum of c(mu^dag, sigma) S^mu(A1) x S^sigma(W), |mu| = |sigma| = t, with
+    c the pair sum of `koszul_pair_mult` when len(sigma) <= r2 (its alpha,
+    beta lie inside sigma, so no row cap binds; `TestRowCapNeverBinds`).
+    Lambda^t V = (Lambda^{N-t} V)^dual x det V, and S^lam(E)^dual x
+    det(E)^C = S^{lam^c}(E) for lam in the rank(E) x C box (J. Weyman,
+    Cohomology of Vector Bundles and Syzygies, CUP 2003, ch. 2); the
+    irreducibles of GL(A1) x GL(W) are distinct, so c(mu^dag, sigma) =
+    c((mu^c)^dag, sigma^c).  `complement()` is (lam^c, its conjugate).
     """
     a1, b1, a2, b2 = ins.key()
     out = []
@@ -427,10 +469,15 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
         seconds = _factor_survivors(params, 2, a2, b2, t)
         for f1 in firsts:
             h, w, h2, w2 = f1.h, f1.w, f1.h2, f1.w2
+            ch, cw, ch2, cw2 = f1.ch, f1.cw, f1.ch2, f1.cw2
             out.extend((t, f1, f2) for f2 in seconds
-                       if w <= f2.h2 and f2.h <= w2 and h <= f2.w2 and f2.w <= h2
+                       if cw <= f2.ch2 and f2.w <= h2 and w <= f2.h2 and f2.cw <= ch2
+                       and f2.h <= w2 and h <= f2.w2 and f2.ch <= cw2 and ch <= f2.cw2
                        and _within_double_meet(f1.dag, f2.lam)
-                       and _within_double_meet(f1.lam, f2.dag))
+                       and _within_double_meet(f1.lam, f2.dag)
+                       and _within_double_meet(f1.complement()[1], f2.complement()[0])
+                       and _within_double_meet(f1.complement()[0], f2.complement()[1])
+                       and f1.alive() and f2.alive())
     return out
 
 

@@ -6,8 +6,8 @@ from math import factorial
 from typing import Optional, Sequence
 
 from quotbwb.bwb import kunneth
-from quotbwb.partitions import (InconsistencyError, parity_sign, part, size,
-                                 subpartitions)
+from quotbwb.partitions import (InconsistencyError, conjugate, parity_sign, part,
+                                 size, subpartitions)
 from quotbwb.pipeline import (EMPTY_INSERTION, QuotReport, _candidate_pairs,
                               pin_by_euler)
 from quotbwb.schur import _pair_alphas, _skew_expand, koszul_pair_mult, lr_expand
@@ -276,6 +276,23 @@ def pair_possible(theta: tuple, theta_dag: tuple, sigma: tuple, sigma_dag: tuple
             and part(theta, 1) <= part(sigma, 1) + part(sigma, 2)
             and part(sigma, 1) <= part(theta, 1) + part(theta, 2)
             and meet_dominance(theta, theta_dag, sigma, sigma_dag))
+
+
+def complement(lam: tuple, rows: int, cols: int) -> tuple:
+    """The complement of lam in the rows x cols box: the parts cols -
+    lam_{rows+1-i}, i = 1..rows, lam padded with zeros, zeros dropped."""
+    padded = tuple(lam) + (0,) * (rows - len(lam))
+    return tuple(x for x in (cols - y for y in reversed(padded)) if x)
+
+
+def dual_pair_possible(mu: tuple, mu_box: tuple, sigma: tuple, sigma_box: tuple
+                       ) -> bool:
+    """The key and meet tests of `pipeline._candidate_pairs`: `pair_possible`
+    on (mu^dag, sigma) and on the pair of their complements, built in the
+    (rows, cols) boxes mu_box and sigma_box."""
+    mu_c, sigma_c = complement(mu, *mu_box), complement(sigma, *sigma_box)
+    return (pair_possible(conjugate(mu), mu, sigma, conjugate(sigma))
+            and pair_possible(conjugate(mu_c), mu_c, sigma_c, conjugate(sigma_c)))
 
 
 def sum_copies_uncut(beta: tuple, copies: int, rank: int) -> dict:

@@ -3,13 +3,15 @@ import random
 import sys
 from contextlib import contextmanager
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (collision_free, contributions, graded_pair_mult, pair_possible,
-                     partitions_in_box, resolve_page_pairwise, strip_lr_expand)
+from oracles import (collision_free, complement, contributions, dual_pair_possible,
+                     graded_pair_mult, pair_possible, partitions_in_box,
+                     resolve_page_pairwise, strip_lr_expand)
 from quotbwb import pipeline, schur
 from quotbwb.bwb import (GrSpec, coh_bundle, coh_duals_nonempty, dual_side,
                          expand_side)
@@ -257,6 +259,31 @@ class TestKoszul:
         assert total == count
 
 
+def box_survivors(rows, cols, lams=None):
+    """Survivors of `lams` (None: every partition of the rows x cols box)
+    in the rows x cols box, with nothing beside them."""
+    inputs = (GrSpec(rows, rows + cols), cols, [], None)
+    if lams is None:
+        lams = partitions_in_box(rows, cols)
+    return [pipeline._Survivor(lam, inputs) for lam in lams]
+
+
+def survivor_box(s):
+    """(rows, cols) of a survivor's box."""
+    return s.inputs[0].k, s.inputs[1]
+
+
+def oracle_join(t, firsts, seconds):
+    """(t, mu, sigma) of two survivor lists of one t joined by the oracle:
+    the pair and its complement pair pass `pair_possible`, then both
+    factor tables, built by `coh_duals`, are nonempty.  The pair alone is
+    tested first, on the survivors' conjugates, to skip most conjugates."""
+    return [(t, f1.lam, f2.lam) for f1 in firsts for f2 in seconds
+            if pair_possible(f1.dag, f1.lam, f2.lam, f2.dag)
+            and dual_pair_possible(f1.lam, survivor_box(f1), f2.lam, survivor_box(f2))
+            and f1.table() and f2.table()]
+
+
 # Setups small enough for the full expansion: n <= 3 and rank_k <= 28.
 _PRUNE_SETUPS = [s for s in (QuotSetup(n, r, d, b, m=sum(b) + d + e)
                              for n in (2, 3) for r in range(1, n)
@@ -267,22 +294,42 @@ _PRUNE_SETUPS = [s for s in (QuotSetup(n, r, d, b, m=sum(b) + d + e)
 
 
 class TestPairPrefilter:
-    def test_one_walk_matches_meet_oracle(self, monkeypatch):
-        # every ordered pair of partitions of at most 9, sizes unequal
-        # included, handed to the join as the survivors of one t: Dvir's
-        # four bounds on the survivor keys and the two meet walks against
-        # the oracle's parts and meet tuples, pair for pair in order
-        parts = [lam for n in range(10) for lam in partitions_in_box(n, n, n)]
-        assert len(parts) == 97
-        survivors = [pipeline._Survivor(lam, None) for lam in parts]
+    @staticmethod
+    def _join_one_t(monkeypatch, firsts, seconds):
+        """The join of two survivor lists handed to it as those of t = 0,
+        and the oracle's: `pair_possible` on the pair and on its built
+        complement pair, pair for pair in order."""
         monkeypatch.setattr(pipeline, "_factor_survivors",
-                            lambda params, factor, a, b, t: survivors if t == 0 else [])
+                            lambda params, factor, a, b, t:
+                            (firsts if factor == 1 else seconds) if t == 0 else [])
         got = [(t, f1.lam, f2.lam) for t, f1, f2 in
                pipeline._candidate_pairs(stromme(QuotSetup(2, 1, 1)), InsertionSpec())]
-        want = [(0, f1.lam, f2.lam) for f1 in survivors for f2 in survivors
-                if pair_possible(f1.dag, f1.lam, f2.lam, f2.dag)]
+        want = [(0, f1.lam, f2.lam) for f1 in firsts for f2 in seconds
+                if dual_pair_possible(f1.lam, survivor_box(f1), f2.lam, survivor_box(f2))]
+        own = sum(pair_possible(f1.dag, f1.lam, f2.lam, f2.dag)
+                  for f1 in firsts for f2 in seconds)
+        return got, want, own
+
+    def test_one_walk_matches_meet_oracle(self, monkeypatch):
+        # every ordered pair of partitions of at most 9, sizes unequal
+        # included, in 9 x 9 boxes: Dvir's four bounds on the pair's keys
+        # and on its complement's keys, and the four meet walks, against
+        # the oracle's parts and meet tuples
+        parts = [lam for n in range(10) for lam in partitions_in_box(n, n, n)]
+        assert len(parts) == 97
+        got, want, own = self._join_one_t(monkeypatch, box_survivors(9, 9, parts),
+                                          box_survivors(9, 9, parts))
         assert got == want
-        assert 0 < len(got) < len(parts) ** 2
+        assert 0 < len(got) <= own < len(parts) ** 2
+
+    def test_one_walk_matches_oracle_in_koszul_boxes(self, monkeypatch):
+        # every ordered pair of the partitions of the boxes of k1 = 4,
+        # r2 = 3, sizes unequal included, where the complement pair cuts
+        firsts, seconds = box_survivors(4, 6), box_survivors(3, 8)
+        assert (len(firsts), len(seconds)) == (210, 165)
+        got, want, own = self._join_one_t(monkeypatch, firsts, seconds)
+        assert got == want
+        assert 0 < len(got) < own
 
     @pytest.mark.parametrize("setup, ins", [
         (QuotSetup(2, 1, 2, m=6), InsertionSpec()),
@@ -291,17 +338,23 @@ class TestPairPrefilter:
         (QuotSetup(3, 1, 1, m=4), InsertionSpec()),
         EXAMPLES["sharp"][:2],
         EXAMPLES["sym2"][:2],
-    ], ids=["212m6", "212m7", "212m8", "311m4", "sharp", "sym2"])
+        # the thm41 sweep's largest page, insertions beside both partitions
+        (QuotSetup(2, 1, 1, m=5), InsertionSpec(b1=((1,) + (0,) * 5,),
+                                                b2=((1,) + (0,) * 6,))),
+        # k1 = 0: the first factor's box has no row
+        (QuotSetup(2, 1, 1, m=1), InsertionSpec(b2=((1, 0, 0),))),
+    ], ids=["212m6", "212m7", "212m8", "311m4", "sharp", "sym2", "thm41m5", "k1=0"])
     def test_real_pages_match_oracle_join(self, setup, ins):
-        # the real survivor lists of every t, joined by the oracle
+        # the real candidate lists of every t, joined by the oracle: the
+        # pair and its complement pair pass `pair_possible`, then both
+        # tables are nonempty
         p = stromme(setup)
         a1, b1, a2, b2 = ins.key()
         want = []
         for t in range(p.rank_k + 1):
             firsts = pipeline._factor_survivors(p, 1, a1, b1, t)
             seconds = pipeline._factor_survivors(p, 2, a2, b2, t) if firsts else []
-            want.extend((t, f1.lam, f2.lam) for f1 in firsts for f2 in seconds
-                        if pair_possible(f1.dag, f1.lam, f2.lam, f2.dag))
+            want.extend(oracle_join(t, firsts, seconds))
         got = [(t, f1.lam, f2.lam) for t, f1, f2 in pipeline._candidate_pairs(p, ins)]
         assert got == want
         assert got
@@ -340,6 +393,70 @@ class TestPairPrefilter:
         assert koszul_pair_mult((1, 1, 1, 1), (4,)) == 0
         assert not pair_possible((1, 1, 1, 1), (4,), (4,), (1, 1, 1, 1))
         assert pair_possible((2, 1), (2, 1), (2, 1), (2, 1))
+
+
+class TestKoszulDuality:
+    """The complement filter of `_candidate_pairs`: Lambda^t K^dual is
+    dual to Lambda^{N-t} K^dual up to det, so a pair and its complement
+    pair in the k1 x 2r2 and r2 x 2k1 boxes have one multiplicity."""
+
+    # every box pair with k1, r2 <= 4 and k1 r2 <= 12, empty boxes included
+    BOXES = [(k1, r2) for k1 in range(5) for r2 in range(5) if k1 * r2 <= 12]
+
+    def test_identity_and_filter_on_every_pair(self, monkeypatch):
+        # koszul_pair_mult(mu^dag, sigma) == koszul_pair_mult((mu^c)^dag,
+        # sigma^c) on every equal-size pair, and the join, handed every
+        # partition of both boxes at each t, drops no nonzero pair
+        pairs = nonzero = 0
+        for k1, r2 in self.BOXES:
+            firsts, seconds = box_survivors(k1, 2 * r2), box_survivors(r2, 2 * k1)
+            monkeypatch.setattr(pipeline, "_factor_survivors",
+                                lambda params, factor, a, b, t:
+                                [s for s in (firsts if factor == 1 else seconds)
+                                 if size(s.lam) == t])
+            kept = {(f1.lam, f2.lam) for _, f1, f2 in pipeline._candidate_pairs(
+                SimpleNamespace(rank_k=2 * k1 * r2), InsertionSpec())}
+            for f1 in firsts:
+                for f2 in seconds:
+                    if size(f1.lam) != size(f2.lam):
+                        continue
+                    pairs += 1
+                    mult = koszul_pair_mult(conjugate(f1.lam), f2.lam)
+                    mu_c = complement(f1.lam, k1, 2 * r2)
+                    sigma_c = complement(f2.lam, r2, 2 * k1)
+                    assert koszul_pair_mult(conjugate(mu_c), sigma_c) == mult, \
+                        (k1, r2, f1.lam, f2.lam)
+                    if mult:
+                        nonzero += 1
+                        assert (f1.lam, f2.lam) in kept, (k1, r2, f1.lam, f2.lam)
+        assert (pairs, nonzero) == (5231, 3237)
+
+    def test_complement_keys_match_built_complement(self):
+        # the four complement keys read off lam equal the keys of the built
+        # complement, and `complement()` builds it, in every box with 0-4
+        # rows, the row-less box included
+        seen = 0
+        for rows in range(5):
+            for cols in range(7):
+                for s in box_survivors(rows, cols):
+                    c = complement(s.lam, rows, cols)
+                    c_dag = conjugate(c)
+                    assert s.complement() == (c, c_dag), (rows, cols, s.lam)
+                    assert (s.ch, s.cw, s.ch2, s.cw2) == \
+                        (len(c), part(c, 1), part(c_dag, 1) + part(c_dag, 2),
+                         part(c, 1) + part(c, 2)), (rows, cols, s.lam)
+                    assert (s.h, s.w, s.h2, s.w2) == \
+                        (len(s.lam), part(s.lam, 1), part(s.dag, 1) + part(s.dag, 2),
+                         part(s.lam, 1) + part(s.lam, 2)), (rows, cols, s.lam)
+                    seen += 1
+        assert seen == sum(len(partitions_in_box(r, c)) for r in range(5) for c in range(7))
+        assert box_survivors(0, 6)[0].cw == 0
+
+    def test_conjugate_and_complement_are_built_on_first_read(self):
+        s = box_survivors(3, 4, [(2, 1)])[0]
+        assert s._dag is None and s._comp is None and s.live is None
+        assert s.dag == (2, 1) and s.complement() == ((4, 3, 2), (3, 3, 2, 1))
+        assert s._dag == (2, 1) and s.alive() and s.live is True
 
 
 class TestPairAlphas:
@@ -429,7 +546,7 @@ class TestPairAlphas:
             finally:
                 sys.setprofile(None)
             assert kept == ([()] if not f2.lam else []), (f1.lam, f2.lam)
-        assert len(calls) == 134 and max(calls) <= 3 and sum(calls) <= 350, calls
+        assert len(calls) == 15 and max(calls) <= 3 and sum(calls) <= 350, calls
 
 
 class TestPairLevels:
@@ -631,9 +748,9 @@ class TestPool:
         setup = QuotSetup(2, 1, 1, m=5)
         p = stromme(setup)
         ins = InsertionSpec(b1=(as_weight((1,), p.r1),), b2=(as_weight((1,), p.r2),))
-        assert len(pipeline._candidate_pairs(p, ins)) == 251
+        assert len(pipeline._candidate_pairs(p, ins)) == 39
         assert verify_thm41(setup, (1,), (1,)).matches
-        # the m=8 scan of (2, 1, 2); its 9738 candidate pairs are pinned in
+        # the m=8 scan of (2, 1, 2); its 1511 candidate pairs are pinned in
         # TestScans
         assert e1_page(stromme(QuotSetup(2, 1, 2, m=8))).entries
 
@@ -663,8 +780,8 @@ def oracle_candidate_pairs(params):
     sigma^dual on B2 of Gr(k2, n2) against the trivial rho-side summand,
     dead sets {rho_i + k2 - i}.  Each factor's candidates of size t come
     from the per-size oracle walk `collision_free`, kept when
-    `coh_duals_nonempty`, joined by `pair_possible` in the order
-    mu, then sigma."""
+    `coh_duals_nonempty`, joined by `pair_possible` on the pair and on its
+    complement pair (`dual_pair_possible`) in the order mu, then sigma."""
     gr1, gr2 = params.gr1, GrSpec(params.k2, params.n2)
     chis = dual_side(expand_side((), gr1.quotient_rank))
     rhos = dual_side(expand_side((), gr2.k))
@@ -684,14 +801,24 @@ def oracle_candidate_pairs(params):
             [(lam, conjugate(lam)) for lam in collision_free(rows, min(cols, t), t, dead)
              if survives(lam)]
             for t in range(params.rank_k + 1)]
+    boxes = (params.k1, 2 * params.r2), (params.r2, 2 * params.k1)
     return [(t, mu, sigma) for t in range(params.rank_k + 1)
-            for mu, theta in lists[1][t] for sigma, sigma_dag in lists[2][t]
-            if pair_possible(theta, mu, sigma, sigma_dag)]
+            for mu, _ in lists[1][t] for sigma, _ in lists[2][t]
+            if dual_pair_possible(mu, boxes[0], sigma, boxes[1])]
 
 
 def materialized(survivors):
-    """A survivor list with each deferred table built: [(lam, lam', table)]."""
-    return [(s.lam, s.dag, s.table()) for s in survivors]
+    """The survivors of a candidate list whose table is nonempty
+    (`_Survivor.alive`), each deferred table built: [(lam, lam', table)]."""
+    return [(s.lam, s.dag, s.table()) for s in survivors if s.alive()]
+
+
+def assert_lists_oracle(got, want, where):
+    """A candidate list holds the oracle's survivors, in order, and its
+    alive survivors are exactly those."""
+    assert materialized(got) == want, where
+    lams = [s.lam for s in got]
+    assert set(lams) >= {lam for lam, _, _ in want}, where
 
 
 @contextmanager
@@ -845,9 +972,9 @@ class TestFactorSurvivors:
                 for factor, a, b, raw in ((1, a1, b1, (ins.a1, ins.b1)),
                                           (2, a2, b2, (ins.a2, ins.b2))):
                     got = pipeline._factor_survivors(p, factor, a, b, t)
-                    assert materialized(got) == oracle_factor_survivors(
-                        p, factor, *raw, t), (ins, factor, t)
-                    survived += len(got)
+                    assert_lists_oracle(got, oracle_factor_survivors(p, factor, *raw, t),
+                                        (ins, factor, t))
+                    survived += len(materialized(got))
         assert survived
 
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -861,13 +988,15 @@ class TestFactorSurvivors:
             with recorded_candidates() as walks:
                 for t in range(p.rank_k + 1):
                     got = pipeline._factor_survivors(p, factor, a, b, t)
-                    assert materialized(got) == oracle_factor_survivors(
-                        p, factor, *raw, t), (ins, factor, t)
-                    # nothing beside the Koszul partition: the criterion is
-                    # exact, so every candidate survives
+                    want = oracle_factor_survivors(p, factor, *raw, t)
+                    assert_lists_oracle(got, want, (ins, factor, t))
+                    # the list is the walk's output; with nothing beside the
+                    # Koszul partition the criterion is exact, so every
+                    # candidate survives
                     candidates = walks[0].get(t, []) if walks else []
+                    assert [s.lam for s in got] == candidates, (ins, factor, t)
                     beside = a if factor == 1 else b
-                    assert beside or [s.lam for s in got] == candidates, \
+                    assert beside or candidates == [lam for lam, _, _ in want], \
                         (ins, factor, t)
             # one walk serves every t of a factor
             assert len(walks) <= 1, (ins, factor)
@@ -914,8 +1043,27 @@ class TestFactorSurvivors:
         e1_page(p, InsertionSpec(a1=((1,),)))
         assert len(calls) > 0
 
+    def test_nonempty_tests_only_inside_joined_pairs(self, monkeypatch):
+        # the thm41 sweep's largest page: insertions beside both Koszul
+        # partitions, so candidates are tested for a surviving term, but
+        # only those in a pair that passed every key and meet test, each
+        # once (330 tests when every candidate was tested)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return coh_duals_nonempty(*args)
+
+        monkeypatch.setattr(pipeline, "coh_duals_nonempty", counted)
+        monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
+        setup = QuotSetup(2, 1, 1, m=5)
+        assert verify_thm41(setup, (1,), (1,)).matches
+        assert 0 < len(calls) <= 56
+        verify_thm41(setup, (1,), (1,))
+        assert len(calls) <= 56
+
     def test_tables_only_for_nonzero_pairs(self):
-        # the m=6 scan of (2, 1, 2) joins its survivors into 134 candidate
+        # the m=6 scan of (2, 1, 2) joins its survivors into 15 candidate
         # pairs, one of them nonzero: only that pair's two factor tables
         # are built, and a second page reuses them
         p = stromme(QuotSetup(2, 1, 2, m=6))
@@ -925,7 +1073,7 @@ class TestFactorSurvivors:
             assert calls == []
             page = e1_page(p)
             assert e1_page(p) == page
-        assert len(pairs) == 134
+        assert len(pairs) == 15
         # 1215 survivors at the t the page reads (the sigma lists only where
         # some mu survives); the two walks keep 1221 over every t
         read = 0
@@ -949,7 +1097,7 @@ class TestFactorSurvivors:
         got = [(t, f1.lam, f2.lam)
                for t, f1, f2 in pipeline._candidate_pairs(p, InsertionSpec())]
         assert got == oracle_candidate_pairs(p)
-        assert len(got) == {6: 134, 7: 1054}[m]
+        assert len(got) == {6: 15, 7: 164}[m]
 
     def test_misordered_weight_raises(self):
         p = stromme(QuotSetup(2, 1, 1, m=3))
@@ -1062,7 +1210,7 @@ class TestScans:
         # the bench scan of (2, 1, 2) and the next two twists: only t = 0
         # survives, from the trivial pair
         p = stromme(QuotSetup(2, 1, 2, m=m))
-        candidates = {6: 134, 7: 1054, 8: 9738}[m]
+        candidates = {6: 15, 7: 164, 8: 1511}[m]
         assert len(pipeline._candidate_pairs(p, InsertionSpec())) == candidates
         assert e1_page(p).entries == {(0, 0): 1}
         assert contributions(p) == {(0, 0): [((), (), 1, 1)]}
