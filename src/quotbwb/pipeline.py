@@ -8,6 +8,7 @@ provably zero or forced (nonnegativity pinning, Euler pinning), otherwise
 per-degree bounds are reported.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
@@ -241,10 +242,39 @@ class _Survivor:
         return self.built
 
 
+class _FactorLists(Mapping):
+    """One factor's survivor lists by t, nonempty sizes only: `lams` holds
+    the collision-free walk of its box up to size `cap`, and each size's
+    `_Survivor` list is built from those lam tuples on the first read of
+    that size, then kept.  A walk to a larger cap replaces `lams` and
+    keeps the built lists: capped at c, the walk lists every size up to c
+    exactly as the whole walk does (`_collision_free_by_size`)."""
+
+    __slots__ = ("inputs", "dead", "cap", "lams", "built")
+
+    def __init__(self, inputs: tuple, dead: Optional[list[frozenset[int]]]):
+        self.inputs, self.dead = inputs, dead
+        self.cap, self.lams, self.built = -1, {}, {}
+
+    def __getitem__(self, t: int) -> list[_Survivor]:
+        got = self.built.get(t)
+        if got is None:
+            got = self.built[t] = [_Survivor(lam, self.inputs) for lam in self.lams[t]]
+        return got
+
+    def __contains__(self, t) -> bool:
+        return t in self.lams
+
+    def __iter__(self):
+        return iter(self.lams)
+
+    def __len__(self) -> int:
+        return len(self.lams)
+
+
 # Factor survivors, keyed on (params, factor, normalized insertions on
-# that factor), each mapping t to its nonempty list; filled by
-# _factor_survivors.
-_SURVIVOR_CACHE: dict[tuple, dict[int, list[_Survivor]]] = {}
+# that factor), one `_FactorLists` each; filled by _factor_survivors.
+_SURVIVOR_CACHE: dict[tuple, _FactorLists] = {}
 
 
 def _times(entries: Entries, product: Optional[Expansion]) -> Expansion:
@@ -347,22 +377,26 @@ def _factor_terms(gr: GrSpec, fixed: list, product: Optional[Expansion],
 
 
 def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
-                      t: int) -> list[_Survivor]:
-    """Koszul partitions of the t-th term that pass the factor's BWB
-    collision criterion, the candidates whose table may be nonempty.
+                      cap: Optional[int] = None) -> _FactorLists:
+    """Koszul partitions that pass the factor's BWB collision criterion,
+    the candidates whose table may be nonempty, by size t <= cap (None:
+    every size of the box).
 
     factor 1: mu in the k1 x 2r2 box with |mu| = t, table
     H(Gr(k1, n1), S^mu(A1) x a x b); factor 2: sigma in the r2 x 2k1 box
-    with |sigma| = t, table H(Gr(k2, n2), a x S^sigma(B2^dual) x b).  Each
-    candidate is a `_Survivor`, in the order of `_collision_free_by_size`.
-    `a` and `b` are tuples of entry tuples (`InsertionSpec.key()`), so
-    insertions given as lists or tuples with the same entries share one
-    memo entry.  The first call for a factor builds its lists for every t
-    at once: one `_factor_inputs` call, shared by every survivor,
-    validates and expands the fixed side and multiplies out the
-    insertions beside the partition (P; an empty product, from a
-    partition too long for its bundle, empties every list), and one walk
-    of the box yields every size's candidates.  Nothing is tensored here:
+    with |sigma| = t, table H(Gr(k2, n2), a x S^sigma(B2^dual) x b).  The
+    memo entry, a `_FactorLists`, maps each t with candidates to its
+    `_Survivor` list, in the order of `_collision_free_by_size`.  `a` and
+    `b` are tuples of entry tuples (`InsertionSpec.key()`), so insertions
+    given as lists or tuples with the same entries share one memo entry.
+    The first call for a factor makes one `_factor_inputs` call, shared by
+    every survivor: it validates and expands the fixed side and multiplies
+    out the insertions beside the partition (P; an empty product, from a
+    partition too long for its bundle, empties every list).  One walk of
+    the box up to the cap yields every such size's lam tuples; a call
+    with a cap at or below the entry's walks nothing (the entry may hold
+    sizes past the cap), a larger one walks again to its cap.  A size's
+    survivors are built on its first read.  Nothing is tensored here:
     `_candidate_pairs` tests a candidate's table for a surviving term
     (`_Survivor.alive`) only in a pair that passed its cheaper tests.  The
     criterion, on the Grassmannian Gr(k, n) of `_factor_inputs`, with the
@@ -387,17 +421,21 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
     key = (params, factor, a, b)
     lists = _SURVIVOR_CACHE.get(key)
     if lists is None:
-        lists = {}
         inputs = _factor_inputs(*key)
-        gr, cols, fixed, product = inputs
+        _, _, fixed, product = inputs
+        dead = None
         if fixed and product != {}:
             lo, hi = _window(product)
-            dead = {_dead_values({1 + j - x for j, x in enumerate(chi)}, lo, hi)
-                    for chi, _ in fixed}
-            lists = {total: [_Survivor(lam, inputs) for lam in lams] for total, lams
-                     in _collision_free_by_size(gr.k, cols, list(dead)).items()}
-        _SURVIVOR_CACHE[key] = lists
-    return lists.get(t, [])
+            dead = list({_dead_values({1 + j - x for j, x in enumerate(chi)}, lo, hi)
+                         for chi, _ in fixed})
+        lists = _SURVIVOR_CACHE[key] = _FactorLists(inputs, dead)
+    gr, cols = lists.inputs[0], lists.inputs[1]
+    cap = gr.k * cols if cap is None else min(cap, gr.k * cols)
+    if cap > lists.cap:
+        if lists.dead is not None:
+            lists.lams = _collision_free_by_size(gr.k, cols, lists.dead, cap)
+        lists.cap = cap
+    return lists
 
 
 def _within_double_meet(a: Partition, b: Partition) -> bool:
@@ -418,12 +456,16 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
     the first factor, f2 that of sigma on the second, ordered by t, then
     mu, then sigma.
 
-    The candidates come from the memoized lists of `_factor_survivors`
-    (the sigma lists are read only at the t where some mu is listed).
-    Each test runs only on a pair that passed every one before it: the
-    eight Dvir keys of the pair and its complement pair (those that fail
-    most often on the scans first), the pair's two meet walks, the
-    complement pair's two, and last whether both factor tables are
+    The candidates come from the memoized lists of `_factor_survivors`.
+    Every term has |mu| = |sigma| = t, so a t lacking either list has no
+    pair: the sigma walk covers its whole box, the mu walk stops at the
+    largest sigma size (past it every sigma list is empty), and only the
+    sizes both factors list are visited, in increasing t, each list in
+    walk order; so no pair is lost and the order is that of a visit of
+    every t.  Each test runs only on a pair that passed every one before
+    it: the eight Dvir keys of the pair and its complement pair (those
+    that fail most often on the scans first), the pair's two meet walks,
+    the complement pair's two, and last whether both factor tables are
     nonempty (`_Survivor.alive`).  All but the last are necessary for
     koszul_pair_mult(theta, sigma) != 0, theta = mu^dag; none asserts a
     nonzero multiplicity, and the kernel evaluates the pair itself.  The
@@ -461,16 +503,15 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
     c((mu^c)^dag, sigma^c).  `complement()` is (lam^c, its conjugate).
     """
     a1, b1, a2, b2 = ins.key()
+    seconds = _factor_survivors(params, 2, a2, b2)
+    firsts = _factor_survivors(params, 1, a1, b1, max(seconds, default=-1))
     out = []
-    for t in range(params.rank_k + 1):
-        firsts = _factor_survivors(params, 1, a1, b1, t)
-        if not firsts:
-            continue
-        seconds = _factor_survivors(params, 2, a2, b2, t)
-        for f1 in firsts:
+    for t in sorted(t for t in seconds if t in firsts):
+        seconds_t = seconds[t]
+        for f1 in firsts[t]:
             h, w, h2, w2 = f1.h, f1.w, f1.h2, f1.w2
             ch, cw, ch2, cw2 = f1.ch, f1.cw, f1.ch2, f1.cw2
-            out.extend((t, f1, f2) for f2 in seconds
+            out.extend((t, f1, f2) for f2 in seconds_t
                        if cw <= f2.ch2 and f2.w <= h2 and w <= f2.h2 and f2.cw <= ch2
                        and f2.h <= w2 and h <= f2.w2 and f2.ch <= cw2 and ch <= f2.cw2
                        and _within_double_meet(f1.dag, f2.lam)

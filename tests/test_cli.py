@@ -10,7 +10,7 @@ import pytest
 
 import quotbwb
 
-from quotbwb import pipeline
+from quotbwb import complexes, pipeline
 from quotbwb.cli import build_parser, main, run
 from quotbwb.partitions import InconsistencyError
 
@@ -272,6 +272,34 @@ def test_bench_argvs_reproduce_pins(capsys):
         if why:
             failed.append((" ".join(argv), why))
     assert not failed, (len(failed), failed[:5])
+
+
+def test_hyper_space_sigma_walks_stop_first(monkeypatch, capsys):
+    # on every page the bench's hyper space builds, the sigma walk's last
+    # size is at most the mu walk's, and no page has insertions beside
+    # both partitions (a1 and b2); `TestPairPrefilter` in
+    # `tests/test_pipeline.py` joins a page outside this space that has
+    # both, where the sigma walk reaches further.
+    pages = {}
+    join = pipeline._candidate_pairs
+
+    def recorded(params, ins):
+        pages[(params, ins.key())] = None
+        return join(params, ins)
+
+    monkeypatch.setattr(complexes, "_SCAN_CACHE", {})
+    monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
+    monkeypatch.setattr(pipeline, "_candidate_pairs", recorded)
+    hyper, sx = load_bench("workloads").hyper_space()
+    for argv in hyper + sx:
+        run(argv)
+    capsys.readouterr()
+    assert len(pages) == 449
+    for params, (a1, b1, a2, b2) in pages:
+        assert not (a1 and b2), (params, a1, b2)
+        reach = [max(pipeline._factor_survivors(params, factor, a, b), default=-1)
+                 for factor, a, b in ((1, a1, b1), (2, a2, b2))]
+        assert reach[1] <= reach[0], (params, a1, b1, a2, b2, reach)
 
 
 SETUP = {"--n": "2", "--r": "1", "--d": "1", "--m": "2"}

@@ -268,6 +268,15 @@ def box_survivors(rows, cols, lams=None):
     return [pipeline._Survivor(lam, inputs) for lam in lams]
 
 
+def by_size(survivors):
+    """{t: the survivors of size t}, in order, nonempty sizes only: the
+    lists of a `_factor_survivors` entry."""
+    out = {}
+    for s in survivors:
+        out.setdefault(size(s.lam), []).append(s)
+    return out
+
+
 def survivor_box(s):
     """(rows, cols) of a survivor's box."""
     return s.inputs[0].k, s.inputs[1]
@@ -300,8 +309,8 @@ class TestPairPrefilter:
         and the oracle's: `pair_possible` on the pair and on its built
         complement pair, pair for pair in order."""
         monkeypatch.setattr(pipeline, "_factor_survivors",
-                            lambda params, factor, a, b, t:
-                            (firsts if factor == 1 else seconds) if t == 0 else [])
+                            lambda params, factor, a, b, cap=None:
+                            {0: firsts if factor == 1 else seconds})
         got = [(t, f1.lam, f2.lam) for t, f1, f2 in
                pipeline._candidate_pairs(stromme(QuotSetup(2, 1, 1)), InsertionSpec())]
         want = [(0, f1.lam, f2.lam) for f1 in firsts for f2 in seconds
@@ -338,26 +347,48 @@ class TestPairPrefilter:
         (QuotSetup(3, 1, 1, m=4), InsertionSpec()),
         EXAMPLES["sharp"][:2],
         EXAMPLES["sym2"][:2],
-        # the thm41 sweep's largest page, insertions beside both partitions
-        (QuotSetup(2, 1, 1, m=5), InsertionSpec(b1=((1,) + (0,) * 5,),
-                                                b2=((1,) + (0,) * 6,))),
+        # the pages of the thm41 sweep, an insertion on each quotient
+        *[(QuotSetup(2, 1, 1, m=m), InsertionSpec(b1=((1,) + (0,) * m,),
+                                                   b2=((1,) + (0,) * (m + 1),)))
+          for m in range(2, 6)],
+        # insertions beside both partitions, and the sigma walk reaching
+        # past the mu walk (t = 24 against 23), so the cap does not bind;
+        # no page of the bench's hyper space does either
+        (QuotSetup(3, 1, 1, m=2), InsertionSpec(a1=((-1,),), b1=((3, 3),),
+                                                a2=((2, 1),), b2=((3, 3),))),
         # k1 = 0: the first factor's box has no row
         (QuotSetup(2, 1, 1, m=1), InsertionSpec(b2=((1, 0, 0),))),
-    ], ids=["212m6", "212m7", "212m8", "311m4", "sharp", "sym2", "thm41m5", "k1=0"])
-    def test_real_pages_match_oracle_join(self, setup, ins):
-        # the real candidate lists of every t, joined by the oracle: the
-        # pair and its complement pair pass `pair_possible`, then both
-        # tables are nonempty
+    ], ids=["212m6", "212m7", "212m8", "311m4", "sharp", "sym2", "thm41m2", "thm41m3",
+            "thm41m4", "thm41m5", "beside_both", "k1=0"])
+    def test_real_pages_match_oracle_join(self, monkeypatch, setup, ins):
+        # the join from cold memos against the oracle join of the whole
+        # walks' lists at every t: the pair and its complement pair pass
+        # `pair_possible`, then both tables are nonempty
         p = stromme(setup)
         a1, b1, a2, b2 = ins.key()
+        monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
+        got = [(t, f1.lam, f2.lam) for t, f1, f2 in pipeline._candidate_pairs(p, ins)]
+        firsts = pipeline._factor_survivors(p, 1, a1, b1)
+        seconds = pipeline._factor_survivors(p, 2, a2, b2)
+        assert firsts.cap == seconds.cap == p.rank_k
         want = []
         for t in range(p.rank_k + 1):
-            firsts = pipeline._factor_survivors(p, 1, a1, b1, t)
-            seconds = pipeline._factor_survivors(p, 2, a2, b2, t) if firsts else []
-            want.extend(oracle_join(t, firsts, seconds))
-        got = [(t, f1.lam, f2.lam) for t, f1, f2 in pipeline._candidate_pairs(p, ins)]
+            want.extend(oracle_join(t, firsts.get(t, []), seconds.get(t, [])))
         assert got == want
         assert got
+
+    def test_sigma_walk_reaches_past_mu_walk(self, monkeypatch):
+        # the beside_both page above: the sigma walk's last size is the
+        # whole box, past the mu walk's, so the join walks mu's whole box
+        p = stromme(QuotSetup(3, 1, 1, m=2))
+        ins = InsertionSpec(a1=((-1,),), b1=((3, 3),), a2=((2, 1),), b2=((3, 3),))
+        a1, b1, a2, b2 = ins.key()
+        monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
+        assert len(pipeline._candidate_pairs(p, ins)) == 253
+        firsts = pipeline._SURVIVOR_CACHE[(p, 1, a1, b1)]
+        seconds = pipeline._SURVIVOR_CACHE[(p, 2, a2, b2)]
+        assert (max(firsts), max(seconds)) == (23, 24)
+        assert firsts.cap == seconds.cap == p.rank_k == 24
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.data())
@@ -411,9 +442,8 @@ class TestKoszulDuality:
         for k1, r2 in self.BOXES:
             firsts, seconds = box_survivors(k1, 2 * r2), box_survivors(r2, 2 * k1)
             monkeypatch.setattr(pipeline, "_factor_survivors",
-                                lambda params, factor, a, b, t:
-                                [s for s in (firsts if factor == 1 else seconds)
-                                 if size(s.lam) == t])
+                                lambda params, factor, a, b, cap=None:
+                                by_size(firsts if factor == 1 else seconds))
             kept = {(f1.lam, f2.lam) for _, f1, f2 in pipeline._candidate_pairs(
                 SimpleNamespace(rank_k=2 * k1 * r2), InsertionSpec())}
             for f1 in firsts:
@@ -525,10 +555,17 @@ class TestPairAlphas:
         assert dropped == 3346
 
     def test_failing_prefixes_are_not_extended(self):
-        # the middle levels of the m=6 scan of (2, 1, 2): the generator's
-        # recursion stops within three rows on every pair; with the cut
-        # tested only on complete alphas it makes 3599 calls
+        # the middle levels of the m=6 scan of (2, 1, 2), on the 134 pairs
+        # of its survivor lists that pass the pair's own keys and meet
+        # walks (the join's complement tests keep 15 of them): the
+        # generator's recursion stops within three rows on every pair;
+        # with the cut tested only on complete alphas it makes 3599 calls
         p = stromme(QuotSetup(2, 1, 2, m=6))
+        firsts = pipeline._factor_survivors(p, 1, (), ())
+        seconds = pipeline._factor_survivors(p, 2, (), ())
+        pairs = [(f1, f2) for t in sorted(firsts.keys() & seconds.keys())
+                 for f1 in firsts[t] for f2 in seconds[t]
+                 if pair_possible(f1.dag, f1.lam, f2.lam, f2.dag)]
         calls = []
 
         def count(frame, event, arg):
@@ -537,7 +574,7 @@ class TestPairAlphas:
 
         rec_code = next(c for c in _pair_alphas.__code__.co_consts
                         if getattr(c, "co_name", None) == "rec")
-        for _, f1, f2 in pipeline._candidate_pairs(p, InsertionSpec()):
+        for f1, f2 in pairs:
             half = (size(f2.lam) + 1) // 2
             calls.append(0)
             sys.setprofile(count)
@@ -546,7 +583,7 @@ class TestPairAlphas:
             finally:
                 sys.setprofile(None)
             assert kept == ([()] if not f2.lam else []), (f1.lam, f2.lam)
-        assert len(calls) == 15 and max(calls) <= 3 and sum(calls) <= 350, calls
+        assert len(calls) == 134 and max(calls) <= 3 and sum(calls) <= 350, calls
 
 
 class TestPairLevels:
@@ -605,9 +642,9 @@ class TestRowCapNeverBinds:
                         InsertionSpec(b1=((1,) + (0,) * (p.r1 - 2) + (-1,),))):
                 e1_page(p, ins)
                 _, _, a2, b2 = ins.key()
-                for t in range(p.rank_k + 1):
-                    survivors.extend((p.r2, s.lam)
-                                     for s in pipeline._factor_survivors(p, 2, a2, b2, t))
+                survivors.extend((p.r2, s.lam)
+                                 for lst in pipeline._factor_survivors(p, 2, a2, b2).values()
+                                 for s in lst)
         sigmas = calls + survivors
         assert len(sigmas) > 1000
         assert all(len(sigma) <= r2 for r2, sigma in sigmas)
@@ -736,6 +773,42 @@ class TestSurvivorMemo:
         assert len(pipeline._SURVIVOR_CACHE) == held
 
 
+class TestSurvivorCap:
+    """One memo entry per factor, walked to the largest cap asked of it."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 5),
+           st.lists(st.frozensets(st.integers(-5, 5), max_size=4), max_size=3),
+           st.integers(-1, 21), st.integers(-1, 21))
+    def test_capped_entry_matches_whole_walk(self, rows, cols, dead, low, high):
+        # a request at one cap, then at another, in both orders, against
+        # the cold uncapped walk cut at each cap; a larger cap walks again,
+        # a smaller one reuses the entry, and built lists are kept
+        whole = pipeline._collision_free_by_size(rows, cols, dead)
+        box = rows * cols
+        key = ("box", 1, (), ())
+        for caps in ((low, high), (high, low)):
+            entry = pipeline._FactorLists((GrSpec(rows, rows + cols), cols, [], None), dead)
+            saved, pipeline._SURVIVOR_CACHE = pipeline._SURVIVOR_CACHE, {key: entry}
+            try:
+                reached, read = -1, {}
+                for cap in caps:
+                    with recorded_candidates() as walks:
+                        lists = pipeline._factor_survivors(*key, cap)
+                    assert lists is entry
+                    assert len(walks) == (min(cap, box) > reached), (caps, cap)
+                    reached = max(reached, min(cap, box))
+                    assert entry.cap == reached
+                    assert {t: [s.lam for s in lists[t]] for t in lists if t <= cap} == \
+                        {t: lams for t, lams in whole.items() if t <= cap}, (caps, cap)
+                    assert {t: [s.lam for s in lists[t]] for t in lists} == \
+                        {t: lams for t, lams in whole.items() if t <= reached}, (caps, cap)
+                    assert all(lists[t] is lst for t, lst in read.items())
+                    read.update((t, lists[t]) for t in lists)
+            finally:
+                pipeline._SURVIVOR_CACHE = saved
+
+
 class TestPool:
     """`e1_page` computes every page in this process."""
 
@@ -838,6 +911,25 @@ def recorded_candidates():
         yield walks
     finally:
         pipeline._collision_free_by_size = real
+
+
+@contextmanager
+def counted_survivors():
+    """Collects the lam of every `_Survivor` the pipeline builds."""
+    real, built = pipeline._Survivor, []
+
+    class Counted(real):
+        __slots__ = ()
+
+        def __init__(self, lam, inputs):
+            built.append(lam)
+            super().__init__(lam, inputs)
+
+    pipeline._Survivor = Counted
+    try:
+        yield built
+    finally:
+        pipeline._Survivor = real
 
 
 @contextmanager
@@ -971,7 +1063,7 @@ class TestFactorSurvivors:
             for t in range(p.rank_k + 1):
                 for factor, a, b, raw in ((1, a1, b1, (ins.a1, ins.b1)),
                                           (2, a2, b2, (ins.a2, ins.b2))):
-                    got = pipeline._factor_survivors(p, factor, a, b, t)
+                    got = pipeline._factor_survivors(p, factor, a, b).get(t, [])
                     assert_lists_oracle(got, oracle_factor_survivors(p, factor, *raw, t),
                                         (ins, factor, t))
                     survived += len(materialized(got))
@@ -987,7 +1079,7 @@ class TestFactorSurvivors:
                                   (2, a2, b2, (ins.a2, ins.b2))):
             with recorded_candidates() as walks:
                 for t in range(p.rank_k + 1):
-                    got = pipeline._factor_survivors(p, factor, a, b, t)
+                    got = pipeline._factor_survivors(p, factor, a, b).get(t, [])
                     want = oracle_factor_survivors(p, factor, *raw, t)
                     assert_lists_oracle(got, want, (ins, factor, t))
                     # the list is the walk's output; with nothing beside the
@@ -1016,7 +1108,7 @@ class TestFactorSurvivors:
                                       (2, p.r2, 2 * p.k1, p.k2)):
             with recorded_candidates() as walks:
                 for t in range(p.rank_k + 1):
-                    got = pipeline._factor_survivors(p, factor, (), (), t)
+                    got = pipeline._factor_survivors(p, factor, (), ()).get(t, [])
                     want = [lam for lam in partitions_in_box(rows, cols, t)
                             if t_index(lam, q) is not None]
                     assert walks[0].get(t, []) == want, (factor, t)
@@ -1044,10 +1136,11 @@ class TestFactorSurvivors:
         assert len(calls) > 0
 
     def test_nonempty_tests_only_inside_joined_pairs(self, monkeypatch):
-        # the thm41 sweep's largest page: insertions beside both Koszul
-        # partitions, so candidates are tested for a surviving term, but
-        # only those in a pair that passed every key and meet test, each
-        # once (330 tests when every candidate was tested)
+        # the thm41 sweep's largest page: an insertion on each quotient,
+        # the second beside sigma, so sigma candidates are tested for a
+        # surviving term, but only those in a pair that passed every key
+        # and meet test, each once (330 tests when every candidate was
+        # tested)
         calls = []
 
         def counted(*args):
@@ -1074,21 +1167,32 @@ class TestFactorSurvivors:
             page = e1_page(p)
             assert e1_page(p) == page
         assert len(pairs) == 15
-        # 1215 survivors at the t the page reads (the sigma lists only where
-        # some mu survives); the two walks keep 1221 over every t
-        read = 0
-        for t in range(p.rank_k + 1):
-            firsts = pipeline._factor_survivors(p, 1, (), (), t)
-            if firsts:
-                read += len(firsts) + len(pipeline._factor_survivors(p, 2, (), (), t))
-        assert read == 1215
-        assert sum(len(lst) for lists in pipeline._SURVIVOR_CACHE.values()
-                   for lst in lists.values()) == 1221
         assert contributions(p) == {(0, 0): [((), (), 1, 1)]}
         assert len(calls) == 2
         assert [(s.lam, s.built) for factor in (1, 2)
-                for s in pipeline._factor_survivors(p, factor, (), (), 0)] \
+                for s in pipeline._SURVIVOR_CACHE[(p, factor, (), ())][0]] \
             == [((), {0: 1}), ((), {0: 1})]
+
+    @pytest.mark.parametrize("setup, ins, most", [
+        (QuotSetup(2, 1, 2, m=6), InsertionSpec(), 669),
+        (*EXAMPLES["sym2"][:2], 16),
+    ], ids=["212m6", "sym2"])
+    def test_survivors_built_only_at_shared_sizes(self, monkeypatch, setup, ins, most):
+        # from cold memos a page walks mu only up to the last sigma size
+        # and builds survivors only at the t both factors list: 669 and 16,
+        # where building every walked size's survivors made 1221 and 173
+        p = stromme(setup)
+        a1, b1, a2, b2 = ins.key()
+        monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
+        with counted_survivors() as built:
+            e1_page(p, ins)
+        assert 0 < len(built) <= most
+        firsts = pipeline._SURVIVOR_CACHE[(p, 1, a1, b1)]
+        seconds = pipeline._SURVIVOR_CACHE[(p, 2, a2, b2)]
+        assert firsts.cap == max(seconds) < p.rank_k == seconds.cap
+        shared = firsts.keys() & seconds.keys()
+        assert firsts.built.keys() == seconds.built.keys() == shared
+        assert len(built) == sum(len(firsts[t]) + len(seconds[t]) for t in shared)
 
     @pytest.mark.parametrize("m", [6, 7])
     def test_candidate_order_matches_per_t_oracle(self, m):
@@ -1104,7 +1208,7 @@ class TestFactorSurvivors:
         for factor in (1, 2):
             for a, b in ((((0, 1),), ()), ((), ((0, 1),))):
                 with pytest.raises(ValueError):
-                    pipeline._factor_survivors(p, factor, a, b, 2)
+                    pipeline._factor_survivors(p, factor, a, b)
 
 
 class TestResolvePage:
