@@ -302,6 +302,13 @@ _PRUNE_SETUPS = [s for s in (QuotSetup(n, r, d, b, m=sum(b) + d + e)
                  if 0 < stromme(s).rank_k <= 28]
 
 
+# insertions beside both partitions (a1 and b2), and the sigma walk
+# reaching past the mu walk (t = 24 against 23), so the mu walk's cap does
+# not bind; no page of the bench's hyper space has either
+BESIDE_BOTH = (QuotSetup(3, 1, 1, m=2), InsertionSpec(a1=((-1,),), b1=((3, 3),),
+                                                      a2=((2, 1),), b2=((3, 3),)))
+
+
 class TestPairPrefilter:
     @staticmethod
     def _join_one_t(monkeypatch, firsts, seconds):
@@ -351,11 +358,7 @@ class TestPairPrefilter:
         *[(QuotSetup(2, 1, 1, m=m), InsertionSpec(b1=((1,) + (0,) * m,),
                                                    b2=((1,) + (0,) * (m + 1),)))
           for m in range(2, 6)],
-        # insertions beside both partitions, and the sigma walk reaching
-        # past the mu walk (t = 24 against 23), so the cap does not bind;
-        # no page of the bench's hyper space does either
-        (QuotSetup(3, 1, 1, m=2), InsertionSpec(a1=((-1,),), b1=((3, 3),),
-                                                a2=((2, 1),), b2=((3, 3),))),
+        BESIDE_BOTH,
         # k1 = 0: the first factor's box has no row
         (QuotSetup(2, 1, 1, m=1), InsertionSpec(b2=((1, 0, 0),))),
     ], ids=["212m6", "212m7", "212m8", "311m4", "sharp", "sym2", "thm41m2", "thm41m3",
@@ -378,10 +381,10 @@ class TestPairPrefilter:
         assert got
 
     def test_sigma_walk_reaches_past_mu_walk(self, monkeypatch):
-        # the beside_both page above: the sigma walk's last size is the
-        # whole box, past the mu walk's, so the join walks mu's whole box
-        p = stromme(QuotSetup(3, 1, 1, m=2))
-        ins = InsertionSpec(a1=((-1,),), b1=((3, 3),), a2=((2, 1),), b2=((3, 3),))
+        # the sigma walk's last size is the whole box, past the mu walk's,
+        # so the join walks mu's whole box
+        setup, ins = BESIDE_BOTH
+        p = stromme(setup)
         a1, b1, a2, b2 = ins.key()
         monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
         assert len(pipeline._candidate_pairs(p, ins)) == 253
