@@ -46,7 +46,9 @@ FormalTerms = dict[int, dict[InsertionSpec, int]]
 
 
 def _merge_keys(k1: InsertionSpec, k2: InsertionSpec) -> InsertionSpec:
-    return InsertionSpec(*[tuple(sorted(s1 + s2, reverse=True))
+    """The slots of k1 and k2 merged; each slot is sorted, so one beside an
+    empty slot is kept as it is."""
+    return InsertionSpec(*[tuple(sorted(s1 + s2, reverse=True)) if s1 and s2 else s1 + s2
                            for s1, s2 in zip(k1, k2)])
 
 
@@ -290,7 +292,7 @@ def hyper_cohomology(setup: QuotSetup, inserts) -> QuotReport:
     if all(i.side == "sub" or 0 in bundle_coh(setup.splitting, i.e) for i in inserts):
         routes.append([f if i.side == "sub" else _terms_insert_theta(setup, ranks, i.e, i.lam)
                        for i, f in zip(inserts, terms_l)])
-    reports = [_totalize(setup, reduce(_tensor_terms, terms, _unit_terms()))
+    reports = [_totalize(setup, reduce(_tensor_terms, terms) if terms else _unit_terms())
                for terms in routes]
     return _intersect(reports)
 

@@ -10,7 +10,7 @@ per-degree bounds are reported.
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import NamedTuple, Optional, Sequence
 
 from .bwb import (CohomTable, GrSpec, coh_bundle, coh_duals, coh_duals_nonempty,
@@ -177,11 +177,20 @@ def koszul_terms(params: StrommeParams, t: int) -> list[KoszulTerm]:
         raise ValueError(f"t = {t} outside [0, {params.rank_k}]")
     gr, cols, _, _ = _factor_inputs(params, 1, (), ())
     terms = []
-    for mu in _collision_free_by_size(gr.k, cols, [frozenset()], t).get(t, []):
+    for mu in _collision_free_by_size(gr.k, cols, [frozenset()], {t: cols}).get(t, []):
         exp = schur_of_sum_copies(conjugate(mu), 2, params.r2)
         terms.extend(KoszulTerm(t, mu, sigma, exp[sigma])
                      for sigma in sorted(exp, reverse=True))
     return terms
+
+
+def _ch2(lam: Partition, rows: int, cols: int) -> int:
+    """h2 of the complement of lam in its rows x cols box, read off lam
+    padded to `rows` rows: its length ch = #{i : lam_i < cols} plus
+    #{i : lam_i <= cols - 2}.  The parts lie in [1, cols], and the
+    padding zeros are below cols if cols > 0."""
+    ch = rows - lam.count(cols) if cols else 0
+    return ch + (ch - lam.count(cols - 1) if cols > 1 else 0)
 
 
 class _Survivor:
@@ -190,11 +199,11 @@ class _Survivor:
     h2 = dag_1 + dag_2 = h + #{i : lam_i >= 2}, w2 = lam_1 + lam_2, and
     (ch, cw, ch2, cw2) the same of its complement lam^c_i = C - lam_{R+1-i}
     in its R x C box, read off lam padded to R rows: cw = C - lam_R, cw2 =
-    cw + C - lam_{R-1}, ch = #{i : lam_i < C}, ch2 = ch + #{i : lam_i <=
-    C - 2}, all 0 when R = 0.  `dag`, `complement()` (lam^c and its
-    conjugate), `alive()` (the table is nonempty) and `table()` are built
-    on first read and kept; the last two read the factor's inputs (gr,
-    cols, fixed, P), built once per memo entry and shared."""
+    cw + C - lam_{R-1}, ch = #{i : lam_i < C}, ch2 (`_ch2`), all 0 when
+    R = 0.  `dag`, `complement()` (lam^c and its conjugate),
+    `alive()` (the table is nonempty) and `table()` are built on first
+    read and kept; the last two read the factor's inputs (gr, cols,
+    fixed, P), built once per memo entry and shared."""
 
     __slots__ = ("lam", "inputs", "h", "w", "h2", "w2", "ch", "cw", "ch2", "cw2",
                  "_dag", "_comp", "live", "built")
@@ -207,9 +216,8 @@ class _Survivor:
         self.h2, self.w2 = 2 * self.h - lam.count(1), self.w + part(lam, 2)
         self.cw = cols - part(lam, rows) if rows else 0
         self.cw2 = self.cw + (cols - part(lam, rows - 1) if rows > 1 else 0)
-        # the parts lie in [1, C], and the padding zeros are below C if C > 0
         self.ch = rows - lam.count(cols) if cols else 0
-        self.ch2 = self.ch + (rows - lam.count(cols) - lam.count(cols - 1) if cols > 1 else 0)
+        self.ch2 = _ch2(lam, rows, cols)
 
     @property
     def dag(self) -> Partition:
@@ -243,24 +251,28 @@ class _Survivor:
 
 
 class _FactorLists(Mapping):
-    """One factor's survivor lists by t, nonempty sizes only: `lams` holds
-    the collision-free walk of its box up to size `cap`, and each size's
-    `_Survivor` list is built from those lam tuples on the first read of
-    that size, then kept.  A walk to a larger cap replaces `lams` and
-    keeps the built lists: capped at c, the walk lists every size up to c
-    exactly as the whole walk does (`_collision_free_by_size`)."""
+    """One factor's walk and survivors: `lams` holds, by size (nonempty
+    sizes only), the lam tuples of the collision-free walk of its box
+    under the per-size bound `bound` on cw (`_collision_free_by_size`;
+    None: the whole box, {} before the first walk), and `built` the
+    `_Survivor` of every lam read so far, keyed by lam, so no lam's
+    survivor is built, tested or tabled twice, whatever walks the entry
+    makes.  As a Mapping: t -> the survivors of every lam of size t."""
 
-    __slots__ = ("inputs", "dead", "cap", "lams", "built")
+    __slots__ = ("inputs", "dead", "bound", "lams", "built")
 
     def __init__(self, inputs: tuple, dead: Optional[list[frozenset[int]]]):
         self.inputs, self.dead = inputs, dead
-        self.cap, self.lams, self.built = -1, {}, {}
+        self.bound, self.lams, self.built = {}, {}, {}
+
+    def survivor(self, lam: Partition) -> _Survivor:
+        got = self.built.get(lam)
+        if got is None:
+            got = self.built[lam] = _Survivor(lam, self.inputs)
+        return got
 
     def __getitem__(self, t: int) -> list[_Survivor]:
-        got = self.built.get(t)
-        if got is None:
-            got = self.built[t] = [_Survivor(lam, self.inputs) for lam in self.lams[t]]
-        return got
+        return [self.survivor(lam) for lam in self.lams[t]]
 
     def __contains__(self, t) -> bool:
         return t in self.lams
@@ -299,44 +311,62 @@ def _dead_values(forbidden: set[int], lo: int, hi: int) -> frozenset[int]:
 
 
 def _collision_free_by_size(rows: int, cols: int, dead: list[frozenset[int]],
-                            cap: Optional[int] = None) -> dict[int, list[Partition]]:
-    """Partitions lam in the rows x cols box with |lam| <= cap (None: no
-    cap) for which some set in `dead` misses lam_i - i in every row
-    i < rows, zero rows included, by size: {size: partitions in
-    descending-lex order}, nonempty sizes only.  With dead =
-    [frozenset()], every such box partition.
+                            bound: Optional[Mapping[int, int]] = None
+                            ) -> dict[int, list[Partition]]:
+    """Partitions lam in the rows x cols box for which some set in `dead`
+    misses lam_i - i in every row i < rows, zero rows included, and
+    cw(lam) <= bound[|lam|] (a size outside `bound` lists nothing, None
+    bounds no size), by size: {size: partitions in descending-lex order},
+    nonempty sizes only.  cw is the first part of the complement of lam
+    in the box, cols - lam_rows with lam padded to `rows` rows, 0 when
+    rows = 0 (`_Survivor.cw`).  With dead = [frozenset()] and a bound
+    of cols at a size, every box partition of that size.
 
     One depth-first walk: rows are chosen top down, x descending, and a
     prefix is dropped as soon as each set holds one of its values, so no
     box partition outside the result is built.  Each prefix is a box
     partition (its later rows zero), put in its size's list before its
     children are visited when some set still alive misses -j in every
-    zero row j.  Pre-order keeps each list in descending-lex order: two
-    partitions of one size are never prefixes of each other (parts are
-    positive), so they first differ in some row below a common prefix,
-    and the walk visits the whole subtree of that row's larger value
-    before the smaller one.  The order is fixed, so a page lists its
-    pairs in the same order on every run.
+    zero row j and its cw is within its size's bound.  At size t the
+    bound is a floor lam_rows >= cols - bound[t] on the last row; a
+    prefix whose row value x is below the floor of every size from
+    total + x on is cut, since each later row, lam_rows included, is at
+    most x and each completion has size at least total + x (reach[x],
+    the largest size whose floor is at most x; past the last bounded
+    size nothing is walked).  Pre-order keeps each list in descending-lex
+    order: two partitions of one size are never prefixes of each other
+    (parts are positive), so they first differ in some row below a common
+    prefix, and the walk visits the whole subtree of that row's larger
+    value before the smaller one.  The order is fixed, so a page lists
+    its pairs in the same order on every run.
     """
     out: dict[int, list[Partition]] = {}
     lam: list[int] = []
-    cap = rows * cols if cap is None else cap
+    sizes = range(rows * cols + 1)
+    most = [cols] * len(sizes) if bound is None else [bound.get(t, -1) for t in sizes]
+    last = [-1] * (cols + 1)  # the largest size with floor x, then at most x
+    for t in sizes:
+        if most[t] >= 0:
+            last[max(cols - most[t], 0)] = t
+    reach = list(accumulate(last, max))
 
-    def rec(i: int, bound: int, total: int, alive: list[tuple[int, frozenset[int]]]):
-        # (z, d) in alive: the rows from z on may be zero for d
-        if any(z <= i for z, _ in alive):
+    def rec(i: int, top: int, total: int, alive: list[tuple[int, frozenset[int]]]):
+        # (z, d) in alive: the rows from z on may be zero for d; the
+        # prefix's cw is cols - top once every row is chosen (top = cols
+        # at the root, so 0 when rows = 0), and cols before
+        if any(z <= i for z, _ in alive) and (cols - top if i == rows else cols) <= most[total]:
             out.setdefault(total, []).append(tuple(lam))
         if i < rows:
-            for x in range(min(bound, cap - total), 0, -1):
-                keep = [zd for zd in alive if x - i not in zd[1]]
-                if keep:
-                    lam.append(x)
-                    rec(i + 1, x, total + x, keep)
-                    lam.pop()
+            for x in range(min(top, reach[top] - total), 0, -1):
+                if total + x <= reach[x]:
+                    keep = [zd for zd in alive if x - i not in zd[1]]
+                    if keep:
+                        lam.append(x)
+                        rec(i + 1, x, total + x, keep)
+                        lam.pop()
 
-    if cap >= 0:
-        rec(0, cols, 0, [(next((j + 1 for j in reversed(range(rows)) if -j in d), 0), d)
-                         for d in dead])
+    rec(0, cols, 0, [(next((j + 1 for j in reversed(range(rows)) if -j in d), 0), d)
+                     for d in dead])
     return out
 
 
@@ -377,10 +407,10 @@ def _factor_terms(gr: GrSpec, fixed: list, product: Optional[Expansion],
 
 
 def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
-                      cap: Optional[int] = None) -> _FactorLists:
+                      bound: Optional[Mapping[int, int]] = None) -> _FactorLists:
     """Koszul partitions that pass the factor's BWB collision criterion,
-    the candidates whose table may be nonempty, by size t <= cap (None:
-    every size of the box).
+    the candidates whose table may be nonempty, by size t, with cw at
+    most bound[t] (None: every partition of the box).
 
     factor 1: mu in the k1 x 2r2 box with |mu| = t, table
     H(Gr(k1, n1), S^mu(A1) x a x b); factor 2: sigma in the r2 x 2k1 box
@@ -393,10 +423,12 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
     every survivor: it validates and expands the fixed side and multiplies
     out the insertions beside the partition (P; an empty product, from a
     partition too long for its bundle, empties every list).  One walk of
-    the box up to the cap yields every such size's lam tuples; a call
-    with a cap at or below the entry's walks nothing (the entry may hold
-    sizes past the cap), a larger one walks again to its cap.  A size's
-    survivors are built on its first read.  Nothing is tensored here:
+    the box under the bound (`_collision_free_by_size`) yields every
+    size's lam tuples.  A call whose bound is nowhere looser than the
+    entry's walks nothing (the entry may hold more than the bound lets
+    through); a looser one walks again under the pointwise loosest of the
+    two, so the entry only grows.  A lam's survivor is built on its first
+    read (`_FactorLists.survivor`) and kept.  Nothing is tensored here:
     `_candidate_pairs` tests a candidate's table for a surviving term
     (`_Survivor.alive`) only in a pair that passed its cheaper tests.  The
     criterion, on the Grassmannian Gr(k, n) of `_factor_inputs`, with the
@@ -430,11 +462,14 @@ def _factor_survivors(params: StrommeParams, factor: int, a: tuple, b: tuple,
                          for chi, _ in fixed})
         lists = _SURVIVOR_CACHE[key] = _FactorLists(inputs, dead)
     gr, cols = lists.inputs[0], lists.inputs[1]
-    cap = gr.k * cols if cap is None else min(cap, gr.k * cols)
-    if cap > lists.cap:
+    old = lists.bound
+    if old is not None and (bound is None or any(most > old.get(t, -1)
+                                                 for t, most in bound.items())):
+        if bound is not None:
+            bound = {**old, **{t: max(most, old.get(t, -1)) for t, most in bound.items()}}
+        lists.bound = bound
         if lists.dead is not None:
-            lists.lams = _collision_free_by_size(gr.k, cols, lists.dead, cap)
-        lists.cap = cap
+            lists.lams = _collision_free_by_size(gr.k, cols, lists.dead, bound)
     return lists
 
 
@@ -456,13 +491,23 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
     the first factor, f2 that of sigma on the second, ordered by t, then
     mu, then sigma.
 
-    The candidates come from the memoized lists of `_factor_survivors`.
-    Every term has |mu| = |sigma| = t, so a t lacking either list has no
-    pair: the sigma walk covers its whole box, the mu walk stops at the
-    largest sigma size (past it every sigma list is empty), and only the
-    sizes both factors list are visited, in increasing t, each list in
-    walk order; so no pair is lost and the order is that of a visit of
-    every t.  Each test runs only on a pair that passed every one before
+    The candidates come from the memoized entries of `_factor_survivors`,
+    cut before any survivor is built by the join's first key, cw(f1) <=
+    ch2(f2) (the complement pair's Dvir bound, below), read per size.
+    The sigma walk covers its whole box; maxch2[t] is the largest ch2 of
+    the sigma it lists at t, and the mu walk lists at t only the mu with
+    cw(mu) <= maxch2[t] (`_collision_free_by_size`'s bound; at a t the
+    sigma walk does not list, nothing).  The mu of an entry walked under
+    a looser bound are cut again at the same bound.  At each t, a sigma's
+    survivor is built only if its ch2 is at least mincw[t], the least cw
+    of the mu kept there.  Neither cut loses a candidate: every term has
+    |mu| = |sigma| = t, and a pair of size t passes the key only if
+    mincw[t] <= cw(f1) <= ch2(f2) <= maxch2[t], so an f1 with cw >
+    maxch2[t], or an f2 with ch2 < mincw[t], fails it against every
+    partner of its size.  The sizes are visited in increasing t and each
+    list is cut in walk order, so the candidates and their order are
+    those of a join of the whole walks at every t.  From there each
+    test runs only on a pair that passed every one before
     it: the eight Dvir keys of the pair and its complement pair (those
     that fail most often on the scans first), the pair's two meet walks,
     the complement pair's two, and last whether both factor tables are
@@ -504,11 +549,19 @@ def _candidate_pairs(params: StrommeParams, ins: InsertionSpec) -> list:
     """
     a1, b1, a2, b2 = ins.key()
     seconds = _factor_survivors(params, 2, a2, b2)
-    firsts = _factor_survivors(params, 1, a1, b1, max(seconds, default=-1))
+    rows2, cols2 = seconds.inputs[0].k, seconds.inputs[1]
+    ch2s = {t: [_ch2(lam, rows2, cols2) for lam in lams] for t, lams in seconds.lams.items()}
+    maxch2 = {t: max(keys) for t, keys in ch2s.items()}
+    firsts = _factor_survivors(params, 1, a1, b1, maxch2)
     out = []
-    for t in sorted(t for t in seconds if t in firsts):
-        seconds_t = seconds[t]
-        for f1 in firsts[t]:
+    for t in sorted(t for t in maxch2 if t in firsts):
+        firsts_t = [f1 for f1 in map(firsts.survivor, firsts.lams[t]) if f1.cw <= maxch2[t]]
+        if not firsts_t:
+            continue
+        mincw = min(f1.cw for f1 in firsts_t)
+        seconds_t = [seconds.survivor(lam) for lam, ch2 in zip(seconds.lams[t], ch2s[t])
+                     if ch2 >= mincw]
+        for f1 in firsts_t:
             h, w, h2, w2 = f1.h, f1.w, f1.h2, f1.w2
             ch, cw, ch2, cw2 = f1.ch, f1.cw, f1.ch2, f1.cw2
             out.extend((t, f1, f2) for f2 in seconds_t

@@ -217,15 +217,16 @@ class TestKoszul:
 
     def test_box_generator_is_partitions_in_box(self):
         # koszul_terms enumerates its boxes through the collision walk with
-        # nothing dead and a size cap of t: every partition of t in the
-        # box, in order
+        # nothing dead and a bound of cols at t alone: every partition of
+        # t in the box, in order, and nothing at any other size
         for rows in range(7):
             for cols in range(8):
                 for t in range(-1, rows * cols + 2):
-                    walk = pipeline._collision_free_by_size(rows, cols, [frozenset()], t)
+                    walk = pipeline._collision_free_by_size(rows, cols, [frozenset()],
+                                                            {t: cols})
                     got = walk.get(t, [])
                     assert got == partitions_in_box(rows, cols, t), (rows, cols, t)
-                    assert all(size(lam) == s <= t for s, lams in walk.items()
+                    assert all(size(lam) == s == t for s, lams in walk.items()
                                for lam in lams), (rows, cols, t)
 
     def test_pair_route_matches_expansion_route(self):
@@ -282,6 +283,41 @@ def survivor_box(s):
     return s.inputs[0].k, s.inputs[1]
 
 
+def as_entry(lists):
+    """A `_FactorLists` holding the survivor lists {t: survivors}, all of
+    one box, as a whole walk of that box would, each survivor built."""
+    entry = pipeline._FactorLists(next(iter(lists.values()))[0].inputs, None)
+    entry.bound = None
+    for t, survivors in lists.items():
+        entry.lams[t] = [s.lam for s in survivors]
+        entry.built.update((s.lam, s) for s in survivors)
+    return entry
+
+
+def oracle_cw(lam, rows, cols):
+    """cw of lam: the first part of its complement in the rows x cols box."""
+    return part(complement(lam, rows, cols), 1)
+
+
+def oracle_ch2(lam, rows, cols):
+    """ch2 of lam: the length plus the second conjugate part of its
+    complement in the rows x cols box."""
+    comp = complement(lam, rows, cols)
+    return len(comp) + part(conjugate(comp), 2)
+
+
+def bounded(whole, rows, cols, bound):
+    """The lists {t: lams} of a whole walk of the rows x cols box cut to
+    the lam with cw(lam) <= bound[t] (None: no cut), nonempty sizes only."""
+    out = {}
+    for t, lams in whole.items():
+        kept = [lam for lam in lams
+                if bound is None or oracle_cw(lam, rows, cols) <= bound.get(t, -1)]
+        if kept:
+            out[t] = kept
+    return out
+
+
 def oracle_join(t, firsts, seconds):
     """(t, mu, sigma) of two survivor lists of one t joined by the oracle:
     the pair and its complement pair pass `pair_possible`, then both
@@ -303,8 +339,9 @@ _PRUNE_SETUPS = [s for s in (QuotSetup(n, r, d, b, m=sum(b) + d + e)
 
 
 # insertions beside both partitions (a1 and b2), and the sigma walk
-# reaching past the mu walk (t = 24 against 23), so the mu walk's cap does
-# not bind; no page of the bench's hyper space has either
+# reaching past the whole mu walk (t = 24 against 23), so the mu walk is
+# bounded at a size where it lists nothing; no page of the bench's hyper
+# space has either
 BESIDE_BOTH = (QuotSetup(3, 1, 1, m=2), InsertionSpec(a1=((-1,),), b1=((3, 3),),
                                                       a2=((2, 1),), b2=((3, 3),)))
 
@@ -315,9 +352,9 @@ class TestPairPrefilter:
         """The join of two survivor lists handed to it as those of t = 0,
         and the oracle's: `pair_possible` on the pair and on its built
         complement pair, pair for pair in order."""
+        entries = {1: as_entry({0: firsts}), 2: as_entry({0: seconds})}
         monkeypatch.setattr(pipeline, "_factor_survivors",
-                            lambda params, factor, a, b, cap=None:
-                            {0: firsts if factor == 1 else seconds})
+                            lambda params, factor, a, b, bound=None: entries[factor])
         got = [(t, f1.lam, f2.lam) for t, f1, f2 in
                pipeline._candidate_pairs(stromme(QuotSetup(2, 1, 1)), InsertionSpec())]
         want = [(0, f1.lam, f2.lam) for f1 in firsts for f2 in seconds
@@ -364,16 +401,18 @@ class TestPairPrefilter:
     ], ids=["212m6", "212m7", "212m8", "311m4", "sharp", "sym2", "thm41m2", "thm41m3",
             "thm41m4", "thm41m5", "beside_both", "k1=0"])
     def test_real_pages_match_oracle_join(self, monkeypatch, setup, ins):
-        # the join from cold memos against the oracle join of the whole
-        # walks' lists at every t: the pair and its complement pair pass
-        # `pair_possible`, then both tables are nonempty
+        # the join from cold memos, its mu walk bounded, against the
+        # oracle join of the whole walks' lists at every t: the pair and
+        # its complement pair pass `pair_possible`, then both tables are
+        # nonempty
         p = stromme(setup)
         a1, b1, a2, b2 = ins.key()
         monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
         got = [(t, f1.lam, f2.lam) for t, f1, f2 in pipeline._candidate_pairs(p, ins)]
+        assert pipeline._SURVIVOR_CACHE[(p, 1, a1, b1)].bound is not None
         firsts = pipeline._factor_survivors(p, 1, a1, b1)
         seconds = pipeline._factor_survivors(p, 2, a2, b2)
-        assert firsts.cap == seconds.cap == p.rank_k
+        assert firsts.bound is seconds.bound is None
         want = []
         for t in range(p.rank_k + 1):
             want.extend(oracle_join(t, firsts.get(t, []), seconds.get(t, [])))
@@ -381,8 +420,10 @@ class TestPairPrefilter:
         assert got
 
     def test_sigma_walk_reaches_past_mu_walk(self, monkeypatch):
-        # the sigma walk's last size is the whole box, past the mu walk's,
-        # so the join walks mu's whole box
+        # the sigma walk's last size is the whole box, past the whole mu
+        # walk's; the join bounds the mu walk at every sigma size, the
+        # last one included, by the largest ch2 there, and walks the
+        # sigma box whole
         setup, ins = BESIDE_BOTH
         p = stromme(setup)
         a1, b1, a2, b2 = ins.key()
@@ -390,8 +431,10 @@ class TestPairPrefilter:
         assert len(pipeline._candidate_pairs(p, ins)) == 253
         firsts = pipeline._SURVIVOR_CACHE[(p, 1, a1, b1)]
         seconds = pipeline._SURVIVOR_CACHE[(p, 2, a2, b2)]
-        assert (max(firsts), max(seconds)) == (23, 24)
-        assert firsts.cap == seconds.cap == p.rank_k == 24
+        assert seconds.bound is None and max(seconds) == p.rank_k == 24
+        assert firsts.bound == {t: max(oracle_ch2(lam, p.r2, 2 * p.k1) for lam in lams)
+                                for t, lams in seconds.lams.items()}
+        assert max(pipeline._factor_survivors(p, 1, a1, b1)) == 23
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.data())
@@ -444,9 +487,9 @@ class TestKoszulDuality:
         pairs = nonzero = 0
         for k1, r2 in self.BOXES:
             firsts, seconds = box_survivors(k1, 2 * r2), box_survivors(r2, 2 * k1)
+            entries = {1: as_entry(by_size(firsts)), 2: as_entry(by_size(seconds))}
             monkeypatch.setattr(pipeline, "_factor_survivors",
-                                lambda params, factor, a, b, cap=None:
-                                by_size(firsts if factor == 1 else seconds))
+                                lambda params, factor, a, b, bound=None: entries[factor])
             kept = {(f1.lam, f2.lam) for _, f1, f2 in pipeline._candidate_pairs(
                 SimpleNamespace(rank_k=2 * k1 * r2), InsertionSpec())}
             for f1 in firsts:
@@ -776,38 +819,56 @@ class TestSurvivorMemo:
         assert len(pipeline._SURVIVOR_CACHE) == held
 
 
+def walk_bounds(cols):
+    """A per-size bound on cw for `_factor_survivors` in a box of `cols`
+    columns: None (the whole box) or {size: bound}, sizes past a 4 x 5
+    box and negative bounds included; cw never exceeds cols, and the
+    join's bounds, ch2 of the other factor, never exceed it either."""
+    return st.none() | st.dictionaries(st.integers(-1, 21), st.integers(-2, cols),
+                                       max_size=6)
+
+
+def admitted(bound, cols):
+    """The (size, cw) a bound lets through, over every size it may name."""
+    return {(t, c) for t in range(-1, 22) for c in range(cols + 1)
+            if bound is None or c <= bound.get(t, -1)}
+
+
 class TestSurvivorCap:
-    """One memo entry per factor, walked to the largest cap asked of it."""
+    """One memo entry per factor, walked under the pointwise loosest
+    bound asked of it; a size cap is the bound of cols up to the cap."""
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(st.integers(0, 4), st.integers(0, 5),
            st.lists(st.frozensets(st.integers(-5, 5), max_size=4), max_size=3),
-           st.integers(-1, 21), st.integers(-1, 21))
-    def test_capped_entry_matches_whole_walk(self, rows, cols, dead, low, high):
-        # a request at one cap, then at another, in both orders, against
-        # the cold uncapped walk cut at each cap; a larger cap walks again,
-        # a smaller one reuses the entry, and built lists are kept
+           st.data())
+    def test_capped_entry_matches_whole_walk(self, rows, cols, dead, data):
+        # a request under one bound, then under another, in both orders,
+        # against the cold whole walk cut to what the requests so far let
+        # through; a request that lets more through walks again, any other
+        # reuses the entry, and each lam's survivor is built once
+        low, high = data.draw(walk_bounds(cols)), data.draw(walk_bounds(cols))
         whole = pipeline._collision_free_by_size(rows, cols, dead)
-        box = rows * cols
         key = ("box", 1, (), ())
-        for caps in ((low, high), (high, low)):
+        for bounds in ((low, high), (high, low)):
             entry = pipeline._FactorLists((GrSpec(rows, rows + cols), cols, [], None), dead)
             saved, pipeline._SURVIVOR_CACHE = pipeline._SURVIVOR_CACHE, {key: entry}
             try:
-                reached, read = -1, {}
-                for cap in caps:
+                through, read = set(), {}
+                for bound in bounds:
                     with recorded_candidates() as walks:
-                        lists = pipeline._factor_survivors(*key, cap)
+                        lists = pipeline._factor_survivors(*key, bound)
                     assert lists is entry
-                    assert len(walks) == (min(cap, box) > reached), (caps, cap)
-                    reached = max(reached, min(cap, box))
-                    assert entry.cap == reached
-                    assert {t: [s.lam for s in lists[t]] for t in lists if t <= cap} == \
-                        {t: lams for t, lams in whole.items() if t <= cap}, (caps, cap)
+                    asked = admitted(bound, cols)
+                    assert len(walks) == (not asked <= through), (bounds, bound)
+                    through |= asked
                     assert {t: [s.lam for s in lists[t]] for t in lists} == \
-                        {t: lams for t, lams in whole.items() if t <= reached}, (caps, cap)
-                    assert all(lists[t] is lst for t, lst in read.items())
-                    read.update((t, lists[t]) for t in lists)
+                        {t: kept for t, lams in whole.items()
+                         if (kept := [lam for lam in lams
+                                      if (t, oracle_cw(lam, rows, cols)) in through])}, \
+                        (bounds, bound)
+                    assert all(entry.survivor(lam) is s for lam, s in read.items())
+                    read.update((s.lam, s) for t in lists for s in lists[t])
             finally:
                 pipeline._SURVIVOR_CACHE = saved
 
@@ -1021,11 +1082,57 @@ class TestCollisionWalk:
 
     @pytest.mark.parametrize("dead", WALK_DEAD)
     def test_cap_keeps_the_smaller_sizes(self, dead):
+        # a size cap is the bound of cols at every size up to it
         rows, cols = 4, 5
         whole = pipeline._collision_free_by_size(rows, cols, dead)
         for cap in range(-1, rows * cols + 1):
-            assert pipeline._collision_free_by_size(rows, cols, dead, cap) == \
+            bound = dict.fromkeys(range(cap + 1), cols)
+            assert pipeline._collision_free_by_size(rows, cols, dead, bound) == \
                 {s: lams for s, lams in whole.items() if s <= cap}, cap
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 5), st.sampled_from(WALK_DEAD),
+           st.dictionaries(st.integers(-1, 21), st.integers(-2, 6), max_size=8))
+    @example(0, 3, [frozenset()], {0: 0})  # rows = 0: cw is 0
+    @example(0, 3, [frozenset()], {0: -1, 1: 3})  # a negative bound lists nothing
+    @example(3, 0, [frozenset()], {0: 0})  # cols = 0
+    @example(3, 4, [frozenset()], {2: 3, 5: 1, 9: -1})  # sizes with no bound
+    @example(3, 4, [frozenset()], {4: 2, 8: 4})  # lam_3 = 0 below a floor of 2
+    def test_bound_is_the_filtered_whole_walk(self, rows, cols, dead, bound):
+        # the walk under a per-size bound on cw is the whole walk cut to
+        # cw(lam) <= bound[|lam|], cw read off the complement in the box
+        whole = pipeline._collision_free_by_size(rows, cols, dead)
+        assert pipeline._collision_free_by_size(rows, cols, dead, bound) == \
+            bounded(whole, rows, cols, bound)
+
+    def test_bound_cuts_the_walk(self, monkeypatch):
+        # the mu walk of the m=6 scan of (2, 1, 2) under the join's bound
+        # visits 146 prefixes and lists 29 partitions; walked to the last
+        # sigma size with no bound on cw it visits and lists 455
+        p = stromme(QuotSetup(2, 1, 2, m=6))
+        monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
+        pipeline._candidate_pairs(p, InsertionSpec())
+        entry = pipeline._SURVIVOR_CACHE[(p, 1, (), ())]
+        rows, cols = p.k1, 2 * p.r2
+        rec_code = next(c for c in pipeline._collision_free_by_size.__code__.co_consts
+                        if getattr(c, "co_name", None) == "rec")
+
+        def walked(bound):
+            calls = [0]
+
+            def count(frame, event, arg):
+                if event == "call" and frame.f_code is rec_code:
+                    calls[0] += 1
+
+            sys.setprofile(count)
+            try:
+                out = pipeline._collision_free_by_size(rows, cols, entry.dead, bound)
+            finally:
+                sys.setprofile(None)
+            return calls[0], sum(map(len, out.values()))
+
+        assert walked(entry.bound) == (146, 29)
+        assert walked(dict.fromkeys(range(max(entry.bound) + 1), cols)) == (455, 455)
 
 
 class TestFactorSurvivors:
@@ -1177,25 +1284,37 @@ class TestFactorSurvivors:
             == [((), {0: 1}), ((), {0: 1})]
 
     @pytest.mark.parametrize("setup, ins, most", [
-        (QuotSetup(2, 1, 2, m=6), InsertionSpec(), 669),
-        (*EXAMPLES["sym2"][:2], 16),
+        (QuotSetup(2, 1, 2, m=6), InsertionSpec(), 49),
+        (*EXAMPLES["sym2"][:2], 4),
     ], ids=["212m6", "sym2"])
     def test_survivors_built_only_at_shared_sizes(self, monkeypatch, setup, ins, most):
-        # from cold memos a page walks mu only up to the last sigma size
-        # and builds survivors only at the t both factors list: 669 and 16,
-        # where building every walked size's survivors made 1221 and 173
+        # from cold memos a page walks the sigma box whole and mu only
+        # where cw(mu) <= maxch2[t], the largest ch2 of the sigma of its
+        # size, builds every mu survivor it walked and a sigma survivor
+        # only where its ch2 reaches mincw[t], the least cw of those mu,
+        # each once: 49 and 4 built, where building every size both walks
+        # list made 669 and 16
         p = stromme(setup)
         a1, b1, a2, b2 = ins.key()
+        (rows1, cols1), (rows2, cols2) = (p.k1, 2 * p.r2), (p.r2, 2 * p.k1)
         monkeypatch.setattr(pipeline, "_SURVIVOR_CACHE", {})
         with counted_survivors() as built:
             e1_page(p, ins)
         assert 0 < len(built) <= most
         firsts = pipeline._SURVIVOR_CACHE[(p, 1, a1, b1)]
         seconds = pipeline._SURVIVOR_CACHE[(p, 2, a2, b2)]
-        assert firsts.cap == max(seconds) < p.rank_k == seconds.cap
-        shared = firsts.keys() & seconds.keys()
-        assert firsts.built.keys() == seconds.built.keys() == shared
-        assert len(built) == sum(len(firsts[t]) + len(seconds[t]) for t in shared)
+        maxch2 = {t: max(oracle_ch2(lam, rows2, cols2) for lam in lams)
+                  for t, lams in seconds.lams.items()}
+        assert seconds.bound is None and firsts.bound == maxch2
+        whole = pipeline._collision_free_by_size(rows1, cols1, firsts.dead)
+        assert firsts.lams == bounded(whole, rows1, cols1, maxch2)
+        mincw = {t: min(oracle_cw(lam, rows1, cols1) for lam in lams)
+                 for t, lams in firsts.lams.items()}
+        assert firsts.built.keys() == {lam for lams in firsts.lams.values() for lam in lams}
+        assert seconds.built.keys() == {lam for t, lams in seconds.lams.items() if t in mincw
+                                        for lam in lams
+                                        if oracle_ch2(lam, rows2, cols2) >= mincw[t]}
+        assert len(built) == len(firsts.built) + len(seconds.built)
 
     @pytest.mark.parametrize("m", [6, 7])
     def test_candidate_order_matches_per_t_oracle(self, m):
